@@ -3,34 +3,36 @@
  * mlgs_perfbench: host-speed benchmark of the simulator, driven as a
  * library. One process runs one workload:
  *
- *   mlgs_perfbench --workload lenet_step --seed 1 --seconds 30 --trace 0
+ *   mlgs_perfbench --workload lenet_step --seed 1 --seconds 20 --trace 0
  *                  --work-dir DIR
  *
  * Workloads (each replay starts from a fresh Context, caches empty):
- *   lenet_step       detailed replay of a one-image LeNet SGD step (GTX 1050)
- *   winograd_fwd     detailed replay of the fused-WINOGRAD forward conv
- *                    (GTX 1080 Ti)
- *   lenet_functional the lenet_step trace replayed in functional mode
- *   serve_sweep      an in-process mlgs-serve daemon (one worker) driven by 4
- *                    closed-loop clients through a cold and a warm pass of
- *                    15 §V configs
+ *   lenet_step    detailed replay of a one-image LeNet SGD step (GTX 1050)
+ *   winograd_fwd  detailed replay of the fused-WINOGRAD forward conv
+ *                 (GTX 1080 Ti)
+ *   serve_sweep   an in-process mlgs-serve daemon (one worker) driven by 4
+ *                 closed-loop clients through a cold and a warm pass of
+ *                 15 §V configs
  *
  * Traces are recorded from seeded frontends before anything is timed; the
  * simulator under test sees only the recorded traces. Simulated time is
  * cycles of the modelled GPU; host time is what the simulator takes to run.
+ * Gated host times are process CPU seconds (cpuSec); wall seconds are
+ * printed next to them.
  *
- * --trace 0 prints the end-to-end metrics; --trace 1 runs the same untraced
- * unit, then traced passes with a span around every layer call, prints the
+ * --trace 0 prints the end-to-end metrics; --trace 1 runs the untraced unit
+ * once, then traced passes with a span around every layer call, prints the
  * per-layer metrics and writes the spans as Chrome trace-event JSON into the
  * work directory. The last stdout line is the result object.
  */
-#include <sys/resource.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -64,7 +66,6 @@ constexpr uint64_t kDefaultSeed = 1;
 const std::map<std::string, uint64_t> kDefaultDigests = {
     {"lenet_step", 0x94e0600cd700417dull},
     {"winograd_fwd", 0x2aa8fee32cd0eb70ull},
-    {"lenet_functional", 0x7d48a64b18a506b7ull},
     {"serve_sweep", 0xd40799e343fd8bc1ull},
 };
 
@@ -72,9 +73,8 @@ struct Args
 {
     std::string workload;
     uint64_t seed = kDefaultSeed;
-    double seconds = 30.0;
+    double seconds = 20.0;
     bool trace = false;
-    bool threads_check = false;
     std::string work_dir = ".";
 };
 
@@ -106,12 +106,31 @@ struct Outcome
     }
 };
 
+/**
+ * Restart the resident-memory high-water mark at the current resident size,
+ * so that peakRssMb covers only what runs after this call (not the untimed
+ * recording of the workload's traces, nor an earlier unit).
+ */
+void
+resetPeakRss()
+{
+    malloc_trim(0);
+    std::ofstream os("/proc/self/clear_refs");
+    os << "5";
+    os.close();
+    if (!os)
+        throw FatalError("cannot reset the peak RSS via /proc/self/clear_refs");
+}
+
+/** Peak resident memory since the last resetPeakRss (VmHWM), in MB. */
 double
 peakRssMb()
 {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return double(ru.ru_maxrss) / 1024.0;
+    std::ifstream is("/proc/self/status");
+    for (std::string line; std::getline(is, line);)
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stod(line.substr(6)) / 1024.0; // kB
+    throw FatalError("no VmHWM in /proc/self/status");
 }
 
 /** Repeat `unit` at least once, and again while it fits in `seconds`. */
@@ -220,6 +239,7 @@ class OpTimer : public cuda::ApiObserver
 struct Replay
 {
     double wall = 0.0;     ///< host seconds inside TraceReplayer::replay
+    double cpu = 0.0;      ///< host CPU seconds of the same interval
     std::string stats_json; ///< trace::statsJson
     /** FNV-1a of statsJson plus the functional warp-instruction total. */
     uint64_t digest = 0;
@@ -266,8 +286,9 @@ replayOnce(const trace::TraceReplayer &rep, cuda::SimMode mode,
                              ? "trace.replay.functional"
                              : "trace.replay.detailed");
         timer.start();
-        const double t0 = nowSec();
+        const double t0 = nowSec(), c0 = cpuSec();
         r.result = rep.replay(*ctx);
+        r.cpu = cpuSec() - c0;
         r.wall = nowSec() - t0;
     }
     ctx->setApiObserver(nullptr);
@@ -311,12 +332,18 @@ ratio(double num, double den)
     return den > 0 ? num / den : 0.0;
 }
 
+/** Host wall and CPU seconds of one interval. */
+struct HostTime
+{
+    double wall = 0.0;
+    double cpu = 0.0;
+};
+
 // ---------------------------------------------------------------------------
 // Workload preparation (untimed)
 
 struct Prepared
 {
-    cuda::SimMode mode = cuda::SimMode::Performance;
     std::vector<Recorded> traces;   ///< distinct workload traces
     std::vector<std::string> paths; ///< one .mlgstrace file per trace
     /** serve_sweep: the submissions, as indices into traces. */
@@ -368,10 +395,8 @@ Prepared
 prepare(const Args &a)
 {
     Prepared p;
-    if (a.workload == "lenet_step" || a.workload == "lenet_functional") {
-        p.mode = a.workload == "lenet_step" ? cuda::SimMode::Performance
-                                            : cuda::SimMode::Functional;
-        p.traces.push_back(recordLenetStep(a.seed, p.mode));
+    if (a.workload == "lenet_step") {
+        p.traces.push_back(recordLenetStep(a.seed));
     } else if (a.workload == "winograd_fwd") {
         p.traces.push_back(recordConv(
             {Pass::Forward, int(cudnn::ConvFwdAlgo::Winograd)}, a.seed, false));
@@ -391,7 +416,9 @@ prepare(const Args &a)
 struct ServeRun
 {
     double session_s = 0.0;
+    double session_cpu_s = 0.0;
     double cold_s = 0.0;
+    double cold_cpu_s = 0.0;
     double warm_s = 0.0;
     std::vector<double> miss_sim_ms, queue_wait_ms, hit_ms;
     uint64_t warm_hits = 0;
@@ -412,17 +439,17 @@ serverOptions(const std::string &socket)
 }
 
 /** Daemon start until the first connection is accepted and answered. */
-double
+HostTime
 serveSetupOnce(const std::string &socket)
 {
-    const double t0 = nowSec();
+    const double t0 = nowSec(), c0 = cpuSec();
     serve::Server server(serverOptions(socket));
     server.start();
-    double t = 0.0;
+    HostTime t;
     {
         serve::Client c(socket);
         c.ping();
-        t = nowSec() - t0;
+        t = {nowSec() - t0, cpuSec() - c0};
     }
     server.requestStop();
     server.join();
@@ -432,15 +459,16 @@ serveSetupOnce(const std::string &socket)
 /**
  * A fresh daemon and a closed loop of `clients` connections: a cold pass
  * submitting `cold` (trace indices, in order), then a warm pass submitting
- * `warm`. Every answer must be byte-identical to `ref`; every warm answer
- * must be a cache hit.
+ * `warm`, each job simulated at `sim_threads`. Every answer must be
+ * byte-identical to `ref` (from sim_threads=1 runs); every warm answer must
+ * be a cache hit.
  */
 ServeRun
 serveSession(const std::string &socket,
              const std::vector<std::vector<uint8_t>> &bytes,
              const std::vector<std::string> &ref, const std::vector<size_t> &cold,
-             const std::vector<size_t> &warm, unsigned clients, Outcome &out,
-             SpanRecorder &spans)
+             const std::vector<size_t> &warm, unsigned clients,
+             unsigned sim_threads, Outcome &out, SpanRecorder &spans)
 {
     ServeRun run;
     serve::Server server(serverOptions(socket));
@@ -457,7 +485,7 @@ serveSession(const std::string &socket,
         for (unsigned c = 0; c < clients; c++)
             threads.emplace_back([&, c] {
                 serve::SubmitOptions so;
-                so.sim_threads = 1;
+                so.sim_threads = sim_threads;
                 for (size_t i; (i = next++) < items.size();) {
                     const size_t t = items[i];
                     const double t0 = nowSec();
@@ -480,7 +508,9 @@ serveSession(const std::string &socket,
                         continue;
                     }
                     if (r.stats_json != ref[t])
-                        out.fail("serve answer differs from the in-process run");
+                        out.fail(fmt("serve answer (sim_threads=%u) differs "
+                                     "from the in-process sim_threads=1 run",
+                                     sim_threads));
                     else if (warm_pass && !r.cache_hit)
                         out.fail("warm submission was not a cache hit");
                     else
@@ -498,13 +528,15 @@ serveSession(const std::string &socket,
             t.join();
     };
 
-    const double t0 = nowSec();
+    const double t0 = nowSec(), c0 = cpuSec();
     pass(cold, false);
-    const double t1 = nowSec();
+    const double t1 = nowSec(), c1 = cpuSec();
     pass(warm, true);
-    const double t2 = nowSec();
+    const double t2 = nowSec(), c2 = cpuSec();
     run.session_s = t2 - t0;
+    run.session_cpu_s = c2 - c0;
     run.cold_s = t1 - t0;
+    run.cold_cpu_s = c1 - c0;
     run.warm_s = t2 - t1;
     run.info = conns[0].info();
     conns.clear();
@@ -563,30 +595,49 @@ struct Run
 /** The untraced unit's results. */
 struct UnitResult
 {
+    double cpu_s = 0.0;
     double wall_s = 0.0;
-    double warp_instrs_per_s = 0.0;
+    double warp_instrs_per_cpu_s = 0.0;
+    double peak_rss_mb = 0.0; ///< median over units of each unit's peak
     uint64_t digest = 0;
 };
 
 /** Set-ups per run; setup_s is their median. */
 constexpr int kSetupReps = 31;
 
+/** Median CPU time of kSetupReps set-ups; prints CPU and wall summaries. */
+double
+setupSeconds(Run &c, const std::function<HostTime()> &once,
+             const std::string &what)
+{
+    std::vector<double> cpu, wall;
+    for (int i = 0; i < kSetupReps; i++) {
+        const HostTime t = once();
+        cpu.push_back(t.cpu);
+        wall.push_back(t.wall);
+    }
+    const Summary s = summarize(cpu);
+    c.line("setup_s (CPU) " + describe(s, "s") + ", wall " +
+           describe(summarize(wall), "s") + ": " + what);
+    return s.median;
+}
+
 /** Set-up: trace load (content hash verified) + Context construction. */
 double
 replaySetup(Run &c)
 {
-    std::vector<double> times;
-    for (int i = 0; i < kSetupReps; i++) {
-        const double t0 = nowSec();
-        for (const auto &path : c.prep.paths) {
-            trace::TraceReplayer rep(trace::TraceFile::load(path));
-            cuda::Context ctx(replayOptions(rep, c.prep.mode, 1));
-        }
-        times.push_back(nowSec() - t0);
-    }
-    const Summary s = summarize(times);
-    c.line("setup_s " + describe(s, "s"));
-    return s.median;
+    return setupSeconds(
+        c,
+        [&] {
+            const double t0 = nowSec(), c0 = cpuSec();
+            for (const auto &path : c.prep.paths) {
+                trace::TraceReplayer rep(trace::TraceFile::load(path));
+                cuda::Context ctx(
+                    replayOptions(rep, cuda::SimMode::Performance, 1));
+            }
+            return HostTime{nowSec() - t0, cpuSec() - c0};
+        },
+        "trace load with hash check + Context construction");
 }
 
 /**
@@ -597,62 +648,60 @@ replaySetup(Run &c)
 double
 serveSetup(Run &c)
 {
-    std::vector<double> times, daemon;
-    for (int i = 0; i < kSetupReps; i++) {
-        const double t0 = nowSec();
-        for (const auto &path : c.prep.paths)
-            (void)trace::TraceFile::load(path);
-        const double d = serveSetupOnce(join(c.args.work_dir, "setup.sock"));
-        times.push_back(nowSec() - t0);
-        daemon.push_back(d);
-    }
-    const Summary s = summarize(times);
-    c.line("setup_s " + describe(s, "s") + ", of which daemon start to first "
-           "connection " + describe(summarize(daemon), "s"));
-    return s.median;
-}
-
-/** Replay at sim_threads=4 and require the sim_threads=1 digest. */
-void
-threadsCheck(Run &c, const trace::TraceReplayer &rep, cuda::SimMode mode,
-             uint64_t digest_t1)
-{
-    const Replay r = replayOnce(rep, mode, 4);
-    c.out.check(r.digest == digest_t1, "stats digest differs at sim_threads=4");
-    c.line(fmt("wall_s_t4=%.6g s at sim_threads=4, digest %s sim_threads=1",
-               r.wall, r.digest == digest_t1 ? "==" : "!="));
+    std::vector<double> daemon;
+    const double s = setupSeconds(
+        c,
+        [&] {
+            const double t0 = nowSec(), c0 = cpuSec();
+            for (const auto &path : c.prep.paths)
+                (void)trace::TraceFile::load(path);
+            const HostTime load{nowSec() - t0, cpuSec() - c0};
+            const HostTime d =
+                serveSetupOnce(join(c.args.work_dir, "setup.sock"));
+            daemon.push_back(d.cpu);
+            return HostTime{load.wall + d.wall, load.cpu + d.cpu};
+        },
+        "trace loads with hash check + daemon start to first answered "
+        "connection");
+    c.line("  of which daemon start (CPU) " + describe(summarize(daemon), "s"));
+    return s;
 }
 
 UnitResult
-replayUnit(Run &c)
+replayUnit(Run &c, double seconds)
 {
     const trace::TraceReplayer rep(c.prep.traces[0].trace);
     std::vector<Replay> runs;
-    const auto times = repeatFor(c.args.seconds, [&] {
-        runs.push_back(replayOnce(rep, c.prep.mode, 1));
+    std::vector<double> rss;
+    repeatFor(seconds, [&] {
+        resetPeakRss();
+        runs.push_back(replayOnce(rep, cuda::SimMode::Performance, 1));
+        rss.push_back(peakRssMb());
         return runs.back().wall;
     });
-    for (const auto &r : runs)
+    std::vector<double> cpu, wall;
+    for (const auto &r : runs) {
         c.out.check(r.digest == runs[0].digest,
                     "stats digest differs between repetitions");
-    const Summary s = summarize(times);
+        cpu.push_back(r.cpu);
+        wall.push_back(r.wall);
+    }
+    const Summary cs = summarize(cpu), ws = summarize(wall);
     const Replay &r0 = runs[0];
-    const bool detailed = c.prep.mode == cuda::SimMode::Performance;
-    const uint64_t instrs =
-        detailed ? r0.totals.warp_instructions : r0.func_warp_instrs;
-    c.line(fmt("wall_s %s at sim_threads=1", describe(s, "s").c_str()));
+    const uint64_t instrs = r0.totals.warp_instructions;
+    c.line("cpu_s " + describe(cs, "s") + " at sim_threads=1");
+    c.line("wall_s " + describe(ws, "s") + " at sim_threads=1");
     c.line(fmt("  simulated: %llu warp instrs, %llu busy cycles, %zu launches, "
                "%llu API ops, %llu D2H bytes verified",
                (unsigned long long)instrs, (unsigned long long)r0.totals.cycles,
                r0.launches, (unsigned long long)r0.result.ops,
                (unsigned long long)r0.result.verified_bytes));
-    if (detailed)
-        c.line(fmt("  sim_cycles_per_s=%.6g (%llu busy cycles / %.6g s)",
-                   double(r0.totals.cycles) / s.median,
-                   (unsigned long long)r0.totals.cycles, s.median));
-    if (c.args.workload == "lenet_functional" || c.args.threads_check)
-        threadsCheck(c, rep, c.prep.mode, r0.digest);
-    return {s.median, double(instrs) / s.median, r0.digest};
+    c.line(fmt("  sim_cycles_per_s=%.6g (%llu busy cycles / %.6g wall s)",
+               double(r0.totals.cycles) / ws.median,
+               (unsigned long long)r0.totals.cycles, ws.median));
+    c.line("peak_rss " + describe(summarize(rss), "MB") + " per replay");
+    return {cs.median, ws.median, double(instrs) / cs.median,
+            summarize(rss).median, r0.digest};
 }
 
 /** Warm-pass rounds of the sweep's submissions after the cold pass. */
@@ -672,11 +721,12 @@ serveOnce(Run &c, const std::vector<std::vector<uint8_t>> &bytes,
                     c.prep.submissions.end());
     return serveSession(join(c.args.work_dir, "serve.sock"), bytes, ref,
                         shuffled(c.prep.submissions, c.args.seed * 31 + rep),
-                        shuffled(warm, c.args.seed * 37 + rep), 4, c.out, spans);
+                        shuffled(warm, c.args.seed * 37 + rep), 4, 1, c.out,
+                        spans);
 }
 
 UnitResult
-serveUnit(Run &c)
+serveUnit(Run &c, double seconds)
 {
     const auto bytes = traceBytes(c.prep);
     uint64_t instrs = 0;
@@ -687,21 +737,26 @@ serveUnit(Run &c)
     }
     SpanRecorder off(false, 0);
     std::vector<ServeRun> runs;
-    const auto times = repeatFor(c.args.seconds, [&] {
+    std::vector<double> rss;
+    repeatFor(seconds, [&] {
+        resetPeakRss();
         runs.push_back(serveOnce(c, bytes, runs.size(), off));
+        rss.push_back(peakRssMb());
         return runs.back().session_s;
     });
-    std::vector<double> cold, hits, rates, hit_rates;
+    std::vector<double> cpu, wall, cold, rates, hits, hit_rates;
     for (const auto &r : runs) {
+        cpu.push_back(r.session_cpu_s);
+        wall.push_back(r.session_s);
         cold.push_back(r.cold_s);
-        rates.push_back(double(instrs) / r.cold_s);
+        rates.push_back(double(instrs) / r.cold_cpu_s);
         hits.insert(hits.end(), r.hit_ms.begin(), r.hit_ms.end());
         hit_rates.push_back(double(r.warm_hits) / r.warm_s);
     }
-    const Summary s = summarize(times);
-    const Summary cs = summarize(cold);
-    c.line("wall_s (client session) " + describe(s, "s"));
-    c.line("cold_sweep_s " + describe(cs, "s") +
+    const Summary cs = summarize(cpu), ws = summarize(wall);
+    c.line("cpu_s (client session, all threads) " + describe(cs, "s"));
+    c.line("wall_s (client session) " + describe(ws, "s"));
+    c.line("cold_sweep_s " + describe(summarize(cold), "s") +
            fmt(" for %zu submissions of %zu distinct traces, %llu warp instrs",
                c.prep.submissions.size(), c.prep.traces.size(),
                (unsigned long long)instrs));
@@ -710,7 +765,10 @@ serveUnit(Run &c)
                "sessions of %zu submissions)",
                summarize(hit_rates).median, runs.size(),
                kWarmRounds * c.prep.submissions.size()));
-    return {s.median, summarize(rates).median, statsDigest(all)};
+    c.line("peak_rss " + describe(summarize(rss), "MB") +
+           " per session (daemon and clients)");
+    return {cs.median, ws.median, summarize(rates).median,
+            summarize(rss).median, statsDigest(all)};
 }
 
 // ---------------------------------------------------------------------------
@@ -774,7 +832,8 @@ tracedSetup(Run &c, LayerAcc &acc)
         t0 = nowSec();
         {
             ScopedSpan s(sp, "runtime.context");
-            cuda::Context ctx(replayOptions(rep, c.prep.mode, 1));
+            cuda::Context ctx(
+                replayOptions(rep, cuda::SimMode::Performance, 1));
         }
         acc.context_s += nowSec() - t0;
     }
@@ -909,8 +968,10 @@ addLayerMetrics(Run &c, const LayerAcc &acc, const ServeRun &srv)
 /**
  * The traced run: every trace replayed detailed and functional (t1 and t4)
  * with spans around each layer call, then the serve layer — the sweep's own
- * session traced, or this workload's traces pushed through a daemon (one
- * cold submission each, then 200 warm hits on 4 clients).
+ * session traced, or this workload's trace pushed through a daemon: one cold
+ * submission simulated detailed at sim_threads=4, whose answer must be
+ * byte-identical to the sim_threads=1 replay, then 200 warm hits on 4
+ * clients.
  */
 void
 tracedRun(Run &c, const UnitResult &untraced)
@@ -935,14 +996,16 @@ tracedRun(Run &c, const UnitResult &untraced)
         const Replay fn4 = replayOnce(frep, cuda::SimMode::Functional, 4, &sp);
         c.out.check(fn4.digest == fn.digest,
                     "functional stats digest differs at sim_threads=4");
-        if (c.serve())
+        if (c.serve()) {
             c.out.check(det.stats_json == c.prep.traces[i].stats_json,
                         "in-process replay differs from the recording run");
-        if (c.args.workload == "winograd_fwd")
-            threadsCheck(c, rep, cuda::SimMode::Performance, det.digest);
-        const bool functional = c.prep.mode == cuda::SimMode::Functional;
-        ref.push_back(functional ? fn.stats_json : det.stats_json);
-        traced_unit += functional ? fn.wall : det.wall;
+        } else {
+            c.out.check(det.digest == untraced.digest,
+                        "traced replay's stats digest differs from the "
+                        "untraced replay's");
+        }
+        ref.push_back(det.stats_json);
+        traced_unit += det.wall;
 
         for (const auto &[k, v] : det.api_s)
             acc.api_s[k] += v;
@@ -972,7 +1035,10 @@ tracedRun(Run &c, const UnitResult &untraced)
         for (size_t r = 0; r < 200; r++)
             warm.push_back(r % bytes.size());
         srv = serveSession(join(c.args.work_dir, "serve.sock"), bytes, ref,
-                           cold, warm, 4, c.out, sp);
+                           cold, warm, 4, 4, c.out, sp);
+        c.line(fmt("wall_s_t4=%.6g s: the detailed cold job at sim_threads=4 "
+                   "in the daemon (answer checked against sim_threads=1)",
+                   srv.cold_s));
     }
     addLayerMetrics(c, acc, srv);
     c.metrics.add("bench.trace_overhead_s", traced_unit - untraced.wall_s, "s");
@@ -986,7 +1052,11 @@ runUnit(Run &c)
 {
     c.prep = prepare(c.args);
     const double setup = c.serve() ? serveSetup(c) : replaySetup(c);
-    const UnitResult u = c.serve() ? serveUnit(c) : replayUnit(c);
+    // A traced run times one untraced unit, only as the base of the tracing
+    // overhead.
+    const double seconds = c.args.trace ? 0.0 : c.args.seconds;
+    const UnitResult u =
+        c.serve() ? serveUnit(c, seconds) : replayUnit(c, seconds);
     if (c.args.seed == kDefaultSeed) {
         const uint64_t want = kDefaultDigests.at(c.args.workload);
         c.out.check(u.digest == want,
@@ -995,9 +1065,10 @@ runUnit(Run &c)
     }
     c.line(fmt("stats digest %016llx", (unsigned long long)u.digest));
     if (!c.args.trace) {
-        c.metrics.add("wall_s", u.wall_s, "s");
-        c.metrics.add("warp_instrs_per_s", u.warp_instrs_per_s, "1/s");
+        c.metrics.add("cpu_s", u.cpu_s, "s");
+        c.metrics.add("warp_instrs_per_cpu_s", u.warp_instrs_per_cpu_s, "1/s");
         c.metrics.add("setup_s", setup, "s");
+        c.metrics.add("peak_rss_mb", u.peak_rss_mb, "MB");
     }
     return u;
 }
@@ -1007,9 +1078,9 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: mlgs_perfbench --workload "
-                 "{lenet_step|winograd_fwd|lenet_functional|serve_sweep}\n"
+                 "{lenet_step|winograd_fwd|serve_sweep}\n"
                  "       [--seed N] [--seconds S] [--trace 0|1] "
-                 "[--work-dir DIR] [--threads-check]\n");
+                 "[--work-dir DIR]\n");
     std::exit(2);
 }
 
@@ -1034,8 +1105,6 @@ parseArgs(int argc, char **argv)
             a.trace = val() != "0";
         else if (k == "--work-dir")
             a.work_dir = val();
-        else if (k == "--threads-check")
-            a.threads_check = true;
         else
             usage();
     }
@@ -1062,8 +1131,6 @@ main(int argc, char **argv)
             c.spans.writeChromeTrace(path);
             c.line(fmt("%zu spans written to %s", c.spans.spans().size(),
                        path.c_str()));
-        } else {
-            c.metrics.add("peak_rss_mb", peakRssMb(), "MB");
         }
     } catch (const std::exception &e) {
         std::printf("FAILED: workload threw: %s\n", e.what());

@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload lenet_step --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload lenet_step --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --self-test
 
 The simulator and the benchmark binary are built (Release) into the directory
@@ -22,7 +22,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("lenet_step", "winograd_fwd", "lenet_functional", "serve_sweep")
+WORKLOADS = ("lenet_step", "winograd_fwd", "serve_sweep")
 TIMEOUT_S = 170
 
 
@@ -68,10 +68,8 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--threads-check", action="store_true",
-                    help="also replay at sim_threads=4 and require the same digest")
     ap.add_argument("--self-test", action="store_true",
                     help="build and run the benchmark's own unit tests")
     args = ap.parse_args()
@@ -96,8 +94,6 @@ def main():
                "--seconds", str(args.seconds), "--trace", str(args.trace),
                # relative: AF_UNIX socket paths are limited to 108 bytes
                "--work-dir", os.path.relpath(work, ROOT)]
-        if args.threads_check:
-            cmd.append("--threads-check")
         code, out = run_child(cmd, env)
         if code != 0:
             print(out, file=sys.stderr)

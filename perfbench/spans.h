@@ -11,6 +11,8 @@
 #ifndef MLGS_PERFBENCH_SPANS_H
 #define MLGS_PERFBENCH_SPANS_H
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -26,6 +28,20 @@ nowSec()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * CPU seconds used by every thread of the process. Unlike wall time it
+ * leaves out waiting for a CPU, and, in a virtual machine whose kernel has
+ * steal-time accounting (CONFIG_PARAVIRT_TIME_ACCOUNTING), time the host
+ * gave to other guests.
+ */
+inline double
+cpuSec()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
 }
 
 class SpanRecorder

@@ -111,8 +111,8 @@ TEST(Metrics, TableRejectsBadNamesMissingUnitsAndDuplicates)
 TEST(Metrics, EveryPrintedNameIsValidAndCarriesAUnit)
 {
     MetricTable t;
-    t.add("wall_s", 19.25, "s");
-    t.add("warp_instrs_per_s", 590000.5, "1/s");
+    t.add("cpu_s", 19.25, "s");
+    t.add("warp_instrs_per_cpu_s", 590000.5, "1/s");
     t.add("timing.core.idle_frac", 0.44, "ratio");
     const std::string json = t.json();
     const std::regex entry("\"([^\"]*)\": \\{\"value\": ([^,]+), \"unit\": "

@@ -75,10 +75,10 @@ struct Recorded
  * One LeNet SGD train step (batch 1, GTX 1050, detailed timing) recorded on
  * a functional context: the API op stream and every D2H payload are
  * mode-independent for this network, and replay re-verifies the payloads.
- * The trace is tagged with `mode` for replay.
+ * The trace is tagged for detailed replay.
  */
 inline Recorded
-recordLenetStep(uint64_t seed, cuda::SimMode mode)
+recordLenetStep(uint64_t seed)
 {
     cuda::ContextOptions opts;
     opts.mode = cuda::SimMode::Functional;
@@ -98,7 +98,7 @@ recordLenetStep(uint64_t seed, cuda::SimMode mode)
     rec.detach();
     Recorded r{"lenet_step", rec.finalize(), trace::statsJson(ctx),
                 ctx.totalWarpInstructions()};
-    r.trace.options.mode = uint8_t(mode);
+    r.trace.options.mode = uint8_t(cuda::SimMode::Performance);
     return r;
 }
 
