@@ -3,7 +3,7 @@
  * mlgs_perfbench: host-speed benchmark of the simulator, driven as a
  * library. One process runs one workload:
  *
- *   mlgs_perfbench --workload lenet_step --seed 1 --seconds 20 --trace 0
+ *   mlgs_perfbench --workload lenet_step --seed 1 --seconds 30 --trace 0
  *                  --work-dir DIR
  *
  * Workloads (each replay starts from a fresh Context, caches empty):
@@ -17,8 +17,9 @@
  * Traces are recorded from seeded frontends before anything is timed; the
  * simulator under test sees only the recorded traces. Simulated time is
  * cycles of the modelled GPU; host time is what the simulator takes to run.
- * Gated host times are process CPU seconds (cpuSec); wall seconds are
- * printed next to them.
+ * Gated host times are CPU seconds at a nominal CPU speed: measured CPU
+ * seconds scaled by a reference loop that runs on the same CPU meanwhile
+ * (hostspeed.h). Raw CPU and wall seconds are printed next to them.
  *
  * --trace 0 prints the end-to-end metrics; --trace 1 runs the untraced unit
  * once, then traced passes with a span around every layer call, prints the
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "perfbench/hostspeed.h"
 #include "perfbench/metrics.h"
 #include "perfbench/spans.h"
 #include "perfbench/workloads.h"
@@ -73,7 +75,7 @@ struct Args
 {
     std::string workload;
     uint64_t seed = kDefaultSeed;
-    double seconds = 20.0;
+    double seconds = 30.0;
     bool trace = false;
     std::string work_dir = ".";
 };
@@ -420,6 +422,8 @@ struct ServeRun
     double cold_s = 0.0;
     double cold_cpu_s = 0.0;
     double warm_s = 0.0;
+    /** Host-speed readings at the session's start, cold/warm boundary, end. */
+    HostSpeed::Reading speed0, speed1, speed2;
     std::vector<double> miss_sim_ms, queue_wait_ms, hit_ms;
     uint64_t warm_hits = 0;
     serve::ServerInfo info;
@@ -468,7 +472,8 @@ serveSession(const std::string &socket,
              const std::vector<std::vector<uint8_t>> &bytes,
              const std::vector<std::string> &ref, const std::vector<size_t> &cold,
              const std::vector<size_t> &warm, unsigned clients,
-             unsigned sim_threads, Outcome &out, SpanRecorder &spans)
+             unsigned sim_threads, Outcome &out, SpanRecorder &spans,
+             const HostSpeed &speed)
 {
     ServeRun run;
     serve::Server server(serverOptions(socket));
@@ -528,11 +533,14 @@ serveSession(const std::string &socket,
             t.join();
     };
 
+    run.speed0 = speed.read();
     const double t0 = nowSec(), c0 = cpuSec();
     pass(cold, false);
     const double t1 = nowSec(), c1 = cpuSec();
+    run.speed1 = speed.read();
     pass(warm, true);
     const double t2 = nowSec(), c2 = cpuSec();
+    run.speed2 = speed.read();
     run.session_s = t2 - t0;
     run.session_cpu_s = c2 - c0;
     run.cold_s = t1 - t0;
@@ -575,6 +583,8 @@ struct Run
     Outcome out;
     MetricTable metrics;
     SpanRecorder spans;
+    /** On for the measured units of an untraced run (see runUnit). */
+    std::unique_ptr<HostSpeed> speed = std::make_unique<HostSpeed>(false);
 
     explicit Run(const Args &a)
         : args(a),
@@ -592,34 +602,76 @@ struct Run
     }
 };
 
-/** The untraced unit's results. */
+/** The untraced unit's results: medians over the run's units. */
 struct UnitResult
 {
-    double cpu_s = 0.0;
+    /** CPU seconds at the nominal CPU speed (raw in traced runs). */
+    double norm_cpu_s = 0.0;
     double wall_s = 0.0;
-    double warp_instrs_per_cpu_s = 0.0;
+    double warp_instrs_per_norm_cpu_s = 0.0;
     double peak_rss_mb = 0.0; ///< median over units of each unit's peak
     uint64_t digest = 0;
 };
 
-/** Set-ups per run; setup_s is their median. */
-constexpr int kSetupReps = 31;
-
-/** Median CPU time of kSetupReps set-ups; prints CPU and wall summaries. */
+/**
+ * Report lines of the CPU times of `units`. Returns their median at the
+ * nominal CPU speed, or the median of the raw CPU times when the host-speed
+ * reference is off (traced runs).
+ */
 double
-setupSeconds(Run &c, const std::function<HostTime()> &once,
-             const std::string &what)
+describeCpu(Run &c, const std::vector<HostSpeed::Sample> &units)
+{
+    std::vector<double> cpu, rate, norm;
+    for (const auto &u : units) {
+        cpu.push_back(u.cpu);
+        rate.push_back(u.rate);
+        norm.push_back(u.norm);
+    }
+    const Summary cs = summarize(cpu);
+    c.line("  cpu_s " + describe(cs, "s"));
+    if (!c.speed->on())
+        return cs.median;
+    c.line("  host_speed " + describe(summarize(rate), " loops/s") +
+           fmt(" (reference loop on the same CPU; nominal %g)",
+               HostSpeed::kNominalLoopsPerSec));
+    const Summary ns = summarize(norm);
+    c.line("  norm_cpu_s " + describe(ns, "s") +
+           " (cpu_s x host_speed / nominal)");
+    return ns.median;
+}
+
+/** Batches of set-ups per run, and the least time each batch takes. */
+constexpr int kSetupBatches = 15;
+constexpr double kSetupBatchSec = 0.2;
+
+/**
+ * Process CPU seconds per set-up: set-ups run back to back in kSetupBatches
+ * batches of at least kSetupBatchSec; a batch's CPU time over its set-up
+ * count is one sample, and setup_s is their median. A batch's CPU time
+ * covers everything its set-ups do, tear-down included.
+ */
+double
+setupSeconds(Run &c, const std::function<void()> &once, const std::string &what)
 {
     std::vector<double> cpu, wall;
-    for (int i = 0; i < kSetupReps; i++) {
-        const HostTime t = once();
-        cpu.push_back(t.cpu);
-        wall.push_back(t.wall);
+    size_t total = 0;
+    for (int b = 0; b < kSetupBatches; b++) {
+        const double t0 = nowSec(), c0 = cpuSec();
+        size_t n = 0;
+        do {
+            once();
+            n++;
+        } while (nowSec() - t0 < kSetupBatchSec);
+        cpu.push_back((cpuSec() - c0) / double(n));
+        wall.push_back((nowSec() - t0) / double(n));
+        total += n;
     }
-    const Summary s = summarize(cpu);
-    c.line("setup_s (CPU) " + describe(s, "s") + ", wall " +
-           describe(summarize(wall), "s") + ": " + what);
-    return s.median;
+    const Summary cs = summarize(cpu);
+    c.line(fmt("setup_s: %s; %zu set-ups in %d batches, per set-up:",
+               what.c_str(), total, kSetupBatches));
+    c.line("  cpu_s " + describe(cs, "s"));
+    c.line("  wall_s " + describe(summarize(wall), "s"));
+    return cs.median;
 }
 
 /** Set-up: trace load (content hash verified) + Context construction. */
@@ -629,13 +681,11 @@ replaySetup(Run &c)
     return setupSeconds(
         c,
         [&] {
-            const double t0 = nowSec(), c0 = cpuSec();
             for (const auto &path : c.prep.paths) {
                 trace::TraceReplayer rep(trace::TraceFile::load(path));
                 cuda::Context ctx(
                     replayOptions(rep, cuda::SimMode::Performance, 1));
             }
-            return HostTime{nowSec() - t0, cpuSec() - c0};
         },
         "trace load with hash check + Context construction");
 }
@@ -652,18 +702,15 @@ serveSetup(Run &c)
     const double s = setupSeconds(
         c,
         [&] {
-            const double t0 = nowSec(), c0 = cpuSec();
             for (const auto &path : c.prep.paths)
                 (void)trace::TraceFile::load(path);
-            const HostTime load{nowSec() - t0, cpuSec() - c0};
-            const HostTime d =
-                serveSetupOnce(join(c.args.work_dir, "setup.sock"));
-            daemon.push_back(d.cpu);
-            return HostTime{load.wall + d.wall, load.cpu + d.cpu};
+            daemon.push_back(
+                serveSetupOnce(join(c.args.work_dir, "setup.sock")).cpu);
         },
         "trace loads with hash check + daemon start to first answered "
-        "connection");
-    c.line("  of which daemon start (CPU) " + describe(summarize(daemon), "s"));
+        "connection + daemon stop");
+    c.line("  of which daemon start to first answer, raw CPU " +
+           describe(summarize(daemon), "s"));
     return s;
 }
 
@@ -672,25 +719,28 @@ replayUnit(Run &c, double seconds)
 {
     const trace::TraceReplayer rep(c.prep.traces[0].trace);
     std::vector<Replay> runs;
+    std::vector<HostSpeed::Sample> units;
     std::vector<double> rss;
     repeatFor(seconds, [&] {
         resetPeakRss();
+        const HostSpeed::Reading a = c.speed->read();
         runs.push_back(replayOnce(rep, cuda::SimMode::Performance, 1));
+        units.push_back(HostSpeed::sample(runs.back().cpu, a, c.speed->read()));
         rss.push_back(peakRssMb());
         return runs.back().wall;
     });
-    std::vector<double> cpu, wall;
+    std::vector<double> wall;
     for (const auto &r : runs) {
         c.out.check(r.digest == runs[0].digest,
                     "stats digest differs between repetitions");
-        cpu.push_back(r.cpu);
         wall.push_back(r.wall);
     }
-    const Summary cs = summarize(cpu), ws = summarize(wall);
+    c.line("unit: one detailed replay at sim_threads=1");
+    const double norm = describeCpu(c, units);
+    const Summary ws = summarize(wall);
     const Replay &r0 = runs[0];
     const uint64_t instrs = r0.totals.warp_instructions;
-    c.line("cpu_s " + describe(cs, "s") + " at sim_threads=1");
-    c.line("wall_s " + describe(ws, "s") + " at sim_threads=1");
+    c.line("  wall_s " + describe(ws, "s"));
     c.line(fmt("  simulated: %llu warp instrs, %llu busy cycles, %zu launches, "
                "%llu API ops, %llu D2H bytes verified",
                (unsigned long long)instrs, (unsigned long long)r0.totals.cycles,
@@ -700,7 +750,7 @@ replayUnit(Run &c, double seconds)
                double(r0.totals.cycles) / ws.median,
                (unsigned long long)r0.totals.cycles, ws.median));
     c.line("peak_rss " + describe(summarize(rss), "MB") + " per replay");
-    return {cs.median, ws.median, double(instrs) / cs.median,
+    return {norm, ws.median, ratio(double(instrs), norm),
             summarize(rss).median, r0.digest};
 }
 
@@ -722,7 +772,7 @@ serveOnce(Run &c, const std::vector<std::vector<uint8_t>> &bytes,
     return serveSession(join(c.args.work_dir, "serve.sock"), bytes, ref,
                         shuffled(c.prep.submissions, c.args.seed * 31 + rep),
                         shuffled(warm, c.args.seed * 37 + rep), 4, 1, c.out,
-                        spans);
+                        spans, *c.speed);
 }
 
 UnitResult
@@ -744,18 +794,23 @@ serveUnit(Run &c, double seconds)
         rss.push_back(peakRssMb());
         return runs.back().session_s;
     });
-    std::vector<double> cpu, wall, cold, rates, hits, hit_rates;
+    std::vector<HostSpeed::Sample> units;
+    std::vector<double> wall, cold, rates, hits, hit_rates;
     for (const auto &r : runs) {
-        cpu.push_back(r.session_cpu_s);
+        units.push_back(
+            HostSpeed::sample(r.session_cpu_s, r.speed0, r.speed2));
         wall.push_back(r.session_s);
         cold.push_back(r.cold_s);
-        rates.push_back(double(instrs) / r.cold_cpu_s);
+        rates.push_back(ratio(
+            double(instrs),
+            HostSpeed::sample(r.cold_cpu_s, r.speed0, r.speed1).norm));
         hits.insert(hits.end(), r.hit_ms.begin(), r.hit_ms.end());
         hit_rates.push_back(double(r.warm_hits) / r.warm_s);
     }
-    const Summary cs = summarize(cpu), ws = summarize(wall);
-    c.line("cpu_s (client session, all threads) " + describe(cs, "s"));
-    c.line("wall_s (client session) " + describe(ws, "s"));
+    c.line("unit: one client session (daemon and client threads)");
+    const double norm = describeCpu(c, units);
+    const Summary ws = summarize(wall);
+    c.line("  wall_s " + describe(ws, "s"));
     c.line("cold_sweep_s " + describe(summarize(cold), "s") +
            fmt(" for %zu submissions of %zu distinct traces, %llu warp instrs",
                c.prep.submissions.size(), c.prep.traces.size(),
@@ -767,7 +822,7 @@ serveUnit(Run &c, double seconds)
                kWarmRounds * c.prep.submissions.size()));
     c.line("peak_rss " + describe(summarize(rss), "MB") +
            " per session (daemon and clients)");
-    return {cs.median, ws.median, summarize(rates).median,
+    return {norm, ws.median, summarize(rates).median,
             summarize(rss).median, statsDigest(all)};
 }
 
@@ -1035,7 +1090,7 @@ tracedRun(Run &c, const UnitResult &untraced)
         for (size_t r = 0; r < 200; r++)
             warm.push_back(r % bytes.size());
         srv = serveSession(join(c.args.work_dir, "serve.sock"), bytes, ref,
-                           cold, warm, 4, 4, c.out, sp);
+                           cold, warm, 4, 4, c.out, sp, *c.speed);
         c.line(fmt("wall_s_t4=%.6g s: the detailed cold job at sim_threads=4 "
                    "in the daemon (answer checked against sim_threads=1)",
                    srv.cold_s));
@@ -1051,9 +1106,15 @@ UnitResult
 runUnit(Run &c)
 {
     c.prep = prepare(c.args);
+    // Set-up runs before the host-speed reference starts and stays in raw
+    // CPU seconds: loading and hashing a trace and building a Context slow
+    // down far less than simulation on a busy host, so the reference would
+    // add noise to them rather than remove it.
     const double setup = c.serve() ? serveSetup(c) : replaySetup(c);
     // A traced run times one untraced unit, only as the base of the tracing
-    // overhead.
+    // overhead, without the host-speed reference (it would take a tenth of
+    // the CPU) and unpinned (traced runs simulate at sim_threads=4).
+    c.speed = std::make_unique<HostSpeed>(!c.args.trace);
     const double seconds = c.args.trace ? 0.0 : c.args.seconds;
     const UnitResult u =
         c.serve() ? serveUnit(c, seconds) : replayUnit(c, seconds);
@@ -1065,8 +1126,9 @@ runUnit(Run &c)
     }
     c.line(fmt("stats digest %016llx", (unsigned long long)u.digest));
     if (!c.args.trace) {
-        c.metrics.add("cpu_s", u.cpu_s, "s");
-        c.metrics.add("warp_instrs_per_cpu_s", u.warp_instrs_per_cpu_s, "1/s");
+        c.metrics.add("norm_cpu_s", u.norm_cpu_s, "s");
+        c.metrics.add("warp_instrs_per_norm_cpu_s",
+                      u.warp_instrs_per_norm_cpu_s, "1/s");
         c.metrics.add("setup_s", setup, "s");
         c.metrics.add("peak_rss_mb", u.peak_rss_mb, "MB");
     }

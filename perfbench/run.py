@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload lenet_step --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload lenet_step --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --self-test
 
 The simulator and the benchmark binary are built (Release) into the directory
@@ -51,24 +51,29 @@ def build(build_root, target):
 
 
 def run_child(cmd, env):
-    """Run to completion (or kill the whole group at the timeout)."""
+    """Run to completion. At the timeout, or if this script is interrupted or
+    terminated, kill the child's whole process group and wait for it."""
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                             text=True, start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
         fail("benchmark timed out")
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     return proc.returncode, out
 
 
 def main():
+    # SIGTERM unwinds like an exception, so run_child stops the benchmark.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--self-test", action="store_true",
                     help="build and run the benchmark's own unit tests")

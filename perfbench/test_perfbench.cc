@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests of the benchmark's own helpers: the percentile summary, the
- * stats digest check, metric naming, and the span recorder.
+ * stats digest check, metric naming, the span recorder and the host-speed
+ * reference.
  *
  *   python3 perfbench/run.py --self-test
  */
@@ -12,6 +13,7 @@
 #include <regex>
 #include <sstream>
 
+#include "perfbench/hostspeed.h"
 #include "perfbench/metrics.h"
 #include "perfbench/spans.h"
 
@@ -161,4 +163,44 @@ TEST(Spans, ParentsIdsAndChromeTrace)
         ScopedSpan s(off, "ignored");
     }
     EXPECT_TRUE(off.spans().empty());
+}
+
+TEST(HostSpeed, SampleTakesOutTheReferenceAndScales)
+{
+    const HostSpeed::Reading a{1000, 0.5, 0.6};
+    // 2 s of loops at 1.5x the nominal rate; the thread used 2.1 s in all.
+    const HostSpeed::Reading b{
+        1000 + uint64_t(3.0 * HostSpeed::kNominalLoopsPerSec), 2.5, 2.7};
+    const HostSpeed::Sample s = HostSpeed::sample(12.1, a, b);
+    EXPECT_DOUBLE_EQ(s.cpu, 10.0);
+    EXPECT_DOUBLE_EQ(s.rate, 1.5 * HostSpeed::kNominalLoopsPerSec);
+    EXPECT_DOUBLE_EQ(s.norm, 15.0);
+
+    // No loops in the interval: no rate, so no normalized time.
+    EXPECT_EQ(HostSpeed::sample(1.0, a, a).norm, 0.0);
+}
+
+TEST(HostSpeed, OffReadsZeroAndOnCountsLoops)
+{
+    {
+        HostSpeed off(false);
+        EXPECT_FALSE(off.on());
+        EXPECT_EQ(off.read().loops, 0u);
+    }
+    cpu_set_t before;
+    ASSERT_EQ(sched_getaffinity(0, sizeof before, &before), 0);
+    {
+        HostSpeed on(true);
+        EXPECT_TRUE(on.on());
+        const HostSpeed::Reading a = on.read();
+        for (const double t0 = threadCpuSec(); threadCpuSec() - t0 < 0.1;) {
+        }
+        const HostSpeed::Reading b = on.read();
+        EXPECT_GT(b.loops, a.loops);
+        EXPECT_GT(b.loop_cpu, a.loop_cpu);
+        EXPECT_GE(b.thread_cpu, b.loop_cpu);
+        EXPECT_GT(HostSpeed::sample(0.1, a, b).rate, 0.0);
+    }
+    // The meter pinned this thread to one CPU; give the others back.
+    ASSERT_EQ(sched_setaffinity(0, sizeof before, &before), 0);
 }
