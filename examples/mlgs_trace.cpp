@@ -202,23 +202,6 @@ doRecord(const Args &a)
     return 0;
 }
 
-bool
-totalsEqual(const timing::TimingTotals &a, const timing::TimingTotals &b)
-{
-    return a.cycles == b.cycles &&
-           a.warp_instructions == b.warp_instructions &&
-           a.thread_instructions == b.thread_instructions && a.alu == b.alu &&
-           a.sfu == b.sfu && a.mem_insts == b.mem_insts &&
-           a.shared_accesses == b.shared_accesses && a.l1_hits == b.l1_hits &&
-           a.l1_misses == b.l1_misses && a.l2_hits == b.l2_hits &&
-           a.l2_misses == b.l2_misses && a.icnt_flits == b.icnt_flits &&
-           a.dram_reads == b.dram_reads && a.dram_writes == b.dram_writes &&
-           a.dram_row_hits == b.dram_row_hits &&
-           a.dram_row_misses == b.dram_row_misses &&
-           a.core_active_cycles == b.core_active_cycles &&
-           a.core_idle_cycles == b.core_idle_cycles;
-}
-
 int
 doReplay(const Args &a)
 {
@@ -269,7 +252,7 @@ doReplay(const Args &a)
         if (i == 0) {
             first = std::move(run);
         } else {
-            MLGS_REQUIRE(totalsEqual(first.totals, run.totals),
+            MLGS_REQUIRE(first.totals == run.totals,
                          "replay ", i, " diverged from replay 0");
         }
     }

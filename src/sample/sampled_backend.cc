@@ -12,10 +12,15 @@ namespace mlgs::sample
 namespace
 {
 
-uint64_t
-scaled(uint64_t v, double s)
+/** `from` with every counter mapped through `f`. */
+template <typename F>
+timing::TimingTotals
+mapCounters(const timing::TimingTotals &from, F f)
 {
-    return uint64_t(std::llround(double(v) * s));
+    timing::TimingTotals out;
+    for (const auto &c : timing::kTimingCounters)
+        out.*c.member = f(from.*c.member);
+    return out;
 }
 
 double
@@ -116,13 +121,6 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
     const double wid = double(std::max<uint64_t>(wi, 1));
 
     timing::TimingTotals est;
-    est.warp_instructions = wi;
-    est.thread_instructions = rec.func_stats.thread_instructions;
-    est.alu = rec.func_stats.alu;
-    est.sfu = rec.func_stats.sfu;
-    est.mem_insts = rec.func_stats.mem;
-    est.shared_accesses = rec.func_stats.shared_accesses;
-
     cycle_t est_cycles = 1;
     if (route == Route::Extrapolate) {
         const timing::KernelRunStats &rep = cl.rep;
@@ -131,17 +129,9 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
                              : 1.0;
         est_cycles = std::max<cycle_t>(
             1, cycle_t(std::llround(double(rep.cycles) * s)));
-        est.l1_hits = scaled(rep.totals.l1_hits, s);
-        est.l1_misses = scaled(rep.totals.l1_misses, s);
-        est.l2_hits = scaled(rep.totals.l2_hits, s);
-        est.l2_misses = scaled(rep.totals.l2_misses, s);
-        est.icnt_flits = scaled(rep.totals.icnt_flits, s);
-        est.dram_reads = scaled(rep.totals.dram_reads, s);
-        est.dram_writes = scaled(rep.totals.dram_writes, s);
-        est.dram_row_hits = scaled(rep.totals.dram_row_hits, s);
-        est.dram_row_misses = scaled(rep.totals.dram_row_misses, s);
-        est.core_active_cycles = scaled(rep.totals.core_active_cycles, s);
-        est.core_idle_cycles = scaled(rep.totals.core_idle_cycles, s);
+        est = mapCounters(rep.totals, [s](uint64_t v) {
+            return uint64_t(std::llround(double(v) * s));
+        });
         rec.perf.l1_hit_rate = rep.l1_hit_rate;
         rec.perf.l2_hit_rate = rep.l2_hit_rate;
         rec.perf.dram_row_hit_rate = rep.dram_row_hit_rate;
@@ -154,20 +144,9 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
         // over every detailed launch completed so far (any cluster).
         const double dwi = double(
             std::max<uint64_t>(detailed_accum_.warp_instructions, 1));
-        const auto per_wi = [&](uint64_t v) {
+        est = mapCounters(detailed_accum_, [dwi, wid](uint64_t v) {
             return uint64_t(std::llround(double(v) / dwi * wid));
-        };
-        est.l1_hits = per_wi(detailed_accum_.l1_hits);
-        est.l1_misses = per_wi(detailed_accum_.l1_misses);
-        est.l2_hits = per_wi(detailed_accum_.l2_hits);
-        est.l2_misses = per_wi(detailed_accum_.l2_misses);
-        est.icnt_flits = per_wi(detailed_accum_.icnt_flits);
-        est.dram_reads = per_wi(detailed_accum_.dram_reads);
-        est.dram_writes = per_wi(detailed_accum_.dram_writes);
-        est.dram_row_hits = per_wi(detailed_accum_.dram_row_hits);
-        est.dram_row_misses = per_wi(detailed_accum_.dram_row_misses);
-        est.core_active_cycles = per_wi(detailed_accum_.core_active_cycles);
-        est.core_idle_cycles = per_wi(detailed_accum_.core_idle_cycles);
+        });
         rec.perf.l1_hit_rate = hitRate(est.l1_hits, est.l1_misses);
         rec.perf.l2_hit_rate = hitRate(est.l2_hits, est.l2_misses);
         rec.perf.dram_row_hit_rate =
@@ -175,7 +154,15 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
         rec.timing_source = engine::TimingSource::Predicted;
         cl.predicted++;
     }
+    // The functional run's instruction-class counts are exact; only the
+    // scaled cycle-level counters above are estimates.
     est.cycles = est_cycles;
+    est.warp_instructions = wi;
+    est.thread_instructions = rec.func_stats.thread_instructions;
+    est.alu = rec.func_stats.alu;
+    est.sfu = rec.func_stats.sfu;
+    est.mem_insts = rec.func_stats.mem;
+    est.shared_accesses = rec.func_stats.shared_accesses;
 
     rec.perf.kernel_name = rec.kernel->name;
     rec.perf.cycles = est_cycles;

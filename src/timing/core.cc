@@ -152,7 +152,6 @@ ShaderCore::completeCtaIfDone(int cta_slot)
     used_shared_ -= cs.disp->shared_bytes_per_cta;
     used_ctas_--;
     cs.disp->completed_ctas++;
-    counters_.ctas_completed++;
     cs.cta.reset();
     cs.disp = nullptr;
     cs.warp_slots.clear();

@@ -59,7 +59,6 @@ struct CoreCounters
     uint64_t sfu = 0;
     uint64_t mem = 0;
     uint64_t shared_accesses = 0;
-    uint64_t ctas_completed = 0;
 };
 
 /** One streaming multiprocessor. */

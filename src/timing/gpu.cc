@@ -14,25 +14,18 @@ constexpr cycle_t kNoDeadline = std::numeric_limits<cycle_t>::max();
 TimingTotals &
 TimingTotals::operator+=(const TimingTotals &o)
 {
-    cycles += o.cycles;
-    warp_instructions += o.warp_instructions;
-    thread_instructions += o.thread_instructions;
-    alu += o.alu;
-    sfu += o.sfu;
-    mem_insts += o.mem_insts;
-    shared_accesses += o.shared_accesses;
-    l1_hits += o.l1_hits;
-    l1_misses += o.l1_misses;
-    l2_hits += o.l2_hits;
-    l2_misses += o.l2_misses;
-    icnt_flits += o.icnt_flits;
-    dram_reads += o.dram_reads;
-    dram_writes += o.dram_writes;
-    dram_row_hits += o.dram_row_hits;
-    dram_row_misses += o.dram_row_misses;
-    core_active_cycles += o.core_active_cycles;
-    core_idle_cycles += o.core_idle_cycles;
+    for (const auto &c : kTimingCounters)
+        this->*c.member += o.*c.member;
     return *this;
+}
+
+TimingTotals
+TimingTotals::operator-(const TimingTotals &o) const
+{
+    TimingTotals d;
+    for (const auto &c : kTimingCounters)
+        d.*c.member = this->*c.member - o.*c.member;
+    return d;
 }
 
 GpuModel::GpuModel(const GpuConfig &cfg, func::Interpreter &interp)
@@ -42,7 +35,6 @@ GpuModel::GpuModel(const GpuConfig &cfg, func::Interpreter &interp)
         cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, interp));
     for (unsigned p = 0; p < cfg_.num_partitions; p++)
         partitions_.push_back(std::make_unique<MemPartition>(cfg_, p));
-    totals_base_ = snapshot();
 }
 
 GpuModel::~GpuModel() = default;
@@ -95,10 +87,10 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
     unsigned busy = 0;
     for (auto &core : cores_) {
         if (core->liveWarps()) {
-            totals_.core_active_cycles++;
+            live_.core_active_cycles++;
             busy++;
         } else {
-            totals_.core_idle_cycles++;
+            live_.core_idle_cycles++;
         }
     }
     if (busy >= 2 && parallelStepAllowed(sampler)) {
@@ -118,7 +110,7 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             MemFetch mf = core->popOutgoing();
             mf.partition = unsigned((mf.line_addr / cfg_.l2.line_bytes) %
                                     cfg_.num_partitions);
-            totals_.icnt_flits += (mf.bytes + 31) / 32;
+            live_.icnt_flits += (mf.bytes + 31) / 32;
             to_partition_.push(std::move(mf), now + cfg_.icnt_latency);
             moved++;
         }
@@ -137,7 +129,7 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
         unsigned moved = 0;
         while (part.hasResponse() && moved < 2) {
             MemFetch mf = part.popResponse();
-            totals_.icnt_flits += (mf.bytes + 31) / 32;
+            live_.icnt_flits += (mf.bytes + 31) / 32;
             to_core_.push(std::move(mf), now + cfg_.icnt_latency);
             moved++;
         }
@@ -180,27 +172,30 @@ GpuModel::perBankRowMisses() const
     return out;
 }
 
-GpuModel::StatBase
+TimingTotals
 GpuModel::snapshot() const
 {
-    StatBase b;
+    TimingTotals t = live_;
     for (const auto &core : cores_) {
-        b.l1_h += core->l1().hits();
-        b.l1_m += core->l1().misses();
-        b.core.push_back(core->counters());
+        const CoreCounters &cc = core->counters();
+        t.warp_instructions += cc.issued_instructions;
+        t.thread_instructions += cc.thread_instructions;
+        t.alu += cc.alu;
+        t.sfu += cc.sfu;
+        t.mem_insts += cc.mem;
+        t.shared_accesses += cc.shared_accesses;
+        t.l1_hits += core->l1().hits();
+        t.l1_misses += core->l1().misses();
     }
     for (const auto &p : partitions_) {
-        b.l2_h += p->l2().hits();
-        b.l2_m += p->l2().misses();
-        b.row_h += p->dram().rowHits();
-        b.row_m += p->dram().rowMisses();
-        b.l2_wb += p->l2Writebacks();
+        t.l2_hits += p->l2().hits();
+        t.l2_misses += p->l2().misses();
+        t.dram_writes += p->l2Writebacks();
+        t.dram_row_hits += p->dram().rowHits();
+        t.dram_row_misses += p->dram().rowMisses();
     }
-    b.icnt = totals_.icnt_flits;
-    b.busy = totals_.cycles;
-    b.active = totals_.core_active_cycles;
-    b.idle = totals_.core_idle_cycles;
-    return b;
+    t.dram_reads = t.l2_misses;
+    return t;
 }
 
 uint64_t
@@ -244,77 +239,28 @@ KernelCompletion
 GpuModel::finishActive(size_t idx)
 {
     ActiveKernel &ak = *active_[idx];
-    const StatBase now = snapshot();
+    const TimingTotals now = snapshot();
+    const auto rate = [](uint64_t hits, uint64_t misses) {
+        return (hits + misses) ? double(hits) / double(hits + misses) : 0.0;
+    };
 
+    // Full window delta (per-launch breakdown + sampling extrapolation).
     KernelRunStats rs;
     rs.kernel_name = ak.env.kernel->name;
     rs.cycles = clock_ - ak.start_clock;
-    for (unsigned c = 0; c < cores_.size(); c++) {
-        const CoreCounters &cc = now.core[c];
-        const CoreCounters &c0 = ak.base.core[c];
-        rs.warp_instructions += cc.issued_instructions - c0.issued_instructions;
-        rs.thread_instructions +=
-            cc.thread_instructions - c0.thread_instructions;
-    }
-    rs.ipc = rs.cycles ? double(rs.warp_instructions) / double(rs.cycles) : 0.0;
-    const uint64_t dl1h = now.l1_h - ak.base.l1_h;
-    const uint64_t dl1m = now.l1_m - ak.base.l1_m;
-    rs.l1_hit_rate = (dl1h + dl1m) ? double(dl1h) / double(dl1h + dl1m) : 0.0;
-    const uint64_t dl2h = now.l2_h - ak.base.l2_h;
-    const uint64_t dl2m = now.l2_m - ak.base.l2_m;
-    rs.l2_hit_rate = (dl2h + dl2m) ? double(dl2h) / double(dl2h + dl2m) : 0.0;
-    const uint64_t drh = now.row_h - ak.base.row_h;
-    const uint64_t drm = now.row_m - ak.base.row_m;
-    rs.dram_row_hit_rate = (drh + drm) ? double(drh) / double(drh + drm) : 0.0;
-
-    // Full window delta (per-launch breakdown + sampling extrapolation).
     rs.start_cycle = ak.start_clock;
-    TimingTotals &w = rs.totals;
-    w.cycles = now.busy - ak.base.busy;
-    w.warp_instructions = rs.warp_instructions;
-    w.thread_instructions = rs.thread_instructions;
-    for (unsigned c = 0; c < cores_.size(); c++) {
-        const CoreCounters &cc = now.core[c];
-        const CoreCounters &c0 = ak.base.core[c];
-        w.alu += cc.alu - c0.alu;
-        w.sfu += cc.sfu - c0.sfu;
-        w.mem_insts += cc.mem - c0.mem;
-        w.shared_accesses += cc.shared_accesses - c0.shared_accesses;
-    }
-    w.l1_hits = dl1h;
-    w.l1_misses = dl1m;
-    w.l2_hits = dl2h;
-    w.l2_misses = dl2m;
-    w.icnt_flits = now.icnt - ak.base.icnt;
-    w.dram_reads = dl2m;
-    w.dram_writes = now.l2_wb - ak.base.l2_wb;
-    w.dram_row_hits = drh;
-    w.dram_row_misses = drm;
-    w.core_active_cycles = now.active - ak.base.active;
-    w.core_idle_cycles = now.idle - ak.base.idle;
+    rs.totals = now - ak.base;
+    const TimingTotals &w = rs.totals;
+    rs.warp_instructions = w.warp_instructions;
+    rs.thread_instructions = w.thread_instructions;
+    rs.ipc = rs.cycles ? double(rs.warp_instructions) / double(rs.cycles) : 0.0;
+    rs.l1_hit_rate = rate(w.l1_hits, w.l1_misses);
+    rs.l2_hit_rate = rate(w.l2_hits, w.l2_misses);
+    rs.dram_row_hit_rate = rate(w.dram_row_hits, w.dram_row_misses);
 
     // Grand totals accumulate the delta since the previous accumulation
     // point, so overlapping kernels never double-count an event.
-    for (unsigned c = 0; c < cores_.size(); c++) {
-        const CoreCounters &cc = now.core[c];
-        const CoreCounters &c0 = totals_base_.core[c];
-        totals_.warp_instructions +=
-            cc.issued_instructions - c0.issued_instructions;
-        totals_.thread_instructions +=
-            cc.thread_instructions - c0.thread_instructions;
-        totals_.alu += cc.alu - c0.alu;
-        totals_.sfu += cc.sfu - c0.sfu;
-        totals_.mem_insts += cc.mem - c0.mem;
-        totals_.shared_accesses += cc.shared_accesses - c0.shared_accesses;
-    }
-    totals_.l1_hits += now.l1_h - totals_base_.l1_h;
-    totals_.l1_misses += now.l1_m - totals_base_.l1_m;
-    totals_.l2_hits += now.l2_h - totals_base_.l2_h;
-    totals_.l2_misses += now.l2_m - totals_base_.l2_m;
-    totals_.dram_reads += now.l2_m - totals_base_.l2_m;
-    totals_.dram_writes += now.l2_wb - totals_base_.l2_wb;
-    totals_.dram_row_hits += now.row_h - totals_base_.row_h;
-    totals_.dram_row_misses += now.row_m - totals_base_.row_m;
+    totals_ += now - totals_base_;
     totals_base_ = now;
 
     const KernelCompletion comp{ak.token, clock_};
@@ -387,7 +333,7 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
         }
 
         cycleOnce(clock_, sampler);
-        totals_.cycles++;
+        live_.cycles++;
         clock_++;
 
         uint64_t completed = 0;

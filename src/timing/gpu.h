@@ -14,6 +14,7 @@
 #ifndef MLGS_TIMING_GPU_H
 #define MLGS_TIMING_GPU_H
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,7 +51,47 @@ struct TimingTotals
     uint64_t core_idle_cycles = 0;
 
     TimingTotals &operator+=(const TimingTotals &o);
+    TimingTotals operator-(const TimingTotals &o) const;
+    bool operator==(const TimingTotals &) const = default;
 };
+
+/** One TimingTotals counter: its stats key and its member. */
+struct TimingCounter
+{
+    const char *name;
+    uint64_t TimingTotals::*member;
+};
+
+/**
+ * Every TimingTotals counter, in stats-JSON order. The single list of the
+ * counters: arithmetic, snapshots, sampled extrapolation, the stats JSON and
+ * the equality helpers all iterate it, so adding a counter means one member,
+ * one line here and its increment site.
+ */
+inline constexpr TimingCounter kTimingCounters[] = {
+    {"cycles", &TimingTotals::cycles},
+    {"warp_instructions", &TimingTotals::warp_instructions},
+    {"thread_instructions", &TimingTotals::thread_instructions},
+    {"alu", &TimingTotals::alu},
+    {"sfu", &TimingTotals::sfu},
+    {"mem_insts", &TimingTotals::mem_insts},
+    {"shared_accesses", &TimingTotals::shared_accesses},
+    {"l1_hits", &TimingTotals::l1_hits},
+    {"l1_misses", &TimingTotals::l1_misses},
+    {"l2_hits", &TimingTotals::l2_hits},
+    {"l2_misses", &TimingTotals::l2_misses},
+    {"icnt_flits", &TimingTotals::icnt_flits},
+    {"dram_reads", &TimingTotals::dram_reads},
+    {"dram_writes", &TimingTotals::dram_writes},
+    {"dram_row_hits", &TimingTotals::dram_row_hits},
+    {"dram_row_misses", &TimingTotals::dram_row_misses},
+    {"core_active_cycles", &TimingTotals::core_active_cycles},
+    {"core_idle_cycles", &TimingTotals::core_idle_cycles},
+};
+
+static_assert(sizeof(TimingTotals) ==
+                  std::size(kTimingCounters) * sizeof(uint64_t),
+              "every TimingTotals member needs a kTimingCounters entry");
 
 /** Result of one kernel run on the performance model. */
 struct KernelRunStats
@@ -138,8 +179,11 @@ class GpuModel
                                  stats::AerialSampler *sampler = nullptr);
 
     const GpuConfig &config() const { return cfg_; }
+    /**
+     * Grand totals, folded in as each kernel retires; exact once the device
+     * is idle (the last resident kernel retires after the pipeline drains).
+     */
     const TimingTotals &totals() const { return totals_; }
-    cycle_t totalCycles() const { return totals_.cycles; }
 
     /**
      * Attach (or detach with nullptr) the worker pool. With a pool, each
@@ -174,24 +218,12 @@ class GpuModel
      * into the grand totals. Used by the sampled timing mode for
      * fast-forwarded launches; never called in Detailed mode, so detailed
      * totals stay bitwise-unchanged. The snapshot-delta accumulation in
-     * finishActive() is unaffected (it diffs raw component counters, which
-     * this does not touch).
+     * finishActive() is unaffected (it diffs snapshot(), which this does
+     * not touch).
      */
     void accumulateExtrapolated(const TimingTotals &t) { totals_ += t; }
 
   private:
-    /** Cumulative-counter snapshot used to report per-window deltas. */
-    struct StatBase
-    {
-        uint64_t l1_h = 0, l1_m = 0;
-        uint64_t l2_h = 0, l2_m = 0;
-        uint64_t row_h = 0, row_m = 0, l2_wb = 0;
-        // Counters that only exist as running totals_ fields; snapshotting
-        // them here lets finishActive report full per-kernel window deltas.
-        uint64_t icnt = 0, busy = 0, active = 0, idle = 0;
-        std::vector<CoreCounters> core;
-    };
-
     /** One resident grid. */
     struct ActiveKernel
     {
@@ -201,13 +233,13 @@ class GpuModel
         cycle_t not_before = 0;
         cycle_t start_clock = 0;
         bool started = false;
-        StatBase base; ///< snapshot at start (per-kernel attribution)
+        TimingTotals base; ///< snapshot at start (per-kernel attribution)
     };
 
     void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
     bool parallelStepAllowed(const stats::AerialSampler *sampler) const;
     bool anythingInFlight() const;
-    StatBase snapshot() const;
+    TimingTotals snapshot() const;
     KernelCompletion finishActive(size_t idx);
 
     GpuConfig cfg_;
@@ -218,11 +250,17 @@ class GpuModel
     DelayQueue<MemFetch> to_partition_;
     DelayQueue<MemFetch> to_core_;
     TimingTotals totals_;
+    /**
+     * Counters kept only as running sums (cycles, icnt_flits and the core
+     * active/idle cycles); every other live_ field stays zero. snapshot()
+     * adds the component counters to these.
+     */
+    TimingTotals live_;
 
     std::vector<std::unique_ptr<ActiveKernel>> active_; ///< launch order
     std::map<uint64_t, KernelRunStats> finished_;       ///< awaiting collect
     std::vector<KernelRunStats> per_launch_;            ///< retirement order
-    StatBase totals_base_; ///< totals_ accumulated up to this snapshot
+    TimingTotals totals_base_; ///< totals_ accumulated up to this snapshot
     uint64_t next_token_ = 0;
     uint64_t next_launch_seq_ = 0; ///< stamps LaunchEnv::launch_seq
 

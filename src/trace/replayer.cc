@@ -290,25 +290,12 @@ statsJson(cuda::Context &ctx)
     os << "{\n";
     os << "  \"elapsed_cycles\": " << ctx.elapsedCycles() << ",\n";
     os << "  \"totals\": {\n";
-    os << "    \"cycles\": " << t.cycles << ",\n";
-    os << "    \"warp_instructions\": " << t.warp_instructions << ",\n";
-    os << "    \"thread_instructions\": " << t.thread_instructions << ",\n";
-    os << "    \"alu\": " << t.alu << ",\n";
-    os << "    \"sfu\": " << t.sfu << ",\n";
-    os << "    \"mem_insts\": " << t.mem_insts << ",\n";
-    os << "    \"shared_accesses\": " << t.shared_accesses << ",\n";
-    os << "    \"l1_hits\": " << t.l1_hits << ",\n";
-    os << "    \"l1_misses\": " << t.l1_misses << ",\n";
-    os << "    \"l2_hits\": " << t.l2_hits << ",\n";
-    os << "    \"l2_misses\": " << t.l2_misses << ",\n";
-    os << "    \"icnt_flits\": " << t.icnt_flits << ",\n";
-    os << "    \"dram_reads\": " << t.dram_reads << ",\n";
-    os << "    \"dram_writes\": " << t.dram_writes << ",\n";
-    os << "    \"dram_row_hits\": " << t.dram_row_hits << ",\n";
-    os << "    \"dram_row_misses\": " << t.dram_row_misses << ",\n";
-    os << "    \"core_active_cycles\": " << t.core_active_cycles << ",\n";
-    os << "    \"core_idle_cycles\": " << t.core_idle_cycles << "\n";
-    os << "  },\n";
+    const char *sep = "";
+    for (const auto &c : timing::kTimingCounters) {
+        os << sep << "    \"" << c.name << "\": " << t.*c.member;
+        sep = ",\n";
+    }
+    os << "\n  },\n";
     const auto hits = ctx.gpuModel().perBankRowHits();
     const auto misses = ctx.gpuModel().perBankRowMisses();
     os << "  \"dram_bank_row_hits\": [";

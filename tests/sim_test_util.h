@@ -1,10 +1,13 @@
 /**
  * @file
  * Shared test scaffolding: a minimal GPU (memory + allocator + functional
- * engine) and a parameter-block packer matching the parser's param layout.
+ * engine), a parameter-block packer matching the parser's param layout and
+ * a counter-by-counter TimingTotals comparison.
  */
 #ifndef MLGS_TESTS_SIM_TEST_UTIL_H
 #define MLGS_TESTS_SIM_TEST_UTIL_H
+
+#include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +18,7 @@
 #include "mem/allocator.h"
 #include "mem/gpu_memory.h"
 #include "ptx/parser.h"
+#include "timing/gpu.h"
 
 namespace mlgs::test
 {
@@ -82,6 +86,14 @@ class ParamPack
   private:
     std::vector<uint8_t> bytes_;
 };
+
+/** Expect every TimingTotals counter equal; a failure names the counter. */
+inline void
+expectTotalsEq(const timing::TimingTotals &a, const timing::TimingTotals &b)
+{
+    for (const auto &c : timing::kTimingCounters)
+        EXPECT_EQ(a.*c.member, b.*c.member) << c.name;
+}
 
 /** Self-contained functional GPU for unit tests. */
 struct MiniGpu

@@ -27,29 +27,6 @@ using namespace mlgs;
 namespace
 {
 
-void
-expectTotalsEq(const timing::TimingTotals &a, const timing::TimingTotals &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.warp_instructions, b.warp_instructions);
-    EXPECT_EQ(a.thread_instructions, b.thread_instructions);
-    EXPECT_EQ(a.alu, b.alu);
-    EXPECT_EQ(a.sfu, b.sfu);
-    EXPECT_EQ(a.mem_insts, b.mem_insts);
-    EXPECT_EQ(a.shared_accesses, b.shared_accesses);
-    EXPECT_EQ(a.l1_hits, b.l1_hits);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.l2_hits, b.l2_hits);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.icnt_flits, b.icnt_flits);
-    EXPECT_EQ(a.dram_reads, b.dram_reads);
-    EXPECT_EQ(a.dram_writes, b.dram_writes);
-    EXPECT_EQ(a.dram_row_hits, b.dram_row_hits);
-    EXPECT_EQ(a.dram_row_misses, b.dram_row_misses);
-    EXPECT_EQ(a.core_active_cycles, b.core_active_cycles);
-    EXPECT_EQ(a.core_idle_cycles, b.core_idle_cycles);
-}
-
 /** One conv forward pass; everything observable about the run. */
 struct ConvRun
 {
@@ -140,7 +117,7 @@ TEST(Determinism, TimingConvBitwiseEqual)
         EXPECT_EQ(0, std::memcmp(serial.y.data(), par.y.data(),
                                  serial.y.size() * sizeof(float)))
             << "algo " << int(algo);
-        expectTotalsEq(serial.totals, par.totals);
+        test::expectTotalsEq(serial.totals, par.totals);
         EXPECT_EQ(serial.elapsed_cycles, par.elapsed_cycles);
         EXPECT_EQ(serial.kernel_cycles, par.kernel_cycles);
         EXPECT_EQ(serial.bank_hits, par.bank_hits);
@@ -204,7 +181,7 @@ TEST(Determinism, LeNetTimingStepBitwiseEqual)
     const LeNetRun serial = runLeNet(cuda::SimMode::Performance, 1);
     const LeNetRun par = runLeNet(cuda::SimMode::Performance, 4);
     EXPECT_EQ(serial.preds, par.preds);
-    expectTotalsEq(serial.totals, par.totals);
+    test::expectTotalsEq(serial.totals, par.totals);
     EXPECT_EQ(serial.elapsed_cycles, par.elapsed_cycles);
 }
 

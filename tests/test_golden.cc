@@ -72,32 +72,8 @@ renderRun(const GoldenRun &run)
     const timing::TimingTotals &t = ctx.gpuModel().totals();
     std::ostringstream os;
     os << "    \"" << run.name << "\": {\n";
-    const struct
-    {
-        const char *key;
-        uint64_t val;
-    } fields[] = {
-        {"cycles", t.cycles},
-        {"warp_instructions", t.warp_instructions},
-        {"thread_instructions", t.thread_instructions},
-        {"alu", t.alu},
-        {"sfu", t.sfu},
-        {"mem_insts", t.mem_insts},
-        {"shared_accesses", t.shared_accesses},
-        {"l1_hits", t.l1_hits},
-        {"l1_misses", t.l1_misses},
-        {"l2_hits", t.l2_hits},
-        {"l2_misses", t.l2_misses},
-        {"icnt_flits", t.icnt_flits},
-        {"dram_reads", t.dram_reads},
-        {"dram_writes", t.dram_writes},
-        {"dram_row_hits", t.dram_row_hits},
-        {"dram_row_misses", t.dram_row_misses},
-        {"core_active_cycles", t.core_active_cycles},
-        {"core_idle_cycles", t.core_idle_cycles},
-    };
-    for (const auto &f : fields)
-        os << "      \"" << f.key << "\": " << f.val << ",\n";
+    for (const auto &c : timing::kTimingCounters)
+        os << "      \"" << c.name << "\": " << t.*c.member << ",\n";
     appendBankVector(os, "bank_row_hits", ctx.gpuModel().perBankRowHits());
     os << ",\n";
     appendBankVector(os, "bank_row_misses", ctx.gpuModel().perBankRowMisses());

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "nccl/nccl_lite.h"
 #include "runtime/context.h"
+#include "sim_test_util.h"
 #include "torchlet/data_parallel.h"
 #include "torchlet/lenet.h"
 #include "torchlet/mnist_synth.h"
@@ -42,22 +43,6 @@ randomFloats(size_t count, uint64_t seed)
     for (auto &x : v)
         x = float(rng.gauss());
     return v;
-}
-
-void
-expectTotalsEq(const timing::TimingTotals &a, const timing::TimingTotals &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.warp_instructions, b.warp_instructions);
-    EXPECT_EQ(a.thread_instructions, b.thread_instructions);
-    EXPECT_EQ(a.l1_hits, b.l1_hits);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.l2_hits, b.l2_hits);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.dram_reads, b.dram_reads);
-    EXPECT_EQ(a.dram_writes, b.dram_writes);
-    EXPECT_EQ(a.dram_row_hits, b.dram_row_hits);
-    EXPECT_EQ(a.dram_row_misses, b.dram_row_misses);
 }
 
 // ---- device table ----
@@ -405,7 +390,7 @@ TEST(MultiGpu, DataParallelDeterministicAcrossSimThreads)
     ASSERT_EQ(serial.elapsed.size(), par.elapsed.size());
     for (size_t d = 0; d < serial.elapsed.size(); d++) {
         EXPECT_EQ(serial.elapsed[d], par.elapsed[d]) << "device " << d;
-        expectTotalsEq(serial.totals[d], par.totals[d]);
+        test::expectTotalsEq(serial.totals[d], par.totals[d]);
     }
     EXPECT_EQ(serial.fabric_bytes, par.fabric_bytes);
 }
@@ -441,7 +426,7 @@ TEST(MultiGpu, SingleDeviceContextUnchangedByDeviceTable)
     const auto multi = run(2);
     EXPECT_EQ(std::get<0>(single), std::get<0>(multi));
     EXPECT_EQ(std::get<1>(single), std::get<1>(multi));
-    expectTotalsEq(std::get<2>(single), std::get<2>(multi));
+    test::expectTotalsEq(std::get<2>(single), std::get<2>(multi));
 }
 
 } // namespace

@@ -75,29 +75,6 @@ struct RunResult
     bool sampled = false;
 };
 
-void
-expectTotalsEq(const timing::TimingTotals &a, const timing::TimingTotals &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.warp_instructions, b.warp_instructions);
-    EXPECT_EQ(a.thread_instructions, b.thread_instructions);
-    EXPECT_EQ(a.alu, b.alu);
-    EXPECT_EQ(a.sfu, b.sfu);
-    EXPECT_EQ(a.mem_insts, b.mem_insts);
-    EXPECT_EQ(a.shared_accesses, b.shared_accesses);
-    EXPECT_EQ(a.l1_hits, b.l1_hits);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.l2_hits, b.l2_hits);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.icnt_flits, b.icnt_flits);
-    EXPECT_EQ(a.dram_reads, b.dram_reads);
-    EXPECT_EQ(a.dram_writes, b.dram_writes);
-    EXPECT_EQ(a.dram_row_hits, b.dram_row_hits);
-    EXPECT_EQ(a.dram_row_misses, b.dram_row_misses);
-    EXPECT_EQ(a.core_active_cycles, b.core_active_cycles);
-    EXPECT_EQ(a.core_idle_cycles, b.core_idle_cycles);
-}
-
 double
 relErr(uint64_t value, uint64_t reference)
 {
@@ -202,7 +179,7 @@ TEST(Sampling, CapOneBitwiseIdenticalToDetailed)
     cap1.max_cluster_size = 1;
     const RunResult smp = runSeq(sample::TimingMode::Sampled, seq, cap1);
 
-    expectTotalsEq(det.totals, smp.totals);
+    test::expectTotalsEq(det.totals, smp.totals);
     EXPECT_EQ(det.elapsed, smp.elapsed);
     EXPECT_EQ(det.per_launch_cycles, smp.per_launch_cycles);
     EXPECT_EQ(det.c, smp.c);
@@ -293,7 +270,7 @@ TEST(Sampling, DeterministicAcrossSimThreadsAllModes)
           sample::TimingMode::Predicted}) {
         const RunResult serial = runSeq(tm, seq, {}, 1);
         const RunResult par = runSeq(tm, seq, {}, 4);
-        expectTotalsEq(serial.totals, par.totals);
+        test::expectTotalsEq(serial.totals, par.totals);
         EXPECT_EQ(serial.elapsed, par.elapsed) << sample::timingModeName(tm);
         EXPECT_EQ(serial.per_launch_cycles, par.per_launch_cycles);
         EXPECT_EQ(serial.sources, par.sources);
@@ -304,20 +281,20 @@ TEST(Sampling, DeterministicAcrossSimThreadsAllModes)
 TEST(Sampling, PerLaunchTotalsBreakdown)
 {
     // Detailed mode: one KernelRunStats window per launch, in retirement
-    // order, whose instruction counters sum to the grand totals.
+    // order, whose counters sum to the grand totals, every one of them.
     const std::vector<Launch> seq = {{4, 0}, {8, 1}, {16, 2}};
     const RunResult det = runSeq(sample::TimingMode::Detailed, seq);
     ASSERT_EQ(det.per_launch_totals.size(), seq.size());
-    uint64_t wi = 0;
+    timing::TimingTotals sum;
     cycle_t prev_start = 0;
     for (const auto &rs : det.per_launch_totals) {
         EXPECT_EQ(rs.kernel_name, "vecadd");
         EXPECT_GT(rs.cycles, 0u);
         EXPECT_GE(rs.start_cycle, prev_start);
         prev_start = rs.start_cycle;
-        wi += rs.totals.warp_instructions;
+        sum += rs.totals;
     }
-    EXPECT_EQ(wi, det.totals.warp_instructions);
+    test::expectTotalsEq(sum, det.totals);
 
     // Sampled mode: only the cycle-simulated representative appears.
     const RunResult smp =

@@ -285,36 +285,31 @@ TEST(Timing, ResumeFromSkippedCtasMatchesFull)
     }
 }
 
-TEST(TimingTotals, PlusEqualsSumsEveryField)
+TEST(TimingTotals, OperatorsCoverEveryCounter)
 {
-    // Brace-initialize every field with a distinct value: if a field is ever
-    // added to TimingTotals without updating operator+=, the excess
-    // initializer here fails to compile, and the per-field checks below
-    // catch an operator+= that forgets to accumulate it.
-    const timing::TimingTotals a{1, 2, 3, 4, 5, 6, 7, 8, 9,
-                                 10, 11, 12, 13, 14, 15, 16, 17, 18};
-    timing::TimingTotals sum{100, 200, 300, 400, 500, 600, 700, 800, 900,
-                             1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700,
-                             1800};
+    // Distinct values per counter: an operator that skips a counter, or
+    // reads the wrong one, shows up under that counter's name.
+    timing::TimingTotals a, b;
+    uint64_t v = 1;
+    for (const auto &c : timing::kTimingCounters) {
+        a.*c.member = v;
+        b.*c.member = 100 * v;
+        v++;
+    }
+    timing::TimingTotals sum = b;
     sum += a;
-    EXPECT_EQ(sum.cycles, 101u);
-    EXPECT_EQ(sum.warp_instructions, 202u);
-    EXPECT_EQ(sum.thread_instructions, 303u);
-    EXPECT_EQ(sum.alu, 404u);
-    EXPECT_EQ(sum.sfu, 505u);
-    EXPECT_EQ(sum.mem_insts, 606u);
-    EXPECT_EQ(sum.shared_accesses, 707u);
-    EXPECT_EQ(sum.l1_hits, 808u);
-    EXPECT_EQ(sum.l1_misses, 909u);
-    EXPECT_EQ(sum.l2_hits, 1010u);
-    EXPECT_EQ(sum.l2_misses, 1111u);
-    EXPECT_EQ(sum.icnt_flits, 1212u);
-    EXPECT_EQ(sum.dram_reads, 1313u);
-    EXPECT_EQ(sum.dram_writes, 1414u);
-    EXPECT_EQ(sum.dram_row_hits, 1515u);
-    EXPECT_EQ(sum.dram_row_misses, 1616u);
-    EXPECT_EQ(sum.core_active_cycles, 1717u);
-    EXPECT_EQ(sum.core_idle_cycles, 1818u);
+    const timing::TimingTotals diff = b - a;
+    EXPECT_TRUE(sum - a == b);
+    EXPECT_FALSE(sum == b);
+    v = 1;
+    for (const auto &c : timing::kTimingCounters) {
+        EXPECT_EQ(sum.*c.member, 101 * v) << c.name;
+        EXPECT_EQ(diff.*c.member, 99 * v) << c.name;
+        timing::TimingTotals other = a;
+        other.*c.member += 1;
+        EXPECT_FALSE(other == a) << c.name;
+        v++;
+    }
 }
 
 } // namespace

@@ -26,29 +26,6 @@ namespace
 {
 
 void
-expectTotalsEq(const timing::TimingTotals &a, const timing::TimingTotals &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.warp_instructions, b.warp_instructions);
-    EXPECT_EQ(a.thread_instructions, b.thread_instructions);
-    EXPECT_EQ(a.alu, b.alu);
-    EXPECT_EQ(a.sfu, b.sfu);
-    EXPECT_EQ(a.mem_insts, b.mem_insts);
-    EXPECT_EQ(a.shared_accesses, b.shared_accesses);
-    EXPECT_EQ(a.l1_hits, b.l1_hits);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.l2_hits, b.l2_hits);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.icnt_flits, b.icnt_flits);
-    EXPECT_EQ(a.dram_reads, b.dram_reads);
-    EXPECT_EQ(a.dram_writes, b.dram_writes);
-    EXPECT_EQ(a.dram_row_hits, b.dram_row_hits);
-    EXPECT_EQ(a.dram_row_misses, b.dram_row_misses);
-    EXPECT_EQ(a.core_active_cycles, b.core_active_cycles);
-    EXPECT_EQ(a.core_idle_cycles, b.core_idle_cycles);
-}
-
-void
 expectBucketsEq(const std::vector<stats::AerialBucket> &a,
                 const std::vector<stats::AerialBucket> &b)
 {
@@ -79,7 +56,7 @@ struct RunSnapshot
 void
 expectSnapshotsEq(const RunSnapshot &live, const RunSnapshot &rep)
 {
-    expectTotalsEq(live.totals, rep.totals);
+    test::expectTotalsEq(live.totals, rep.totals);
     EXPECT_EQ(live.elapsed_cycles, rep.elapsed_cycles);
     EXPECT_EQ(live.bank_hits, rep.bank_hits);
     EXPECT_EQ(live.bank_misses, rep.bank_misses);
