@@ -5,10 +5,13 @@
  * the sweeps iterate) and a one-step LeNet training workload, each split into
  * "build the ContextOptions" and "drive the frontend" so a TraceRecorder can
  * be attached in between. Used by the mlgs-trace CLI, the tab_algo_sweep
- * --replay bench, and the trace fidelity tests.
+ * --replay bench, the mlgs-sweep serve client, and the trace fidelity tests.
  */
 #ifndef MLGS_BENCH_TRACE_WORKLOADS_H
 #define MLGS_BENCH_TRACE_WORKLOADS_H
+
+#include <chrono>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "torchlet/lenet.h"
@@ -18,6 +21,25 @@
 
 namespace mlgs::bench
 {
+
+inline double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+inline const char *
+passName(Pass p)
+{
+    switch (p) {
+      case Pass::Forward: return "forward";
+      case Pass::BackwardData: return "bwd_data";
+      case Pass::BackwardFilter: return "bwd_filter";
+    }
+    return "?";
+}
 
 /** One conv_sample configuration (pass x algorithm x ablation knobs). */
 struct ConvTraceSpec
@@ -41,6 +63,26 @@ convAlgoName(const ConvTraceSpec &spec)
         return cudnn::bwdFilterAlgoName(cudnn::ConvBwdFilterAlgo(spec.algo));
     }
     return "?";
+}
+
+/** The Section V sweep: every algorithm of every pass (17 configurations). */
+inline std::vector<ConvTraceSpec>
+sweepSpecs()
+{
+    std::vector<ConvTraceSpec> specs;
+    const auto add = [&](Pass pass, int algo) {
+        ConvTraceSpec s;
+        s.pass = pass;
+        s.algo = algo;
+        specs.push_back(s);
+    };
+    for (int a = 0; a <= int(cudnn::ConvFwdAlgo::WinogradNonfused); a++)
+        add(Pass::Forward, a);
+    for (int a = 0; a <= int(cudnn::ConvBwdDataAlgo::WinogradNonfused); a++)
+        add(Pass::BackwardData, a);
+    for (int a = 0; a <= int(cudnn::ConvBwdFilterAlgo::WinogradNonfused); a++)
+        add(Pass::BackwardFilter, a);
+    return specs;
 }
 
 inline cuda::ContextOptions

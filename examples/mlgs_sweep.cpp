@@ -38,45 +38,6 @@ using namespace mlgs::bench;
 namespace
 {
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-const char *
-passName(Pass p)
-{
-    switch (p) {
-      case Pass::Forward: return "forward";
-      case Pass::BackwardData: return "bwd_data";
-      case Pass::BackwardFilter: return "bwd_filter";
-    }
-    return "?";
-}
-
-/** The Section V sweep: every algorithm of every pass (17 configurations). */
-std::vector<ConvTraceSpec>
-sweepSpecs()
-{
-    std::vector<ConvTraceSpec> specs;
-    const auto add = [&](Pass pass, int algo) {
-        ConvTraceSpec s;
-        s.pass = pass;
-        s.algo = algo;
-        specs.push_back(s);
-    };
-    for (int a = 0; a <= int(cudnn::ConvFwdAlgo::WinogradNonfused); a++)
-        add(Pass::Forward, a);
-    for (int a = 0; a <= int(cudnn::ConvBwdDataAlgo::WinogradNonfused); a++)
-        add(Pass::BackwardData, a);
-    for (int a = 0; a <= int(cudnn::ConvBwdFilterAlgo::WinogradNonfused); a++)
-        add(Pass::BackwardFilter, a);
-    return specs;
-}
-
 struct SweepItem
 {
     ConvTraceSpec spec;

@@ -36,14 +36,6 @@ using namespace mlgs::bench;
 namespace
 {
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 void
 writeFileOrDie(const std::string &path, const std::string &text)
 {
@@ -189,10 +181,11 @@ doRecord(const Args &a)
         std::printf("recorded lenet train step (loss %.4f)\n", loss);
     }
     rec.detach();
-    rec.write(a.path);
+    const trace::TraceFile trace = rec.finalize();
+    trace.save(a.path);
     const auto &t = ctx.gpuModel().totals();
     std::printf("  %llu ops, %llu launches, %llu cycles, %.0f ms -> %s\n",
-                (unsigned long long)rec.opCount(),
+                (unsigned long long)trace.ops.size(),
                 (unsigned long long)rec.launchCount(),
                 (unsigned long long)t.cycles, msSince(t0), a.path.c_str());
     if (a.per_launch)

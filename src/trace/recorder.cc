@@ -5,34 +5,24 @@
 namespace mlgs::trace
 {
 
-TraceRecorder::TraceRecorder(cuda::Context &ctx) : ctx_(&ctx)
+TraceRecorder::TraceRecorder(cuda::Context &ctx)
+    : ctx_(&ctx), devices_(size_t(ctx.deviceCount())),
+      current_(ctx.currentDevice())
 {
     const auto &o = ctx.options();
-    trace_.options.mode = uint8_t(o.mode);
-    trace_.options.legacy_texture_name_map = o.legacy_texture_name_map;
-    trace_.options.memcpy_bytes_per_cycle = o.memcpy_bytes_per_cycle;
-    trace_.options.bugs = o.bugs;
-    trace_.options.gpu = o.gpu;
-
-    MLGS_REQUIRE(ctx.deviceCount() == 1,
-                 "TraceRecorder records single-device contexts; use "
-                 "MultiTraceRecorder for a ", ctx.deviceCount(),
-                 "-device context");
+    for (size_t d = 0; d < devices_.size(); d++) {
+        auto &opt = devices_[d].trace.options;
+        opt.mode = uint8_t(o.mode);
+        opt.legacy_texture_name_map = o.legacy_texture_name_map;
+        opt.memcpy_bytes_per_cycle = o.memcpy_bytes_per_cycle;
+        opt.device_id = uint32_t(d);
+        opt.device_count = uint32_t(devices_.size());
+        opt.bugs = o.bugs;
+        opt.gpu = o.gpu;
+    }
     MLGS_REQUIRE(!ctx.apiObserver(),
                  "context already has an API observer attached");
     ctx.setApiObserver(this);
-}
-
-TraceRecorder::TraceRecorder(cuda::Context &ctx, int device) : ctx_(&ctx)
-{
-    const auto &o = ctx.options();
-    trace_.options.mode = uint8_t(o.mode);
-    trace_.options.legacy_texture_name_map = o.legacy_texture_name_map;
-    trace_.options.memcpy_bytes_per_cycle = o.memcpy_bytes_per_cycle;
-    trace_.options.device_id = uint32_t(device);
-    trace_.options.device_count = uint32_t(ctx.deviceCount());
-    trace_.options.bugs = o.bugs;
-    trace_.options.gpu = o.gpu;
 }
 
 TraceRecorder::~TraceRecorder()
@@ -56,6 +46,9 @@ void
 TraceRecorder::captureWarpStreams()
 {
     MLGS_REQUIRE(ctx_, "captureWarpStreams after detach");
+    MLGS_REQUIRE(devices_.size() == 1,
+                 "warp-stream capture records single-device contexts, not a ",
+                 devices_.size(), "-device context");
     MLGS_REQUIRE(ctx_->options().mode == cuda::SimMode::Performance,
                  "warp-stream capture requires performance mode");
     if (!warp_streams_) {
@@ -65,20 +58,27 @@ TraceRecorder::captureWarpStreams()
 }
 
 TraceOp &
-TraceRecorder::push(OpCode code)
+TraceRecorder::push(int device, OpCode code)
 {
-    trace_.ops.emplace_back();
-    trace_.ops.back().code = code;
-    return trace_.ops.back();
+    auto &ops = devices_[size_t(device)].trace.ops;
+    ops.emplace_back();
+    ops.back().code = code;
+    return ops.back();
 }
 
 TraceFile
-TraceRecorder::finalize() const
+TraceRecorder::finalize(int device) const
 {
-    TraceFile out = trace_;
+    MLGS_REQUIRE(device >= 0 && size_t(device) < devices_.size(),
+                 "finalize of unknown device ", device);
+    MLGS_REQUIRE(pending_peer_.empty(), "cannot finalize: ",
+                 pending_peer_.size(), " peer op(s) have not executed yet — "
+                 "synchronize every device before finalizing");
+    const DeviceTrace &d = devices_[size_t(device)];
+    TraceFile out = d.trace;
     for (size_t m = 0; m < out.modules.size(); m++) {
-        if (m < module_used_.size() && module_used_[m]) {
-            const auto &src = module_sources_[m];
+        if (m < d.module_used.size() && d.module_used[m]) {
+            const auto &src = d.module_sources[m];
             out.modules[m].source_blob = out.blobs.put(src.data(), src.size());
         }
     }
@@ -86,26 +86,21 @@ TraceRecorder::finalize() const
 }
 
 void
-TraceRecorder::write(const std::string &path) const
-{
-    finalize().save(path);
-}
-
-void
 TraceRecorder::onModuleLoaded(int handle, const std::string &ptx_source,
                               const std::string &name)
 {
-    MLGS_ASSERT(handle == int(trace_.modules.size()),
+    DeviceTrace &d = cur();
+    MLGS_ASSERT(handle == int(d.trace.modules.size()),
                 "module handles must be observed in order");
     TraceModule m;
-    m.name_sid = trace_.strings.id(name);
+    m.name_sid = d.trace.strings.id(name);
     for (const auto &g : ctx_->module(handle).globals) {
         const auto [bytes, align] = cuda::Context::globalAllocShape(g);
         m.global_allocs.emplace_back(bytes, align);
     }
-    trace_.modules.push_back(std::move(m));
-    module_sources_.push_back(ptx_source);
-    module_used_.push_back(false);
+    d.trace.modules.push_back(std::move(m));
+    d.module_sources.push_back(ptx_source);
+    d.module_used.push_back(false);
 
     push(OpCode::LoadModule).id = uint32_t(handle);
 }
@@ -131,7 +126,7 @@ TraceRecorder::onMemcpyH2D(addr_t dst, const void *src, size_t bytes,
 {
     auto &op = push(OpCode::MemcpyH2D);
     op.a = dst;
-    op.blob = trace_.blobs.put(src, bytes);
+    op.blob = cur().trace.blobs.put(src, bytes);
     op.stream = stream_id;
 }
 
@@ -142,7 +137,7 @@ TraceRecorder::onMemcpyD2H(const void *result, addr_t src, size_t bytes,
     auto &op = push(OpCode::MemcpyD2H);
     op.a = src;
     op.b = bytes;
-    op.blob = trace_.blobs.put(result, bytes);
+    op.blob = cur().trace.blobs.put(result, bytes);
     op.stream = stream_id;
 }
 
@@ -173,9 +168,9 @@ TraceRecorder::onMemcpyToSymbol(const std::string &name, addr_t addr,
                                 const void *src, size_t bytes)
 {
     auto &op = push(OpCode::MemcpyToSymbol);
-    op.sid = trace_.strings.id(name);
+    op.sid = cur().trace.strings.id(name);
     op.a = addr;
-    op.blob = trace_.blobs.put(src, bytes);
+    op.blob = cur().trace.blobs.put(src, bytes);
 }
 
 void
@@ -183,18 +178,19 @@ TraceRecorder::onLaunch(int module_handle, const std::string &kernel,
                         const Dim3 &grid, const Dim3 &block,
                         const std::vector<uint8_t> &params, unsigned stream_id)
 {
+    DeviceTrace &d = cur();
     MLGS_REQUIRE(module_handle >= 0 &&
-                     size_t(module_handle) < module_used_.size(),
+                     size_t(module_handle) < d.module_used.size(),
                  "launch of '", kernel, "' from unknown module");
-    module_used_[module_handle] = true;
-    launches_++;
+    d.module_used[size_t(module_handle)] = true;
+    d.launches++;
 
     auto &op = push(OpCode::Launch);
     op.id = uint32_t(module_handle);
-    op.sid = trace_.strings.id(kernel);
+    op.sid = d.trace.strings.id(kernel);
     op.grid = grid;
     op.block = block;
-    op.blob = trace_.blobs.put(params);
+    op.blob = d.trace.blobs.put(params);
     op.stream = stream_id;
 }
 
@@ -213,22 +209,42 @@ TraceRecorder::onDestroyStream(unsigned stream_id)
 void
 TraceRecorder::onCreateEvent(unsigned event_id)
 {
-    push(OpCode::CreateEvent).id = event_id;
+    // Context event ids are global creation-order; a standalone per-device
+    // trace needs them dense per device, so renumber on the way in.
+    MLGS_ASSERT(event_id == event_map_.size(),
+                "event ids must be observed in creation order");
+    const unsigned local = cur().events++;
+    event_map_.emplace_back(current_, local);
+    push(OpCode::CreateEvent).id = local;
+}
+
+unsigned
+TraceRecorder::localEvent(unsigned event_id, const char *use) const
+{
+    MLGS_REQUIRE(event_id < event_map_.size(), "unknown event ", event_id);
+    const auto [device, local] = event_map_[event_id];
+    MLGS_REQUIRE(device == current_, "event ", event_id, " belongs to device ",
+                 device, " but is ", use, " device ", current_,
+                 " — cross-device event use is not representable in "
+                 "per-device traces");
+    return local;
 }
 
 void
 TraceRecorder::onRecordEvent(unsigned event_id, unsigned stream_id)
 {
+    const unsigned local = localEvent(event_id, "recorded on");
     auto &op = push(OpCode::RecordEvent);
-    op.id = event_id;
+    op.id = local;
     op.stream = stream_id;
 }
 
 void
 TraceRecorder::onWaitEvent(unsigned stream_id, unsigned event_id)
 {
+    const unsigned local = localEvent(event_id, "waited on from");
     auto &op = push(OpCode::WaitEvent);
-    op.id = event_id;
+    op.id = local;
     op.stream = stream_id;
 }
 
@@ -245,10 +261,63 @@ TraceRecorder::onDeviceSynchronize()
 }
 
 void
+TraceRecorder::onSetDevice(int device)
+{
+    // Routing state only: per-device traces are standalone single-device
+    // workloads, so no op is recorded.
+    current_ = device;
+}
+
+void
+TraceRecorder::onMemcpyPeer(addr_t dst, int dst_device, unsigned dst_stream,
+                            addr_t src, int src_device, unsigned src_stream,
+                            size_t bytes, uint64_t send_seq, uint64_t recv_seq)
+{
+    // Key each half by its api_seq so onPeerOpExecuted() can back-patch it.
+    pending_peer_.emplace(
+        send_seq, std::make_pair(src_device,
+                                 devices_[size_t(src_device)].trace.ops.size()));
+    auto &send = push(src_device, OpCode::PeerSend);
+    send.a = src;
+    send.b = bytes;
+    send.id = uint32_t(dst_device);
+    send.stream = src_stream;
+
+    pending_peer_.emplace(
+        recv_seq, std::make_pair(dst_device,
+                                 devices_[size_t(dst_device)].trace.ops.size()));
+    auto &recv = push(dst_device, OpCode::PeerRecv);
+    recv.a = dst;
+    recv.b = bytes;
+    recv.id = uint32_t(src_device);
+    recv.stream = dst_stream;
+}
+
+void
+TraceRecorder::onPeerOpExecuted(uint64_t seq, cycle_t complete_cycle,
+                                const std::vector<uint8_t> *payload)
+{
+    const auto it = pending_peer_.find(seq);
+    MLGS_REQUIRE(it != pending_peer_.end(),
+                 "peer op ", seq, " executed but was never recorded");
+    const auto [device, index] = it->second;
+    pending_peer_.erase(it);
+
+    TraceFile &t = devices_[size_t(device)].trace;
+    TraceOp &op = t.ops[index];
+    op.c = complete_cycle;
+    if (payload) {
+        MLGS_ASSERT(op.code == OpCode::PeerRecv,
+                    "payload delivered for a non-receive peer op");
+        op.blob = t.blobs.put(payload->data(), payload->size());
+    }
+}
+
+void
 TraceRecorder::onRegisterTexture(const std::string &name, int texref)
 {
     auto &op = push(OpCode::RegisterTexture);
-    op.sid = trace_.strings.id(name);
+    op.sid = cur().trace.strings.id(name);
     op.id = uint32_t(texref);
 }
 
@@ -276,7 +345,7 @@ TraceRecorder::onMemcpyToArray(unsigned array_id, const float *src,
 {
     auto &op = push(OpCode::MemcpyToArray);
     op.id = array_id;
-    op.blob = trace_.blobs.put(src, count * sizeof(float));
+    op.blob = cur().trace.blobs.put(src, count * sizeof(float));
 }
 
 void

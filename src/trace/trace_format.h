@@ -17,7 +17,7 @@
  *              replayed Context reproduces the recorded run bitwise; since
  *              version 3 also the recording device's id and the device count
  *              of the recorded context, so multi-GPU runs serialize as one
- *              standalone trace per device (see MultiTraceRecorder)
+ *              standalone trace per device (see TraceRecorder)
  *   strings  : interned string table (kernel / module / texture / symbol
  *              names); ops reference strings by dense id
  *   blobs    : content-deduplicated byte payloads (H2D uploads, expected D2H

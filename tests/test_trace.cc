@@ -17,7 +17,6 @@
 #include "common/log.h"
 #include "nccl/nccl_lite.h"
 #include "sim_test_util.h"
-#include "trace/multi_recorder.h"
 
 using namespace mlgs;
 using namespace mlgs::bench;
@@ -413,8 +412,8 @@ deviceSnapshot(cuda::Context &ctx, int device)
 
 /**
  * Record a 2-GPU ring all-reduce (peer copies + reduction kernels) with
- * MultiTraceRecorder and return one standalone trace per device plus the
- * live per-device stats.
+ * TraceRecorder and return one standalone trace per device plus the live
+ * per-device stats.
  */
 std::vector<trace::TraceFile>
 recordTwoGpuAllReduce(std::vector<RunSnapshot> *live_out)
@@ -426,7 +425,7 @@ recordTwoGpuAllReduce(std::vector<RunSnapshot> *live_out)
     opts.device_count = 2;
 
     cuda::Context ctx(opts);
-    trace::MultiTraceRecorder rec(ctx);
+    trace::TraceRecorder rec(ctx);
     nccl::Communicator comm(ctx);
 
     std::vector<addr_t> bufs;
@@ -563,12 +562,92 @@ TEST(TraceMultiGpu, TruncatedPerDeviceTraceFailsCleanly)
     }
 }
 
-TEST(TraceMultiGpu, SingleDeviceRecorderRejectsMultiGpuContext)
+// ---- recorder rejection paths on a 2-device context ----
+
+cuda::ContextOptions
+twoDeviceOptions()
 {
     cuda::ContextOptions opts;
+    opts.mode = cuda::SimMode::Performance;
+    opts.gpu = timing::GpuConfig::gtx1050();
     opts.device_count = 2;
-    cuda::Context ctx(opts);
-    EXPECT_THROW(trace::TraceRecorder rec(ctx), FatalError);
+    return opts;
+}
+
+TEST(TraceMultiGpu, EventRecordedOnForeignDeviceFails)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    ctx.setDevice(0);
+    cuda::Event *e = ctx.createEvent();
+    ctx.setDevice(1);
+    EXPECT_THROW(ctx.recordEvent(e), FatalError);
+}
+
+TEST(TraceMultiGpu, EventWaitedOnFromForeignDeviceFails)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    ctx.setDevice(0);
+    cuda::Event *e = ctx.createEvent();
+    ctx.recordEvent(e);
+    ctx.setDevice(1);
+    EXPECT_THROW(ctx.streamWaitEvent(nullptr, e), FatalError);
+}
+
+TEST(TraceMultiGpu, FinalizeWithPendingPeerOpFails)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    ctx.setDevice(0);
+    ctx.enablePeerAccess(1);
+    const addr_t src = ctx.malloc(64);
+    // Hold the send back behind a not-yet-recorded event, so neither half
+    // of the copy can execute at enqueue.
+    cuda::Stream *held = ctx.createStream();
+    cuda::Stream *releaser = ctx.createStream();
+    cuda::Event *gate = ctx.createEvent();
+    ctx.streamWaitEvent(held, gate);
+    ctx.setDevice(1);
+    const addr_t dst = ctx.malloc(64);
+    ctx.memcpyPeer(dst, 1, src, 0, 64, nullptr, held);
+    EXPECT_THROW(rec.finalize(0), FatalError);
+    EXPECT_THROW(rec.finalize(1), FatalError);
+
+    // Once both halves have executed, the same recording finalizes.
+    ctx.setDevice(0);
+    ctx.recordEvent(gate, releaser);
+    for (int d = 0; d < 2; d++) {
+        ctx.setDevice(d);
+        ctx.deviceSynchronize();
+    }
+    EXPECT_NO_THROW(rec.finalize(0));
+    EXPECT_NO_THROW(rec.finalize(1));
+}
+
+TEST(TraceMultiGpu, SecondApiObserverIsRejected)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    EXPECT_THROW(trace::TraceRecorder second(ctx), FatalError);
+    EXPECT_EQ(ctx.apiObserver(), &rec);
+}
+
+TEST(TraceMultiGpu, FinalizeOfUnknownDeviceFails)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    rec.detach();
+    EXPECT_THROW(rec.finalize(2), FatalError);
+    EXPECT_THROW(rec.finalize(-1), FatalError);
+}
+
+TEST(TraceMultiGpu, WarpStreamCaptureRejectsMultiGpuContext)
+{
+    cuda::Context ctx(twoDeviceOptions());
+    trace::TraceRecorder rec(ctx);
+    EXPECT_THROW(rec.captureWarpStreams(), FatalError);
+    EXPECT_FALSE(rec.warpStreams());
 }
 
 TEST(TraceReplay, CorruptedPayloadFailsVerification)
