@@ -1,7 +1,7 @@
 /**
  * @file
- * Sampled fast-forward timing bench: the same workloads in all three timing
- * modes (detailed / sampled / predicted), reporting wall-clock speedup
+ * Sampled fast-forward timing bench: the same workloads in both timing
+ * modes (detailed / sampled), reporting wall-clock speedup
  * against the detailed cycle model and the total-cycle error the speedup
  * costs. Two workloads:
  *
@@ -53,7 +53,6 @@ struct ModeRun
     uint64_t launches = 0;
     uint64_t detailed = 0;
     uint64_t extrapolated = 0;
-    uint64_t predicted = 0;
     double error_bound = 0.0;    ///< per-cluster spread error bar
     std::string sampling_json;   ///< full report ("null" in detailed mode)
 };
@@ -68,7 +67,6 @@ collect(cuda::Context &ctx, ModeRun &run)
         const auto rep = sb->report();
         run.detailed = rep.detailed_launches;
         run.extrapolated = rep.extrapolated_launches;
-        run.predicted = rep.predicted_launches;
         run.error_bound = rep.cycle_error_bound_rel;
         run.sampling_json = sample::reportJson(rep, 6);
     } else {
@@ -162,14 +160,13 @@ void
 printRow(const ModeRun &r, const ModeRun &detailed)
 {
     std::printf("    %-9s %9.1fs %14llu cycles  speedup %5.2fx  "
-                "err %6.3f%%  (det %llu / extrap %llu / pred %llu)\n",
+                "err %6.3f%%  (det %llu / extrap %llu)\n",
                 sample::timingModeName(r.tm), r.wall_seconds,
                 (unsigned long long)r.total_cycles,
                 detailed.wall_seconds / r.wall_seconds,
                 100.0 * relErr(r.total_cycles, detailed.total_cycles),
                 (unsigned long long)r.detailed,
-                (unsigned long long)r.extrapolated,
-                (unsigned long long)r.predicted);
+                (unsigned long long)r.extrapolated);
 }
 
 std::string
@@ -185,7 +182,7 @@ runsJson(const std::vector<ModeRun> &runs)
             "      {\"mode\": \"%s\", \"wall_seconds\": %.3f, "
             "\"total_cycles\": %llu, \"elapsed_cycles\": %llu, "
             "\"launches\": %llu, \"detailed_launches\": %llu, "
-            "\"extrapolated_launches\": %llu, \"predicted_launches\": %llu, "
+            "\"extrapolated_launches\": %llu, "
             "\"speedup_vs_detailed\": %.3f, \"cycle_rel_err\": %.6f, "
             "\"error_bound_rel\": %.6f,\n       \"sampling\": ",
             sample::timingModeName(r.tm), r.wall_seconds,
@@ -193,7 +190,6 @@ runsJson(const std::vector<ModeRun> &runs)
             (unsigned long long)r.elapsed_cycles,
             (unsigned long long)r.launches, (unsigned long long)r.detailed,
             (unsigned long long)r.extrapolated,
-            (unsigned long long)r.predicted,
             det.wall_seconds / r.wall_seconds,
             relErr(r.total_cycles, det.total_cycles), r.error_bound);
         out += buf;
@@ -230,7 +226,6 @@ main(int argc, char **argv)
     const sample::TimingMode modes[] = {
         sample::TimingMode::Detailed,
         sample::TimingMode::Sampled,
-        sample::TimingMode::Predicted,
     };
 
     printHeader("tab_sampling",

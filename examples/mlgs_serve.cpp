@@ -7,8 +7,8 @@
  * config, and timing mode is answered byte-identically without simulating.
  *
  *   mlgs-serve --socket /tmp/mlgs.sock [--workers N] [--queue N]
- *              [--cache-mb MB] [--cache-dir DIR] [--predictor FILE]
- *              [--sim-threads N] [--retry-after-ms MS] [--verbose]
+ *              [--cache-mb MB] [--cache-dir DIR] [--sim-threads N]
+ *              [--retry-after-ms MS] [--verbose]
  *
  * SIGINT/SIGTERM (or a client ShutdownRequest) drain gracefully: admitted
  * jobs complete and their clients get real results before the daemon exits
@@ -51,7 +51,6 @@ usage(const char *argv0)
         " (default 8)\n"
         "  --cache-mb MB         result cache budget (default 256)\n"
         "  --cache-dir DIR       persist cached results under DIR\n"
-        "  --predictor FILE      load/save predictor training set at FILE\n"
         "  --sim-threads N       default per-job sim_threads (default auto)\n"
         "  --retry-after-ms MS   backoff hint for shed jobs (default 200)\n"
         "  --job-delay-ms MS     artificial per-job delay (test hook)\n"
@@ -86,8 +85,6 @@ main(int argc, char **argv)
             opts.cache_bytes = uint64_t(std::atoll(v)) << 20;
         else if (const char *v = arg("--cache-dir"))
             opts.cache_persist_dir = v;
-        else if (const char *v = arg("--predictor"))
-            opts.predictor_path = v;
         else if (const char *v = arg("--sim-threads"))
             opts.default_sim_threads = unsigned(std::atoi(v));
         else if (const char *v = arg("--retry-after-ms"))

@@ -21,6 +21,7 @@
  *   mlgs-trace info <in.mlgstrace>
  *       Prints the trace's configuration, tables, and op breakdown.
  */
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -54,7 +55,7 @@ usage()
         "                         [--pass forward|bwd-data|bwd-filter]\n"
         "                         [--algo N] [--stats FILE]\n"
         "       mlgs-trace replay <in.mlgstrace> [--repeat N] [--timing-only]\n"
-        "                         [--timing-mode detailed|sampled|predicted]\n"
+        "                         [--timing-mode detailed|sampled]\n"
         "                         [--per-launch] [--stats FILE]\n"
         "       mlgs-trace info   <in.mlgstrace>\n");
     return 2;
@@ -69,10 +70,27 @@ struct Args
     int repeat = 1;
     bool timing_only = false;
     bool per_launch = false;
-    std::string timing_mode;
+    std::optional<sample::TimingMode> timing_mode;
     std::string stats;
 };
 
+/** The whole of `text` as a decimal integer; FatalError naming `flag` if not. */
+int
+parseIntFlag(const std::string &flag, const char *text)
+{
+    int v = 0;
+    const char *end = text + std::strlen(text);
+    const auto [p, ec] = std::from_chars(text, end, v);
+    MLGS_REQUIRE(ec == std::errc() && p == end, flag,
+                 " expects an integer, got '", text, "'");
+    return v;
+}
+
+/**
+ * Fills `a` from argv; false for a malformed command line. Flag values are
+ * validated here, before any file is touched, and a bad one throws a
+ * FatalError naming the flag.
+ */
 bool
 parseArgs(int argc, char **argv, Args &a)
 {
@@ -91,14 +109,16 @@ parseArgs(int argc, char **argv, Args &a)
         else if (flag == "--pass")
             a.pass = value();
         else if (flag == "--algo")
-            a.algo = std::atoi(value());
+            a.algo = parseIntFlag(flag, value());
         else if (flag == "--repeat")
-            a.repeat = std::atoi(value());
+            a.repeat = parseIntFlag(flag, value());
         else if (flag == "--timing-only")
             a.timing_only = true;
-        else if (flag == "--timing-mode")
-            a.timing_mode = value();
-        else if (flag == "--per-launch")
+        else if (flag == "--timing-mode") {
+            const char *v = value();
+            a.timing_mode = sample::parseTimingMode(v);
+            MLGS_REQUIRE(a.timing_mode, "unknown timing mode: ", v);
+        } else if (flag == "--per-launch")
             a.per_launch = true;
         else if (flag == "--stats")
             a.stats = value();
@@ -107,6 +127,9 @@ parseArgs(int argc, char **argv, Args &a)
             return false;
         }
     }
+    MLGS_REQUIRE(!(a.timing_only && a.timing_mode),
+                 "--timing-only and --timing-mode are exclusive: "
+                 "trace-driven replay bypasses launch routing");
     return a.cmd == "record" || a.cmd == "replay" || a.cmd == "info";
 }
 
@@ -116,7 +139,6 @@ timingSourceName(engine::TimingSource s)
     switch (s) {
       case engine::TimingSource::Detailed: return "detailed";
       case engine::TimingSource::Extrapolated: return "extrap";
-      case engine::TimingSource::Predicted: return "predicted";
       default: return "func";
     }
 }
@@ -200,18 +222,6 @@ doReplay(const Args &a)
 {
     const auto rep = trace::TraceReplayer::fromFile(a.path);
     const int repeat = std::max(1, a.repeat);
-    std::optional<sample::TimingMode> tm;
-    if (!a.timing_mode.empty()) {
-        tm = sample::parseTimingMode(a.timing_mode);
-        if (!tm) {
-            std::fprintf(stderr, "unknown timing mode: %s\n",
-                         a.timing_mode.c_str());
-            return 2;
-        }
-        MLGS_REQUIRE(!a.timing_only,
-                     "--timing-only and --timing-mode are exclusive: "
-                     "trace-driven replay bypasses launch routing");
-    }
     func::WarpStreamCache streams;
     ReplayRun first;
     std::string json;
@@ -226,10 +236,10 @@ doReplay(const Args &a)
             run.totals = ctx.gpuModel().totals();
             run.elapsed_cycles = ctx.elapsedCycles();
             json = trace::statsJson(ctx);
-        } else if (tm || a.per_launch) {
+        } else if (a.timing_mode || a.per_launch) {
             cuda::ContextOptions opts = rep.options();
-            if (tm)
-                opts.timing_mode = *tm;
+            if (a.timing_mode)
+                opts.timing_mode = *a.timing_mode;
             cuda::Context ctx(opts);
             run.result = rep.replay(ctx);
             run.totals = ctx.gpuModel().totals();
@@ -305,8 +315,13 @@ int
 main(int argc, char **argv)
 {
     Args a;
-    if (!parseArgs(argc, argv, a))
+    try {
+        if (!parseArgs(argc, argv, a))
+            return usage();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "mlgs-trace: %s\n", e.what());
         return usage();
+    }
     try {
         if (a.cmd == "record")
             return doRecord(a);

@@ -57,7 +57,6 @@ enum class TimingSource : uint8_t
     Functional,   ///< functional mode: duration = instruction count
     Detailed,     ///< cycle-simulated in the timing model
     Extrapolated, ///< fast-forwarded; cycles scaled from a cluster rep
-    Predicted,    ///< fast-forwarded; cycles from the regression model
 };
 
 /** One entry in the per-launch log (feeds the oracle and the debug tool). */

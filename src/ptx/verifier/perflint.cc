@@ -69,7 +69,7 @@ isGlobalSite(const Instr &ins, const Affine &addr)
 }
 
 /**
- * Predicted transactions-per-warp-access: mean over the block's warps of
+ * Estimated transactions-per-warp-access: mean over the block's warps of
  * the number of distinct line_bytes-sized lines the warp's lanes touch
  * (straddles count both lines), exactly the dedupe the timing model
  * performs per executed access.
@@ -110,7 +110,7 @@ predictGlobal(const Affine &addr, unsigned width, const unsigned block[3],
 }
 
 /**
- * Predicted bank-conflict degree: max over warps of the largest number of
+ * Estimated bank-conflict degree: max over warps of the largest number of
  * distinct bank_bytes words one bank must serve for a single warp access.
  * Lanes hitting the same word broadcast (degree contribution 1); accesses
  * wider than a word occupy consecutive words.

@@ -52,7 +52,7 @@ struct PerfModel
     unsigned default_block[3] = {256, 1, 1};
 };
 
-/** Predicted (or measured) behavior class of one memory access site. */
+/** Estimated (or measured) behavior class of one memory access site. */
 enum class AccessClass : uint8_t
 {
     Coalesced, ///< transactions ~= ideal for the access width

@@ -51,9 +51,9 @@ Context::Context(ContextOptions opts) : opts_(std::move(opts))
             d->gpu->setThreadPool(pool_.get());
         }
         if (opts_.mode == SimMode::Performance) {
-            if (resolved_timing_ != sample::TimingMode::Detailed) {
+            if (resolved_timing_ == sample::TimingMode::Sampled) {
                 auto sb = std::make_unique<sample::SampledBackend>(
-                    *d->gpu, d->func_engine, resolved_timing_, opts_.sampling);
+                    *d->gpu, d->func_engine, opts_.sampling);
                 d->sampled_backend = sb.get();
                 d->backend = std::move(sb);
             } else {

@@ -95,14 +95,12 @@ struct ContextOptions
      * How launches are timed in performance mode: every launch through the
      * cycle model (Detailed — the default, bitwise-unchanged behaviour), or
      * clustered by signature with only cluster representatives
-     * cycle-simulated and the rest fast-forwarded (Sampled), or additionally
-     * regression-predicted for clusters without a representative
-     * (Predicted). Auto resolves from MLGS_TIMING, defaulting to Detailed.
-     * Ignored in functional mode.
+     * cycle-simulated and the rest fast-forwarded (Sampled). Auto resolves
+     * from MLGS_TIMING, defaulting to Detailed. Ignored in functional mode.
      */
     sample::TimingMode timing_mode = sample::TimingMode::Auto;
 
-    /** Knobs of the sampled/predicted timing modes. */
+    /** Knobs of the sampled timing mode. */
     sample::SamplingOptions sampling;
 
     /**

@@ -24,13 +24,12 @@ namespace mlgs::sample
 struct Cluster
 {
     uint64_t id = 0;
-    Signature sig; ///< of the first member (ctas field = first member's)
+    Signature sig;
 
     uint64_t members = 0;        ///< launches routed through this cluster
     uint64_t detailed_begun = 0; ///< routed to the cycle model (incl. in flight)
     uint64_t detailed_done = 0;  ///< detailed samples recorded
     uint64_t fast = 0;           ///< members extrapolated from the rep
-    uint64_t predicted = 0;      ///< members timed by the regression model
 
     /** Latest completed detailed sample (the representative). */
     timing::KernelRunStats rep;

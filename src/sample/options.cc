@@ -14,8 +14,6 @@ parseTimingMode(const std::string &name)
         return TimingMode::Detailed;
     if (name == "sampled")
         return TimingMode::Sampled;
-    if (name == "predicted")
-        return TimingMode::Predicted;
     return std::nullopt;
 }
 
@@ -27,8 +25,8 @@ resolveTimingMode(TimingMode requested)
     if (const char *env = std::getenv("MLGS_TIMING")) {
         if (const auto m = parseTimingMode(env))
             return *m;
-        fatal("MLGS_TIMING must be 'detailed', 'sampled' or 'predicted', "
-              "got '", env, "'");
+        fatal("MLGS_TIMING must be 'detailed' or 'sampled', got '", env,
+              "'");
     }
     return TimingMode::Detailed;
 }
@@ -39,7 +37,6 @@ timingModeName(TimingMode mode)
     switch (mode) {
       case TimingMode::Detailed: return "detailed";
       case TimingMode::Sampled: return "sampled";
-      case TimingMode::Predicted: return "predicted";
       default: return "auto";
     }
 }

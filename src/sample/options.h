@@ -3,12 +3,10 @@
  * Sampled fast-forward timing configuration. The performance model can run
  * every launch through the cycle-level GpuModel (Detailed), or cluster
  * launches by signature and cycle-simulate only cluster representatives
- * (Sampled), or additionally predict cycles for never-before-seen clusters
- * with a runtime-fitted ridge regression (Predicted). Selection order mirrors
- * func::ExecMode: an explicit ContextOptions choice wins, then the
- * MLGS_TIMING environment variable ("detailed" / "sampled" / "predicted"),
- * then the default (Detailed — the cycle model stays bitwise-unchanged
- * unless sampling is asked for).
+ * (Sampled). Selection order mirrors func::ExecMode: an explicit
+ * ContextOptions choice wins, then the MLGS_TIMING environment variable
+ * ("detailed" / "sampled"), then the default (Detailed — the cycle model
+ * stays bitwise-unchanged unless sampling is asked for).
  */
 #ifndef MLGS_SAMPLE_OPTIONS_H
 #define MLGS_SAMPLE_OPTIONS_H
@@ -26,19 +24,18 @@ enum class TimingMode : uint8_t
     Auto,      ///< resolve from MLGS_TIMING, default Detailed
     Detailed,  ///< every launch through the cycle model (ground truth)
     Sampled,   ///< representatives detailed, members extrapolated
-    Predicted, ///< Sampled + ridge-regression cycles for unseen clusters
 };
 
 /** Resolve Auto via MLGS_TIMING; explicit requests pass through unchanged. */
 TimingMode resolveTimingMode(TimingMode requested);
 
-/** Printable mode name ("detailed" / "sampled" / "predicted" / "auto"). */
+/** Printable mode name ("detailed" / "sampled" / "auto"). */
 const char *timingModeName(TimingMode mode);
 
 /** Parse a CLI/env spelling; nullopt if unrecognized. */
 std::optional<TimingMode> parseTimingMode(const std::string &name);
 
-/** Knobs of the sampled/predicted timing modes. */
+/** Knobs of the sampled timing mode. */
 struct SamplingOptions
 {
     /**
@@ -60,22 +57,6 @@ struct SamplingOptions
      * the representative's statistics and widens the error-bar sample.
      */
     unsigned redetail_period = 0;
-
-    // ---- Predicted mode ----
-    /** Min detailed launches observed before the predictor may fit. */
-    unsigned predictor_min_train = 12;
-    /** Ridge regularization strength (normal equations diagonal). */
-    double predictor_lambda = 1e-3;
-    /**
-     * Leave-one-out cross-validated mean relative cycle error above which
-     * the fitted model is rejected (every launch falls back to Detailed).
-     */
-    double predictor_max_cv_rel_err = 0.35;
-    /**
-     * Fractional slack added to the per-feature training min/max envelope;
-     * launches whose features fall outside it fall back to Detailed.
-     */
-    double predictor_envelope_slack = 0.10;
 };
 
 } // namespace mlgs::sample

@@ -23,20 +23,12 @@ mapCounters(const timing::TimingTotals &from, F f)
     return out;
 }
 
-double
-hitRate(uint64_t hits, uint64_t misses)
-{
-    const uint64_t total = hits + misses;
-    return total ? double(hits) / double(total) : 0.0;
-}
-
 } // namespace
 
 SampledBackend::SampledBackend(timing::GpuModel &gpu,
-                               func::FunctionalEngine &func, TimingMode mode,
+                               func::FunctionalEngine &func,
                                const SamplingOptions &opts)
-    : gpu_(&gpu), func_(&func), mode_(resolveTimingMode(mode)), opts_(opts),
-      predictor_(opts)
+    : gpu_(&gpu), func_(&func), opts_(opts)
 {
 }
 
@@ -58,51 +50,22 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
     cl.members++;
     rec.cluster_id = cl.id;
 
-    Signature launch_sig = cl.sig;
-    launch_sig.ctas = rec.grid.count();
-    const PredictorFeatures x = makeFeatures(launch_sig);
-
-    enum class Route
-    {
-        Detailed,
-        Extrapolate,
-        Predict,
-    };
-    Route route = Route::Detailed;
-    double cpi_pred = 0.0;
-    if (opts_.max_cluster_size == 1) {
-        route = Route::Detailed; // clustering disabled: bitwise Detailed
-    } else if (opts_.max_cluster_size != 0 &&
-               cl.members > opts_.max_cluster_size) {
-        route = Route::Detailed;
+    // Cycle-simulate unless the cluster has a representative to extrapolate
+    // from. max_cluster_size == 1 disables clustering (bitwise Detailed); a
+    // launch beyond a larger cap is routed detailed and counted as such.
+    // !has_rep covers a representative still in flight on another stream;
+    // redetail_period periodically refreshes the representative.
+    const bool over_cap =
+        opts_.max_cluster_size > 1 && cl.members > opts_.max_cluster_size;
+    if (over_cap)
         capacity_detailed_++;
-    } else if (cl.detailed_begun < opts_.detailed_per_cluster || !cl.has_rep) {
-        // The cluster still owes a representative (the rep may also be in
-        // flight on another stream — !has_rep covers that window). Predicted
-        // mode may skip the detailed run when the regression model vouches
-        // for this signature.
-        route = Route::Detailed;
-        if (mode_ == TimingMode::Predicted) {
-            if (const auto cpi = predictor_.predictCpi(x)) {
-                route = Route::Predict;
-                cpi_pred = *cpi;
-            }
-        }
-    } else if (opts_.redetail_period != 0 &&
-               cl.members % opts_.redetail_period == 0) {
-        route = Route::Detailed; // periodic representative refresh
-    } else {
-        route = Route::Extrapolate;
-    }
-
-    if (route == Route::Detailed) {
+    if (opts_.max_cluster_size == 1 || over_cap ||
+        cl.detailed_begun < opts_.detailed_per_cluster || !cl.has_rep ||
+        (opts_.redetail_period != 0 &&
+         cl.members % opts_.redetail_period == 0)) {
         cl.detailed_begun++;
         detailed_launches_++;
-        const uint64_t token =
-            gpu_->beginKernel(env, rec.grid, rec.block, start);
-        if (mode_ == TimingMode::Predicted)
-            detailed_x_.emplace(token, x);
-        return token;
+        return gpu_->beginKernel(env, rec.grid, rec.block, start);
     }
 
     // The engine passes the stream's ready time, which is stale when this
@@ -115,47 +78,26 @@ SampledBackend::begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
 
     // Fast-forward: execute functionally now — memory effects and the
     // instruction-class counts below are exact; only the cycle-level view
-    // (cycles, cache/DRAM/interconnect counters) is estimated.
+    // (cycles, cache/DRAM/interconnect counters) is extrapolated from the
+    // representative, scaled by the warp-instruction ratio.
     rec.func_stats = func_->launch(env, rec.grid, rec.block);
     const uint64_t wi = rec.func_stats.instructions;
-    const double wid = double(std::max<uint64_t>(wi, 1));
+    const timing::KernelRunStats &rep = cl.rep;
+    const double s =
+        rep.warp_instructions
+            ? double(std::max<uint64_t>(wi, 1)) / double(rep.warp_instructions)
+            : 1.0;
+    const cycle_t est_cycles =
+        std::max<cycle_t>(1, cycle_t(std::llround(double(rep.cycles) * s)));
+    timing::TimingTotals est = mapCounters(rep.totals, [s](uint64_t v) {
+        return uint64_t(std::llround(double(v) * s));
+    });
+    rec.perf.l1_hit_rate = rep.l1_hit_rate;
+    rec.perf.l2_hit_rate = rep.l2_hit_rate;
+    rec.perf.dram_row_hit_rate = rep.dram_row_hit_rate;
+    rec.timing_source = engine::TimingSource::Extrapolated;
+    cl.fast++;
 
-    timing::TimingTotals est;
-    cycle_t est_cycles = 1;
-    if (route == Route::Extrapolate) {
-        const timing::KernelRunStats &rep = cl.rep;
-        const double s = rep.warp_instructions
-                             ? wid / double(rep.warp_instructions)
-                             : 1.0;
-        est_cycles = std::max<cycle_t>(
-            1, cycle_t(std::llround(double(rep.cycles) * s)));
-        est = mapCounters(rep.totals, [s](uint64_t v) {
-            return uint64_t(std::llround(double(v) * s));
-        });
-        rec.perf.l1_hit_rate = rep.l1_hit_rate;
-        rec.perf.l2_hit_rate = rep.l2_hit_rate;
-        rec.perf.dram_row_hit_rate = rep.dram_row_hit_rate;
-        rec.timing_source = engine::TimingSource::Extrapolated;
-        cl.fast++;
-    } else {
-        est_cycles = std::max<cycle_t>(
-            1, cycle_t(std::llround(cpi_pred * wid)));
-        // Memory-system counters from global per-warp-instruction rates
-        // over every detailed launch completed so far (any cluster).
-        const double dwi = double(
-            std::max<uint64_t>(detailed_accum_.warp_instructions, 1));
-        est = mapCounters(detailed_accum_, [dwi, wid](uint64_t v) {
-            return uint64_t(std::llround(double(v) / dwi * wid));
-        });
-        rec.perf.l1_hit_rate = hitRate(est.l1_hits, est.l1_misses);
-        rec.perf.l2_hit_rate = hitRate(est.l2_hits, est.l2_misses);
-        rec.perf.dram_row_hit_rate =
-            hitRate(est.dram_row_hits, est.dram_row_misses);
-        rec.timing_source = engine::TimingSource::Predicted;
-        cl.predicted++;
-    }
-    // The functional run's instruction-class counts are exact; only the
-    // scaled cycle-level counters above are estimates.
     est.cycles = est_cycles;
     est.warp_instructions = wi;
     est.thread_instructions = rec.func_stats.thread_instructions;
@@ -220,30 +162,21 @@ SampledBackend::finish(uint64_t token, engine::LaunchRecord &rec)
     rec.cycles = rec.perf.cycles;
     rec.timing_source = engine::TimingSource::Detailed;
     clusterer_.recordDetailed(cl, rec.perf);
-    detailed_accum_ += rec.perf.totals;
-    if (const auto it = detailed_x_.find(token); it != detailed_x_.end()) {
-        predictor_.addSample(it->second, double(rec.perf.cycles),
-                             double(rec.perf.warp_instructions));
-        detailed_x_.erase(it);
-    }
 }
 
 SamplingReport
 SampledBackend::report() const
 {
     SamplingReport r;
-    r.mode = mode_;
     r.launches = launches_;
     r.detailed_launches = detailed_launches_;
     r.capacity_detailed = capacity_detailed_;
-    r.predictor = predictor_.status();
     double weighted_err = 0.0;
     double covered = 0.0;
     for (const auto &clp : clusterer_.clusters()) {
         const Cluster &cl = *clp;
         r.clusters++;
         r.extrapolated_launches += cl.fast;
-        r.predicted_launches += cl.predicted;
         r.detailed_cycles += cl.detailed_cycles;
         r.extrapolated_cycles += cl.extrapolated_cycles;
         weighted_err += double(cl.extrapolated_cycles) * cl.cpiRelSpread();
@@ -258,7 +191,6 @@ SampledBackend::report() const
         row.members = cl.members;
         row.detailed = cl.detailed_done;
         row.fast = cl.fast;
-        row.predicted = cl.predicted;
         row.cpi_mean = cl.cpiMean();
         row.cpi_rel_spread = cl.cpiRelSpread();
         row.detailed_cycles = cl.detailed_cycles;
@@ -279,12 +211,12 @@ reportJson(const SamplingReport &r, int indent)
     const std::string p(size_t(std::max(indent, 0)), ' ');
     std::ostringstream os;
     os << "{\n";
-    os << p << "  \"mode\": \"" << timingModeName(r.mode) << "\",\n";
+    os << p << "  \"mode\": \"" << timingModeName(TimingMode::Sampled)
+       << "\",\n";
     os << p << "  \"launches\": " << r.launches << ",\n";
     os << p << "  \"detailed_launches\": " << r.detailed_launches << ",\n";
     os << p << "  \"extrapolated_launches\": " << r.extrapolated_launches
        << ",\n";
-    os << p << "  \"predicted_launches\": " << r.predicted_launches << ",\n";
     os << p << "  \"capacity_detailed\": " << r.capacity_detailed << ",\n";
     os << p << "  \"clusters\": " << r.clusters << ",\n";
     os << p << "  \"detailed_cycles\": " << r.detailed_cycles << ",\n";
@@ -294,13 +226,6 @@ reportJson(const SamplingReport &r, int indent)
        << jsonDouble(r.cycle_error_bound_rel) << ",\n";
     os << p << "  \"error_bar_coverage\": " << jsonDouble(r.error_bar_coverage)
        << ",\n";
-    os << p << "  \"predictor\": {\"trained\": "
-       << (r.predictor.trained ? "true" : "false")
-       << ", \"n_train\": " << r.predictor.n_train
-       << ", \"cv_rel_err\": " << jsonDouble(r.predictor.cv_rel_err)
-       << ", \"declined_untrained\": " << r.predictor.declined_untrained
-       << ", \"declined_envelope\": " << r.predictor.declined_envelope
-       << ", \"declined_cv\": " << r.predictor.declined_cv << "},\n";
     os << p << "  \"clusters_detail\": [";
     for (size_t i = 0; i < r.rows.size(); i++) {
         const auto &row = r.rows[i];
@@ -311,7 +236,6 @@ reportJson(const SamplingReport &r, int indent)
            << "], \"ctas_bucket\": " << row.ctas_bucket
            << ", \"members\": " << row.members
            << ", \"detailed\": " << row.detailed << ", \"fast\": " << row.fast
-           << ", \"predicted\": " << row.predicted
            << ", \"cpi_mean\": " << jsonDouble(row.cpi_mean)
            << ", \"cpi_rel_spread\": " << jsonDouble(row.cpi_rel_spread)
            << ", \"detailed_cycles\": " << row.detailed_cycles

@@ -1,15 +1,12 @@
 /**
  * @file
  * Sampled fast-forward execution backend: the engine-facing implementation of
- * TimingMode::Sampled / Predicted. Launches are clustered online by
- * signature; the first member(s) of each cluster run through the cycle-level
- * GpuModel as representatives, and subsequent members are fast-forwarded —
- * executed functionally (exact memory effects and instruction counts) while
- * their cycles and memory-system counters are extrapolated from the
- * representative, scaled by the exact warp-instruction ratio. In Predicted
- * mode a runtime-fitted ridge regression supplies cycles for clusters that
- * have no representative yet, when its cross-validation and feature envelope
- * allow; otherwise such launches fall back to detailed simulation.
+ * TimingMode::Sampled. Launches are clustered online by signature; the first
+ * member(s) of each cluster run through the cycle-level GpuModel as
+ * representatives, and subsequent members are fast-forwarded — executed
+ * functionally (exact memory effects and instruction counts) while their
+ * cycles and memory-system counters are extrapolated from the
+ * representative, scaled by the exact warp-instruction ratio.
  *
  * Interleaving semantics: fast-forwarded launches never occupy GpuModel
  * residency. Their completions live on a private min-heap that advanceUntil
@@ -25,7 +22,6 @@
 #ifndef MLGS_SAMPLE_SAMPLED_BACKEND_H
 #define MLGS_SAMPLE_SAMPLED_BACKEND_H
 
-#include <map>
 #include <queue>
 #include <string>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "engine/exec_backend.h"
 #include "sample/clusterer.h"
 #include "sample/options.h"
-#include "sample/predictor.h"
 #include "timing/gpu.h"
 
 namespace mlgs::sample
@@ -42,15 +37,13 @@ namespace mlgs::sample
 /** Summary of one run's sampling behaviour (stats output + bench tables). */
 struct SamplingReport
 {
-    TimingMode mode = TimingMode::Detailed;
     uint64_t launches = 0;
     uint64_t detailed_launches = 0;
     uint64_t extrapolated_launches = 0;
-    uint64_t predicted_launches = 0;
     uint64_t capacity_detailed = 0; ///< routed detailed by the cluster cap
     uint64_t clusters = 0;
     uint64_t detailed_cycles = 0;     ///< cycle-simulated
-    uint64_t extrapolated_cycles = 0; ///< estimated (extrapolated + predicted)
+    uint64_t extrapolated_cycles = 0; ///< estimated from representatives
 
     /**
      * Weighted per-cluster error bar: sum over clusters of
@@ -62,8 +55,6 @@ struct SamplingReport
     /** Fraction of extrapolated cycles from clusters with >= 2 samples. */
     double error_bar_coverage = 0.0;
 
-    CyclePredictor::Status predictor;
-
     struct ClusterRow
     {
         uint64_t id = 0;
@@ -73,7 +64,6 @@ struct SamplingReport
         uint64_t members = 0;
         uint64_t detailed = 0;
         uint64_t fast = 0;
-        uint64_t predicted = 0;
         double cpi_mean = 0.0;
         double cpi_rel_spread = 0.0;
         uint64_t detailed_cycles = 0;
@@ -94,7 +84,7 @@ class SampledBackend : public engine::ExecBackend
 {
   public:
     SampledBackend(timing::GpuModel &gpu, func::FunctionalEngine &func,
-                   TimingMode mode, const SamplingOptions &opts);
+                   const SamplingOptions &opts);
 
     /** AerialVision sampler observed while the cycle model advances. */
     void setSampler(stats::AerialSampler *s) { sampler_ = s; }
@@ -107,18 +97,9 @@ class SampledBackend : public engine::ExecBackend
         override;
     void finish(uint64_t token, engine::LaunchRecord &rec) override;
 
-    TimingMode mode() const { return mode_; }
     const SamplingOptions &samplingOptions() const { return opts_; }
     const Clusterer &clusterer() const { return clusterer_; }
     SamplingReport report() const;
-
-    /**
-     * The run's cycle predictor: exposed so a host (the serve daemon) can
-     * seed() an accumulated training set before the workload runs and
-     * exportSamples() the newly observed rows afterwards.
-     */
-    CyclePredictor &predictor() { return predictor_; }
-    const CyclePredictor &predictor() const { return predictor_; }
 
   private:
     /** High bit marks fast-forwarded tokens apart from GpuModel tokens. */
@@ -136,23 +117,14 @@ class SampledBackend : public engine::ExecBackend
 
     timing::GpuModel *gpu_;
     func::FunctionalEngine *func_;
-    TimingMode mode_;
     SamplingOptions opts_;
     stats::AerialSampler *sampler_ = nullptr;
 
     Clusterer clusterer_;
-    CyclePredictor predictor_;
-
-    /** Training features of in-flight detailed launches, by GpuModel token. */
-    std::map<uint64_t, PredictorFeatures> detailed_x_;
     std::priority_queue<FastPending, std::vector<FastPending>,
                         std::greater<FastPending>>
         fast_pq_;
     uint64_t next_fast_token_ = 0;
-
-    /** Sum of detailed per-launch windows: per-warp-instruction rates for
-     *  estimating memory-system counters of predicted launches. */
-    timing::TimingTotals detailed_accum_;
 
     uint64_t launches_ = 0;
     uint64_t detailed_launches_ = 0;

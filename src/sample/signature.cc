@@ -25,9 +25,8 @@ computeSignature(const ptx::KernelDef &kernel, const Dim3 &grid,
     Signature sig;
     sig.kernel_name = kernel.name;
     sig.block = block;
-    sig.ctas = grid.count();
     unsigned bucket = 0;
-    for (uint64_t n = sig.ctas; n > 1; n >>= 1)
+    for (uint64_t n = grid.count(); n > 1; n >>= 1)
         bucket++;
     sig.ctas_bucket = bucket;
     sig.shared_bytes = uint32_t(kernel.shared_bytes);

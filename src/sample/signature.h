@@ -25,14 +25,13 @@ struct Signature
 {
     std::string kernel_name;
     Dim3 block;
-    uint64_t ctas = 0;        ///< this launch's CTA count (not part of key)
-    unsigned ctas_bucket = 0; ///< floor(log2(ctas))
+    unsigned ctas_bucket = 0; ///< floor(log2(CTA count))
     uint32_t shared_bytes = 0;
     uint32_t local_bytes = 0;
     uint32_t param_bytes = 0;
     ptx::UopMix mix;          ///< static per-class counts + divergence
 
-    /** Deterministic cluster key over every field except `ctas`. */
+    /** Deterministic cluster key over every field. */
     std::string key() const;
 };
 

@@ -8,7 +8,7 @@
  *   trace_hash   canonical FNV-1a of the trace's workload content
  *                (insertion-order independent; see TraceFile::contentHash)
  *   config_hash  FNV-1a over the effective TraceOptions' serialization
- *   timing_mode  detailed / sampled / predicted (resolved, never Auto)
+ *   timing_mode  detailed / sampled (resolved, never Auto)
  *   build_stamp  compiler + build date + format versions
  *
  * sim_threads is deliberately absent: results are bitwise identical at any

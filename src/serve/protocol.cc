@@ -100,7 +100,6 @@ ServerInfo::encode(BinaryWriter &w) const
     w.put<uint64_t>(shed);
     w.put<uint64_t>(cache_entries);
     w.put<uint64_t>(cache_bytes);
-    w.put<uint64_t>(predictor_samples);
     w.put<uint64_t>(build_stamp);
 }
 
@@ -119,7 +118,6 @@ ServerInfo::decode(BinaryReader &r)
     info.shed = r.get<uint64_t>();
     info.cache_entries = r.get<uint64_t>();
     info.cache_bytes = r.get<uint64_t>();
-    info.predictor_samples = r.get<uint64_t>();
     info.build_stamp = r.get<uint64_t>();
     return info;
 }

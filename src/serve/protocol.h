@@ -31,7 +31,7 @@ namespace mlgs::serve
 {
 
 constexpr uint64_t kServeMagic = 0x4556525353474c4dull; // "MLGSSRVE"
-constexpr uint32_t kServeVersion = 1;
+constexpr uint32_t kServeVersion = 2;
 
 /** Upper bound on one frame's payload (a trace plus slack). */
 constexpr uint64_t kMaxFrameBytes = uint64_t(1) << 30;
@@ -120,7 +120,6 @@ struct ServerInfo
     uint64_t shed = 0;
     uint64_t cache_entries = 0;
     uint64_t cache_bytes = 0;
-    uint64_t predictor_samples = 0;
     uint64_t build_stamp = 0;
 
     void encode(BinaryWriter &w) const;

@@ -8,10 +8,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <filesystem>
-
 #include "common/log.h"
-#include "sample/sampled_backend.h"
+#include "sample/options.h"
 #include "trace/replayer.h"
 
 namespace mlgs::serve
@@ -38,19 +36,6 @@ Server::~Server()
 void
 Server::start()
 {
-    if (!opts_.predictor_path.empty() &&
-        std::filesystem::exists(opts_.predictor_path)) {
-        try {
-            training_ = sample::TrainingSet::loadFile(opts_.predictor_path);
-            if (opts_.verbose)
-                inform("serve: loaded ", training_.size(),
-                       " predictor training rows from ", opts_.predictor_path);
-        } catch (const FatalError &e) {
-            warn("serve: ignoring unreadable predictor training set ",
-                 opts_.predictor_path, ": ", e.what());
-        }
-    }
-
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     MLGS_REQUIRE(opts_.socket_path.size() < sizeof(addr.sun_path),
@@ -227,7 +212,7 @@ Server::handleSubmit(BinaryReader &r)
     // Resolve the timing mode the job will actually run under, so the cache
     // key never contains Auto (and functional-mode traces, whose timing mode
     // is irrelevant, all share one key).
-    if (req.timing_mode > uint8_t(sample::TimingMode::Predicted)) {
+    if (req.timing_mode > uint8_t(sample::TimingMode::Sampled)) {
         resp.status = Status::Error;
         resp.error = "invalid timing mode " + std::to_string(req.timing_mode);
         return resp;
@@ -371,34 +356,12 @@ Server::runJob(Job &job)
 
     const auto t0 = std::chrono::steady_clock::now();
     cuda::Context ctx(copts);
-
-    // Warm-start predicted-mode jobs from the daemon-wide training set, and
-    // remember how many rows were seeded so only the *new* rows this job
-    // observes are harvested afterwards.
-    sample::SampledBackend *sb = ctx.sampledBackend();
-    const bool predicted =
-        copts.timing_mode == sample::TimingMode::Predicted && sb != nullptr;
-    size_t seeded_rows = 0;
-    if (predicted) {
-        std::lock_guard<std::mutex> lock(predictor_mu_);
-        if (!training_.empty())
-            sb->predictor().seed(training_);
-        seeded_rows = sb->predictor().sampleCount();
-    }
-
     rep.replay(ctx);
     job.state->json = trace::statsJson(ctx);
     job.state->sim_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-
-    if (predicted) {
-        std::lock_guard<std::mutex> lock(predictor_mu_);
-        sb->predictor().exportSamples(training_, seeded_rows);
-        if (!opts_.predictor_path.empty())
-            training_.saveFile(opts_.predictor_path);
-    }
 }
 
 ServerInfo
@@ -421,10 +384,6 @@ Server::info() const
     i.cache_misses = cs.misses;
     i.cache_entries = cs.entries;
     i.cache_bytes = cs.bytes;
-    {
-        std::lock_guard<std::mutex> lock(predictor_mu_);
-        i.predictor_samples = training_.size();
-    }
     return i;
 }
 

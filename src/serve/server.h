@@ -23,11 +23,6 @@
  * requestStop() in-process) is a drain: no new jobs are admitted, admitted
  * jobs complete and their waiters get real results, then connections close
  * and the socket file is unlinked.
- *
- * Predicted-mode jobs warm-start: the daemon accumulates every job's
- * predictor training rows (behind a mutex) and seeds them into each new
- * predicted-mode Context, so later submissions predict where early ones had
- * to fall back to detailed simulation.
  */
 #ifndef MLGS_SERVE_SERVER_H
 #define MLGS_SERVE_SERVER_H
@@ -42,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sample/predictor.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
 
@@ -59,9 +53,6 @@ struct ServerOptions
     unsigned default_sim_threads = 0;
     uint64_t cache_bytes = uint64_t(256) << 20;
     std::string cache_persist_dir; ///< empty = in-memory only
-    /** Predictor training set file: loaded on start, saved as jobs add rows
-     *  (empty = in-memory accumulation only). */
-    std::string predictor_path;
     uint32_t retry_after_ms = 200; ///< backoff hint sent with shed jobs
     /** Artificial pre-simulation delay per job; test hook for exercising
      *  queue-full shedding and drain ordering deterministically. */
@@ -156,9 +147,6 @@ class Server
     mutable std::mutex conn_mu_;
     std::vector<int> conn_fds_;
     std::vector<std::thread> conn_threads_;
-
-    mutable std::mutex predictor_mu_;
-    sample::TrainingSet training_;
 
     const uint64_t build_stamp_;
 };

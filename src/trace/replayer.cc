@@ -306,7 +306,7 @@ statsJson(cuda::Context &ctx)
     for (size_t i = 0; i < misses.size(); i++)
         os << (i ? ", " : "") << misses[i];
     os << "]";
-    // The sampling section exists only under Sampled/Predicted timing, so
+    // The sampling section exists only under Sampled timing, so
     // detailed-mode output stays byte-identical to what it always was.
     if (const auto *sb = ctx.sampledBackend())
         os << ",\n  \"sampling\": " << sample::reportJson(sb->report(), 2);

@@ -2,14 +2,14 @@
  * @file
  * Sampled fast-forward timing tests: cluster-cap-1 reduces bitwise to the
  * detailed backend, repeated launches cycle-simulate exactly one
- * representative with bounded total-cycle error, the Predicted mode's
- * regression model declines out-of-envelope launches (falling back to
- * detailed), results stay deterministic across sim_threads in every mode,
- * and the per-launch breakdown / stats-JSON surfaces behave.
+ * representative with bounded total-cycle error, results stay deterministic
+ * across sim_threads in every mode, MLGS_TIMING resolves as documented, and
+ * the per-launch breakdown / stats-JSON surfaces behave.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include "runtime/context.h"
@@ -187,7 +187,6 @@ TEST(Sampling, CapOneBitwiseIdenticalToDetailed)
     ASSERT_TRUE(smp.sampled);
     EXPECT_EQ(smp.report.detailed_launches, seq.size());
     EXPECT_EQ(smp.report.extrapolated_launches, 0u);
-    EXPECT_EQ(smp.report.predicted_launches, 0u);
     for (const auto src : smp.sources)
         EXPECT_EQ(src, engine::TimingSource::Detailed);
     ASSERT_FALSE(det.sources.empty());
@@ -227,47 +226,12 @@ TEST(Sampling, RepeatedLaunchOneDetailedBoundedError)
         << smp.elapsed << " vs detailed " << det.elapsed;
 }
 
-TEST(Sampling, PredictedOutOfEnvelopeFallsBackToDetailed)
-{
-    // Nine distinct CTA-count buckets of the same kernel train the
-    // regression (the fit needs kCount+1 = 9 samples); while untrained,
-    // every first-in-cluster launch must decline to predict and fall back
-    // to the detailed model.
-    std::vector<Launch> seq;
-    for (const unsigned ctas : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 256u, 512u})
-        seq.push_back({ctas, 0});
-    seq.push_back({128, 0});  // new bucket inside the training envelope
-    seq.push_back({2048, 0}); // log(ctas) far outside the envelope
-
-    sample::SamplingOptions sopts;
-    sopts.predictor_min_train = 1;       // effective floor is kCount+1
-    sopts.predictor_max_cv_rel_err = 10; // routing test, not accuracy test
-    const RunResult run = runSeq(sample::TimingMode::Predicted, seq, sopts);
-
-    ASSERT_TRUE(run.sampled);
-    ASSERT_EQ(run.sources.size(), seq.size());
-    for (size_t i = 0; i < 9; i++)
-        EXPECT_EQ(run.sources[i], engine::TimingSource::Detailed) << i;
-    EXPECT_GE(run.report.predictor.declined_untrained, 8u);
-
-    // In-envelope new cluster: the trained model vouches for it.
-    EXPECT_TRUE(run.report.predictor.trained);
-    EXPECT_EQ(run.sources[9], engine::TimingSource::Predicted);
-    EXPECT_EQ(run.report.predicted_launches, 1u);
-
-    // Out-of-envelope new cluster: refused, cycle-simulated instead.
-    EXPECT_EQ(run.sources[10], engine::TimingSource::Detailed);
-    EXPECT_GE(run.report.predictor.declined_envelope, 1u);
-    EXPECT_EQ(run.report.detailed_launches, 10u);
-}
-
 TEST(Sampling, DeterministicAcrossSimThreadsAllModes)
 {
     const std::vector<Launch> seq = {{4, 0}, {8, 1}, {4, 1}, {8, 0}, {16, 0},
                                      {4, 2}, {8, 2}, {16, 1}, {4, 0}, {8, 1}};
     for (const auto tm :
-         {sample::TimingMode::Detailed, sample::TimingMode::Sampled,
-          sample::TimingMode::Predicted}) {
+         {sample::TimingMode::Detailed, sample::TimingMode::Sampled}) {
         const RunResult serial = runSeq(tm, seq, {}, 1);
         const RunResult par = runSeq(tm, seq, {}, 4);
         test::expectTotalsEq(serial.totals, par.totals);
@@ -276,6 +240,58 @@ TEST(Sampling, DeterministicAcrossSimThreadsAllModes)
         EXPECT_EQ(serial.sources, par.sources);
         EXPECT_EQ(serial.c, par.c);
     }
+}
+
+TEST(Sampling, TimingModeResolution)
+{
+    // An explicit ContextOptions::timing_mode beats MLGS_TIMING; Auto
+    // resolves the env var; anything but "detailed" / "sampled" is refused.
+    const char *saved = std::getenv("MLGS_TIMING");
+    const std::string saved_val = saved ? saved : "";
+    const auto context = [](sample::TimingMode tm) {
+        cuda::ContextOptions opts;
+        opts.mode = cuda::SimMode::Performance;
+        opts.timing_mode = tm;
+        return cuda::Context(opts);
+    };
+
+    ::setenv("MLGS_TIMING", "sampled", 1);
+    {
+        const cuda::Context auto_resolved = context(sample::TimingMode::Auto);
+        EXPECT_EQ(auto_resolved.timingMode(), sample::TimingMode::Sampled);
+        EXPECT_NE(auto_resolved.sampledBackend(), nullptr);
+        const cuda::Context explicit_detailed =
+            context(sample::TimingMode::Detailed);
+        EXPECT_EQ(explicit_detailed.timingMode(),
+                  sample::TimingMode::Detailed);
+        EXPECT_EQ(explicit_detailed.sampledBackend(), nullptr);
+    }
+    ::setenv("MLGS_TIMING", "detailed", 1);
+    {
+        const cuda::Context explicit_sampled =
+            context(sample::TimingMode::Sampled);
+        EXPECT_EQ(explicit_sampled.timingMode(), sample::TimingMode::Sampled);
+        EXPECT_EQ(sample::resolveTimingMode(sample::TimingMode::Auto),
+                  sample::TimingMode::Detailed);
+    }
+    for (const char *bad : {"predicted", "garbage"}) {
+        ::setenv("MLGS_TIMING", bad, 1);
+        try {
+            sample::resolveTimingMode(sample::TimingMode::Auto);
+            ADD_FAILURE() << "MLGS_TIMING=" << bad << " was accepted";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("'detailed'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'sampled'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(bad), std::string::npos) << msg;
+        }
+    }
+    EXPECT_FALSE(sample::parseTimingMode("predicted").has_value());
+
+    if (saved)
+        ::setenv("MLGS_TIMING", saved_val.c_str(), 1);
+    else
+        ::unsetenv("MLGS_TIMING");
 }
 
 TEST(Sampling, PerLaunchTotalsBreakdown)

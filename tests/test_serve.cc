@@ -12,8 +12,6 @@
  *   - robustness: malformed frames, garbage payloads, and corrupt traces
  *     answer protocol errors without taking the daemon down
  *   - graceful drain: stop mid-job completes the job and answers its client
- *   - predictor warm-start: training rows accumulate across jobs and
- *     persist to disk
  *   - result cache: LRU byte budget and on-disk persistence across restarts
  */
 #include <gtest/gtest.h>
@@ -28,7 +26,7 @@
 #include <unistd.h>
 
 #include "runtime/context.h"
-#include "sample/sampled_backend.h"
+#include "sample/options.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim_test_util.h"
@@ -376,10 +374,39 @@ TEST(Serve, MalformedFramesAnswerErrorsNotDeath)
             << resp.error;
     }
 
+    // A frame from a daemon/client of the previous protocol version (whose
+    // Info body had another layout): refused with a framed ErrorResponse.
+    {
+        RawConn conn(ts.socket());
+        BinaryWriter old;
+        old.putHeader(serve::kServeMagic, 1);
+        old.put<uint8_t>(uint8_t(serve::MsgType::InfoRequest));
+        serve::writeFrame(conn.fd, old);
+        auto resp = serve::readFrame(conn.fd);
+        ASSERT_TRUE(resp.has_value());
+        BinaryReader r(std::move(*resp), "response");
+        EXPECT_EQ(serve::readMsgType(r), serve::MsgType::ErrorResponse);
+        EXPECT_NE(r.getString().find("unsupported serve message version 1"),
+                  std::string::npos);
+    }
+
+    const Recorded rec = recordVecadd();
+
+    // Out-of-range timing modes — 3 (one past Sampled) and 255 — are
+    // rejected before the job is keyed or queued.
+    for (const uint8_t tm : {uint8_t(3), uint8_t(255)}) {
+        serve::Client client(ts.socket());
+        serve::SubmitOptions bad;
+        bad.timing_mode = tm;
+        const auto resp = client.submit(rec.bytes, bad);
+        EXPECT_EQ(resp.status, serve::Status::Error) << int(tm);
+        EXPECT_NE(resp.error.find("invalid timing mode"), std::string::npos)
+            << resp.error;
+    }
+
     // Truncated (tampered) trace: the content hash or bounds checks reject
     // it; the daemon answers and stays up.
     {
-        const Recorded rec = recordVecadd();
         std::vector<uint8_t> cut(rec.bytes.begin(),
                                  rec.bytes.begin() + rec.bytes.size() / 2);
         serve::Client client(ts.socket());
@@ -446,92 +473,13 @@ TEST(Serve, WireShutdownRequestDrains)
     EXPECT_FALSE(std::filesystem::exists(ts.socket()));
 }
 
-// ---- predictor training-set accumulation & persistence ----
-
-TEST(Serve, PredictorRowsAccumulateAcrossJobsAndPersist)
-{
-    mlgs::test::ScopedTmpDir tmp;
-    serve::ServerOptions opts;
-    opts.socket_path = tmp.file("serve.sock");
-    opts.predictor_path = tmp.file("training.mlgspred");
-    {
-        serve::Server server(opts);
-        server.start();
-        serve::Client client(opts.socket_path);
-
-        serve::SubmitOptions predicted;
-        predicted.timing_mode = uint8_t(sample::TimingMode::Predicted);
-
-        // Two different predicted-mode workloads: each contributes its
-        // detailed launches' rows to the daemon-wide training set.
-        const auto r1 =
-            client.submit(recordVecadd(2, 3, 10).bytes, predicted);
-        ASSERT_EQ(r1.status, serve::Status::Ok) << r1.error;
-        const uint64_t after_one = client.info().predictor_samples;
-        EXPECT_GT(after_one, 0u);
-
-        const auto r2 =
-            client.submit(recordVecadd(4, 3, 11).bytes, predicted);
-        ASSERT_EQ(r2.status, serve::Status::Ok) << r2.error;
-        EXPECT_GT(client.info().predictor_samples, after_one);
-
-        server.requestStop();
-        server.join();
-    }
-
-    // The training set survived to disk and a fresh daemon starts warm.
-    const auto set = sample::TrainingSet::loadFile(opts.predictor_path);
-    EXPECT_GT(set.size(), 0u);
-    {
-        serve::Server server(opts);
-        server.start();
-        serve::Client client(opts.socket_path);
-        EXPECT_EQ(client.info().predictor_samples, set.size());
-        server.requestStop();
-        server.join();
-    }
-}
-
-TEST(Serve, TrainingSetRoundTripAndCorruptionGuard)
-{
-    sample::TrainingSet set;
-    for (int i = 0; i < 5; i++) {
-        sample::PredictorFeatures x;
-        for (size_t f = 0; f < x.f.size(); f++)
-            x.f[f] = double(i) + 0.125 * double(f);
-        set.append(x, -1.5 + 0.25 * double(i));
-    }
-    mlgs::test::ScopedTmpDir tmp;
-    const std::string path = tmp.file("set.mlgspred");
-    set.saveFile(path);
-
-    const auto loaded = sample::TrainingSet::loadFile(path);
-    ASSERT_EQ(loaded.size(), set.size());
-    for (size_t i = 0; i < set.size(); i++) {
-        EXPECT_EQ(loaded.xs[i].f, set.xs[i].f);
-        EXPECT_EQ(loaded.ys[i], set.ys[i]);
-    }
-
-    // Seeding a predictor with the set makes the rows available to fits.
-    sample::SamplingOptions sopts;
-    sample::CyclePredictor pred(sopts);
-    pred.seed(loaded);
-    EXPECT_EQ(pred.sampleCount(), set.size());
-
-    // A corrupt file fails loudly instead of poisoning a daemon's model.
-    BinaryWriter junk;
-    junk.putString("not a training set");
-    junk.writeFile(path);
-    EXPECT_THROW(sample::TrainingSet::loadFile(path), FatalError);
-}
-
 // ---- byte-stable stats JSON across runs (sampled mode) ----
 
 TEST(Serve, SampledModeStatsJsonIsByteStableAcrossRuns)
 {
     // The "sampling" stats section carries doubles; its jsonDouble rendering
     // must make two identical runs byte-equal — that is what lets sampled
-    // and predicted results live in the byte-addressed cache at all.
+    // results live in the byte-addressed cache at all.
     const Recorded rec = recordVecadd(2, 4);
     const auto run = [&]() -> std::string {
         BinaryReader r(rec.bytes, "trace");
