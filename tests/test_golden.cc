@@ -1,8 +1,9 @@
 /**
  * @file
- * Golden-stats regression suite: three representative kernels (the sgemm
- * forward-GEMM path, the winograd non-fused tile pipeline, implicit gemm)
- * are simulated live and every TimingTotals counter plus the per-bank DRAM
+ * Golden-stats regression suite: five representative conv runs (the sgemm
+ * forward-GEMM path, the winograd non-fused tile pipeline, implicit gemm,
+ * the forward FFT path for its SFU sin/cos and float div, and backward-filter
+ * algo 0 for its red.global atomics) are simulated live and every TimingTotals counter plus the per-bank DRAM
  * row hit/miss vectors are diffed against a checked-in JSON baseline —
  * byte for byte, since the simulator guarantees bitwise-deterministic
  * statistics across thread counts and compilers. Until now only the
@@ -35,17 +36,24 @@ namespace
 struct GoldenRun
 {
     const char *name;
-    int fwd_algo;
+    Pass pass;
+    int algo;
 };
 
 /**
- * The three paper workloads the golden file pins. Forward pass of the
- * conv_sample shape; the algorithm picks the kernel family under test.
+ * The paper workloads the golden file pins, all on the conv_sample shape;
+ * the pass and algorithm pick the kernel family under test. The first
+ * three issue no SFU op, float div or red; fft and bwd_filter_algo0 pin
+ * those op classes.
  */
 const GoldenRun kRuns[] = {
-    {"sgemm", int(cudnn::ConvFwdAlgo::Gemm)},
-    {"winograd_tile", int(cudnn::ConvFwdAlgo::WinogradNonfused)},
-    {"implicit_gemm", int(cudnn::ConvFwdAlgo::ImplicitGemm)},
+    {"sgemm", Pass::Forward, int(cudnn::ConvFwdAlgo::Gemm)},
+    {"winograd_tile", Pass::Forward,
+     int(cudnn::ConvFwdAlgo::WinogradNonfused)},
+    {"implicit_gemm", Pass::Forward, int(cudnn::ConvFwdAlgo::ImplicitGemm)},
+    {"fft", Pass::Forward, int(cudnn::ConvFwdAlgo::Fft)},
+    {"bwd_filter_algo0", Pass::BackwardFilter,
+     int(cudnn::ConvBwdFilterAlgo::Algo0)},
 };
 
 void
@@ -63,8 +71,8 @@ std::string
 renderRun(const GoldenRun &run)
 {
     ConvTraceSpec spec;
-    spec.pass = Pass::Forward;
-    spec.algo = run.fwd_algo;
+    spec.pass = run.pass;
+    spec.algo = run.algo;
 
     cuda::Context ctx(convTraceOptions(spec));
     runConvFrontend(ctx, spec);
