@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "bench/cli_flags.h"
 #include "bench/trace_workloads.h"
 
 using namespace mlgs;
@@ -185,8 +186,18 @@ replaySweep(int repeat)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "--replay") == 0)
-        return replaySweep(argc > 2 ? std::max(1, std::atoi(argv[2])) : 5);
+    if (argc > 1 && std::strcmp(argv[1], "--replay") == 0) {
+        int repeat = 5;
+        try {
+            if (argc > 2)
+                repeat = std::max(1, parseFlag("--replay", argv[2]));
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "usage: tab_algo_sweep [--replay [N]]\n%s\n",
+                         e.what());
+            return 2;
+        }
+        return replaySweep(repeat);
+    }
 
     printHeader("Algo sweep", "conv_sample across every cuDNN algorithm "
                               "(GTX1080Ti model)");

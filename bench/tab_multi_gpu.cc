@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cli_flags.h"
 #include "nccl/nccl_lite.h"
 #include "torchlet/data_parallel.h"
 #include "torchlet/lenet.h"
@@ -164,18 +165,23 @@ main(int argc, char **argv)
     bool quick = false;
     double min_speedup2 = 0.0;
     for (int i = 1; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--batch") && i + 1 < argc)
-            global_batch = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--steps") && i + 1 < argc)
-            steps = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-        else if (!std::strcmp(argv[i], "--min-speedup2") && i + 1 < argc)
-            min_speedup2 = std::atof(argv[++i]);
-        else {
+        const bool has_value = i + 1 < argc;
+        try {
+            if (!std::strcmp(argv[i], "--batch") && has_value)
+                global_batch = parseFlag("--batch", argv[++i]);
+            else if (!std::strcmp(argv[i], "--steps") && has_value)
+                steps = parseFlag("--steps", argv[++i]);
+            else if (!std::strcmp(argv[i], "--quick"))
+                quick = true;
+            else if (!std::strcmp(argv[i], "--min-speedup2") && has_value)
+                min_speedup2 = parseFlag<double>("--min-speedup2", argv[++i]);
+            else
+                fatal("unexpected argument ", argv[i]);
+        } catch (const FatalError &e) {
             std::fprintf(stderr,
                          "usage: tab_multi_gpu [--batch N] [--steps S] "
-                         "[--quick] [--min-speedup2 X]\n");
+                         "[--quick] [--min-speedup2 X]\n%s\n",
+                         e.what());
             return 2;
         }
     }

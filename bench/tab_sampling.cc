@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cli_flags.h"
 #include "sample/sampled_backend.h"
 #include "torchlet/lenet.h"
 #include "torchlet/mnist_synth.h"
@@ -208,17 +209,23 @@ main(int argc, char **argv)
     int lenet_steps = 32;
     int conv_repeats = 4;
     for (int i = 1; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--lenet-steps") && i + 1 < argc)
-            lenet_steps = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--conv-repeats") && i + 1 < argc)
-            conv_repeats = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--quick")) {
-            lenet_steps = 4;
-            conv_repeats = 2;
-        } else {
+        const bool has_value = i + 1 < argc;
+        try {
+            if (!std::strcmp(argv[i], "--lenet-steps") && has_value) {
+                lenet_steps = parseFlag("--lenet-steps", argv[++i]);
+            } else if (!std::strcmp(argv[i], "--conv-repeats") && has_value) {
+                conv_repeats = parseFlag("--conv-repeats", argv[++i]);
+            } else if (!std::strcmp(argv[i], "--quick")) {
+                lenet_steps = 4;
+                conv_repeats = 2;
+            } else {
+                fatal("unexpected argument ", argv[i]);
+            }
+        } catch (const FatalError &e) {
             std::fprintf(stderr,
                          "usage: tab_sampling [--lenet-steps N] "
-                         "[--conv-repeats R] [--quick]\n");
+                         "[--conv-repeats R] [--quick]\n%s\n",
+                         e.what());
             return 2;
         }
     }

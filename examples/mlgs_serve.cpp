@@ -22,6 +22,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "bench/cli_flags.h"
 #include "serve/server.h"
 
 using namespace mlgs;
@@ -59,12 +60,14 @@ usage(const char *argv0)
     return 2;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/**
+ * Fills `opts` from argv; false for an unknown flag. A malformed numeric
+ * value throws a FatalError naming the flag.
+ */
+bool
+parseArgs(int argc, char **argv, serve::ServerOptions &opts)
 {
-    serve::ServerOptions opts;
+    using bench::parseFlag;
     for (int i = 1; i < argc; i++) {
         const auto arg = [&](const char *name) -> const char * {
             if (std::strcmp(argv[i], name) != 0)
@@ -78,23 +81,39 @@ main(int argc, char **argv)
         if (const char *v = arg("--socket"))
             opts.socket_path = v;
         else if (const char *v = arg("--workers"))
-            opts.workers = unsigned(std::atoi(v));
+            opts.workers = parseFlag<unsigned>("--workers", v);
         else if (const char *v = arg("--queue"))
-            opts.max_queue = unsigned(std::atoi(v));
+            opts.max_queue = parseFlag<unsigned>("--queue", v);
         else if (const char *v = arg("--cache-mb"))
-            opts.cache_bytes = uint64_t(std::atoll(v)) << 20;
+            opts.cache_bytes = parseFlag<uint64_t>("--cache-mb", v) << 20;
         else if (const char *v = arg("--cache-dir"))
             opts.cache_persist_dir = v;
         else if (const char *v = arg("--sim-threads"))
-            opts.default_sim_threads = unsigned(std::atoi(v));
+            opts.default_sim_threads = parseFlag<unsigned>("--sim-threads", v);
         else if (const char *v = arg("--retry-after-ms"))
-            opts.retry_after_ms = uint32_t(std::atoi(v));
+            opts.retry_after_ms = parseFlag<uint32_t>("--retry-after-ms", v);
         else if (const char *v = arg("--job-delay-ms"))
-            opts.debug_job_delay_ms = uint32_t(std::atoi(v));
+            opts.debug_job_delay_ms = parseFlag<uint32_t>("--job-delay-ms", v);
         else if (std::strcmp(argv[i], "--verbose") == 0)
             opts.verbose = true;
         else
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    serve::ServerOptions opts;
+    try {
+        if (!parseArgs(argc, argv, opts))
             return usage(argv[0]);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "mlgs-serve: %s\n", e.what());
+        return usage(argv[0]);
     }
     if (opts.socket_path.empty())
         return usage(argv[0]);

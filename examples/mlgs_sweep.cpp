@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/cli_flags.h"
 #include "bench/trace_workloads.h"
 #include "serve/client.h"
 
@@ -276,30 +277,35 @@ main(int argc, char **argv)
     std::string socket, trace_path, out_path = "BENCH_serve.json";
     bool sweep = false, quick = false;
     int repeat = 2;
-    for (int i = 1; i < argc; i++) {
-        const auto arg = [&](const char *name) -> const char * {
-            if (std::strcmp(argv[i], name) != 0)
-                return nullptr;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", name);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (const char *v = arg("--socket"))
-            socket = v;
-        else if (const char *v = arg("--trace"))
-            trace_path = v;
-        else if (const char *v = arg("--repeat"))
-            repeat = std::max(1, std::atoi(v));
-        else if (const char *v = arg("--out"))
-            out_path = v;
-        else if (std::strcmp(argv[i], "--sweep") == 0)
-            sweep = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else
-            return usage(argv[0]);
+    try {
+        for (int i = 1; i < argc; i++) {
+            const auto arg = [&](const char *name) -> const char * {
+                if (std::strcmp(argv[i], name) != 0)
+                    return nullptr;
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "%s requires a value\n", name);
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (const char *v = arg("--socket"))
+                socket = v;
+            else if (const char *v = arg("--trace"))
+                trace_path = v;
+            else if (const char *v = arg("--repeat"))
+                repeat = std::max(1, bench::parseFlag("--repeat", v));
+            else if (const char *v = arg("--out"))
+                out_path = v;
+            else if (std::strcmp(argv[i], "--sweep") == 0)
+                sweep = true;
+            else if (std::strcmp(argv[i], "--quick") == 0)
+                quick = true;
+            else
+                return usage(argv[0]);
+        }
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "mlgs-sweep: %s\n", e.what());
+        return usage(argv[0]);
     }
     if (socket.empty() || (sweep == !trace_path.empty()))
         return usage(argv[0]);

@@ -21,7 +21,6 @@
  *   mlgs-trace info <in.mlgstrace>
  *       Prints the trace's configuration, tables, and op breakdown.
  */
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +28,7 @@
 #include <map>
 #include <optional>
 
+#include "bench/cli_flags.h"
 #include "bench/trace_workloads.h"
 
 using namespace mlgs;
@@ -74,18 +74,6 @@ struct Args
     std::string stats;
 };
 
-/** The whole of `text` as a decimal integer; FatalError naming `flag` if not. */
-int
-parseIntFlag(const std::string &flag, const char *text)
-{
-    int v = 0;
-    const char *end = text + std::strlen(text);
-    const auto [p, ec] = std::from_chars(text, end, v);
-    MLGS_REQUIRE(ec == std::errc() && p == end, flag,
-                 " expects an integer, got '", text, "'");
-    return v;
-}
-
 /**
  * Fills `a` from argv; false for a malformed command line. Flag values are
  * validated here, before any file is touched, and a bad one throws a
@@ -109,9 +97,9 @@ parseArgs(int argc, char **argv, Args &a)
         else if (flag == "--pass")
             a.pass = value();
         else if (flag == "--algo")
-            a.algo = parseIntFlag(flag, value());
+            a.algo = bench::parseFlag(flag, value());
         else if (flag == "--repeat")
-            a.repeat = parseIntFlag(flag, value());
+            a.repeat = bench::parseFlag(flag, value());
         else if (flag == "--timing-only")
             a.timing_only = true;
         else if (flag == "--timing-mode") {

@@ -1,6 +1,7 @@
 #include "debug/instrument.h"
 
 #include "common/log.h"
+#include "ptx/uop.h"
 
 namespace mlgs::debug
 {
@@ -110,12 +111,8 @@ instrumentKernel(const KernelDef &in)
         const Instr &ins = in.instrs[pc];
         body.push_back(ins);
 
-        if (ins.dst_regs.empty() || ins.isBranch() || ins.isExit() ||
-            ins.op == Op::Bar || ins.op == Op::Membar)
-            continue;
-
-        for (const int dst : ins.dst_regs) {
-            if (out.reg_types[size_t(dst)] == Type::Pred)
+        for (const uint32_t dst : ptx::timingTable(in)[pc].writeSet()) {
+            if (out.reg_types[dst] == Type::Pred)
                 continue;
 
             // %__slot = atom.add(log, 1)
@@ -156,7 +153,7 @@ instrumentKernel(const KernelDef &in)
             st.pred_neg = ins.pred_neg;
             body.push_back(std::move(st));
 
-            const bool wide = ptx::typeSize(out.reg_types[size_t(dst)]) == 8;
+            const bool wide = ptx::typeSize(out.reg_types[dst]) == 8;
             Instr sv = mk(Op::St, wide ? Type::B64 : Type::B32,
                           {memOp(r_addr, kLogHeaderBytes + 8), regOp(dst)},
                           wide ? "st.global.b64" : "st.global.b32");

@@ -684,21 +684,6 @@ programFor(Interpreter &interp, CtaExec &cta)
     return p;
 }
 
-/** The per-warp-instruction FuncStats update, minus access bookkeeping. */
-inline void
-accumulateUop(FuncStats &s, const Uop &u, warp_mask_t exec)
-{
-    s.instructions++;
-    const unsigned lanes = unsigned(__builtin_popcount(exec));
-    s.thread_instructions += lanes;
-    switch (u.stat_class) {
-      case 1: s.sfu++; break;
-      case 2: s.mem++; break;
-      default: s.alu++; break;
-    }
-    s.flops += uint64_t(u.flops_per_lane) * lanes;
-}
-
 } // namespace
 
 WarpStepResult
@@ -784,7 +769,7 @@ runWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env,
             if (cov)
                 cov->hit(u.variant_id);
             if (stats)
-                accumulateUop(*stats, u, exec);
+                stats->count(u, exec);
 
             if (u.kind >= UopKind::Mov) {
                 kHandlers[size_t(u.kind)](u, exec, ctx);

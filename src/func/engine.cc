@@ -5,52 +5,10 @@
 namespace mlgs::func
 {
 
-using ptx::Op;
-using ptx::Type;
-
 void
-FuncStats::accumulate(const WarpStepResult &res)
+FuncStats::accumulate(const WarpStepResult &res, const ptx::Uop &u)
 {
-    instructions++;
-    const unsigned lanes = unsigned(__builtin_popcount(res.active));
-    thread_instructions += lanes;
-
-    const ptx::Instr &ins = *res.ins;
-    switch (ins.op) {
-      case Op::Sin: case Op::Cos: case Op::Ex2: case Op::Lg2:
-      case Op::Rcp: case Op::Rsqrt: case Op::Sqrt:
-        sfu++;
-        break;
-      case Op::Div:
-        if (isFloat(ins.type))
-            sfu++;
-        else
-            alu++;
-        break;
-      case Op::Ld: case Op::St: case Op::Atom: case Op::Red: case Op::Tex:
-        mem++;
-        break;
-      default:
-        alu++;
-        break;
-    }
-
-    if (isFloat(ins.type)) {
-        switch (ins.op) {
-          case Op::Fma: case Op::Mad:
-            flops += 2ull * lanes;
-            break;
-          case Op::Add: case Op::Sub: case Op::Mul: case Op::Div:
-          case Op::Min: case Op::Max: case Op::Abs: case Op::Neg:
-          case Op::Sqrt: case Op::Rsqrt: case Op::Rcp: case Op::Sin:
-          case Op::Cos: case Op::Ex2: case Op::Lg2:
-            flops += lanes;
-            break;
-          default:
-            break;
-        }
-    }
-
+    count(u, res.active);
     for (const auto &acc : res.accesses) {
         if (acc.space == ptx::Space::Global || acc.space == ptx::Space::Const ||
             acc.space == ptx::Space::Tex) {
@@ -92,6 +50,11 @@ FunctionalEngine::runCtaWith(Interpreter &interp, CtaExec &cta,
     // dispatch) unless a warp-stream cache needs per-step granularity.
     const bool batch =
         interp.execMode() == ExecMode::Compiled && !interp.warpStreamActive();
+    // Stat classes do not depend on bug flags: the clean program serves.
+    const ptx::Uop *uops =
+        stats && !batch
+            ? ptx::compiledProgram(*env.kernel, ptx::LowerBugs{}).uops.data()
+            : nullptr;
     while (true) {
         if (cta.allDone()) {
             if (const RaceShadow *rs = cta.raceShadow()) {
@@ -123,7 +86,7 @@ FunctionalEngine::runCtaWith(Interpreter &interp, CtaExec &cta,
                    cta.warpInstrCount(w) < max_instr_per_warp) {
                 const WarpStepResult res = interp.stepWarp(cta, w, env);
                 if (stats)
-                    stats->accumulate(res);
+                    stats->accumulate(res, uops[res.pc]);
                 progressed = true;
                 if (res.barrier)
                     break;

@@ -11,6 +11,7 @@
 
 #include "common/thread_pool.h"
 #include "func/interpreter.h"
+#include "ptx/uop.h"
 
 namespace mlgs::func
 {
@@ -37,7 +38,23 @@ struct FuncStats
      */
     uint64_t shared_races = 0;
 
-    void accumulate(const WarpStepResult &res);
+    /** Count one warp instruction of `u` executed by the `exec` lanes. */
+    void
+    count(const ptx::Uop &u, warp_mask_t exec)
+    {
+        instructions++;
+        const unsigned lanes = unsigned(__builtin_popcount(exec));
+        thread_instructions += lanes;
+        switch (u.stat_class) {
+          case ptx::PipeClass::Sfu: sfu++; break;
+          case ptx::PipeClass::Mem: mem++; break;
+          default: alu++; break;
+        }
+        flops += uint64_t(u.flops_per_lane) * lanes;
+    }
+
+    /** count() plus the step's memory-access bookkeeping; `u` is its uop. */
+    void accumulate(const WarpStepResult &res, const ptx::Uop &u);
 
     FuncStats &
     operator+=(const FuncStats &o)

@@ -22,50 +22,6 @@ namespace mlgs::ptx
 namespace
 {
 
-/** Populate src_regs/dst_regs of an instruction for scoreboard checks. */
-void
-computeRegLists(Instr &ins)
-{
-    ins.src_regs.clear();
-    ins.dst_regs.clear();
-    if (ins.pred >= 0)
-        ins.src_regs.push_back(ins.pred);
-
-    // Which leading operands are destinations?
-    size_t first_src = 1;
-    if (ins.op == Op::St || ins.op == Op::Bra || ins.op == Op::Bar ||
-        ins.op == Op::Red || ins.op == Op::Ret || ins.op == Op::Exit ||
-        ins.op == Op::Membar)
-        first_src = 0;
-
-    for (size_t i = 0; i < ins.ops.size(); i++) {
-        const Operand &op = ins.ops[i];
-        auto &list = (i < first_src) ? ins.dst_regs : ins.src_regs;
-        switch (op.kind) {
-          case Operand::Kind::Reg:
-            list.push_back(op.reg);
-            break;
-          case Operand::Kind::Vec:
-            for (const int r : op.vec)
-                list.push_back(r);
-            break;
-          case Operand::Kind::Mem:
-            if (op.reg >= 0)
-                ins.src_regs.push_back(op.reg); // address base is always a read
-            for (const int r : op.vec)
-                ins.src_regs.push_back(r); // texture coordinates
-            break;
-          default:
-            break;
-        }
-    }
-}
-
-} // namespace
-
-namespace
-{
-
 /** Process-wide mnemonic intern table (kernel parse/analysis time only). */
 struct VariantRegistry
 {
@@ -131,7 +87,6 @@ analyzeKernel(KernelDef &kernel)
 
     kernel.global_atomics = false;
     for (auto &ins : kernel.instrs) {
-        computeRegLists(ins);
         ins.variant_id = internVariant(ins.text);
         // Generic-space atomics (Space::None) may resolve to shared or
         // global at runtime; count them as global to stay conservative.

@@ -208,10 +208,6 @@ struct Instr
     uint32_t target_pc = 0;   ///< resolved branch target
     uint32_t reconv_pc = 0;   ///< reconvergence point (set by analyzeKernel)
 
-    /** Register ids read / written (set by analyzeKernel; scoreboard use). */
-    std::vector<int> src_regs;
-    std::vector<int> dst_regs;
-
     int line = 0;             ///< source line for diagnostics
     int col = 0;              ///< source column (1-based) for diagnostics
     std::string text;         ///< original source text
@@ -224,12 +220,6 @@ struct Instr
 
     bool isBranch() const { return op == Op::Bra; }
     bool isExit() const { return op == Op::Ret || op == Op::Exit; }
-    bool
-    isMemAccess() const
-    {
-        return op == Op::Ld || op == Op::St || op == Op::Atom || op == Op::Red ||
-               op == Op::Tex;
-    }
 };
 
 /** Kernel formal parameter. */
@@ -321,9 +311,10 @@ struct KernelDef
     bool analyzed = false; ///< reconvergence points computed
 
     /**
-     * Lowered micro-op programs, created by analyzeKernel (ptx/uop.h). The
-     * cache is shared between copies of the KernelDef; re-analysis (the
-     * instrumentation pass) installs a fresh cache for the mutated copy.
+     * Lowered micro-op programs and the timing table, created by
+     * analyzeKernel (ptx/uop.h). The cache is shared between copies of the
+     * KernelDef; re-analysis (the instrumentation pass) installs a fresh
+     * cache for the mutated copy.
      */
     std::shared_ptr<UopCache> uop_cache;
 

@@ -113,20 +113,20 @@ lowerMem(const KernelDef &k, const Instr &ins, const Operand &op,
     return m;
 }
 
-/** FuncStats port class: 0 = alu, 1 = sfu, 2 = mem (FuncStats::accumulate). */
-uint8_t
+/** FuncStats class of an instruction (Uop::stat_class). */
+PipeClass
 statClass(const Instr &ins)
 {
     switch (ins.op) {
       case Op::Sin: case Op::Cos: case Op::Ex2: case Op::Lg2:
       case Op::Rcp: case Op::Rsqrt: case Op::Sqrt:
-        return 1;
+        return PipeClass::Sfu;
       case Op::Div:
-        return isFloat(ins.type) ? 1 : 0;
+        return isFloat(ins.type) ? PipeClass::Sfu : PipeClass::Alu;
       case Op::Ld: case Op::St: case Op::Atom: case Op::Red: case Op::Tex:
-        return 2;
+        return PipeClass::Mem;
       default:
-        return 0;
+        return PipeClass::Alu;
     }
 }
 
@@ -497,12 +497,68 @@ lowerKernel(const KernelDef &k, const LowerBugs &bugs)
 
 } // namespace
 
+InstrTiming
+instrTiming(const Instr &ins)
+{
+    InstrTiming t;
+    const auto add = [&](bool write, int r) {
+        uint32_t *set = write ? t.writes : t.reads;
+        uint8_t &n = write ? t.n_writes : t.n_reads;
+        MLGS_REQUIRE(n < (write ? InstrTiming::kMaxWrites
+                                : InstrTiming::kMaxReads),
+                     "too many register operands in ", ins.text);
+        set[n++] = uint32_t(r);
+    };
+    if (ins.pred >= 0)
+        add(false, ins.pred);
+    // The leading operand is the destination, for ops that have one.
+    const bool has_dst =
+        ins.op != Op::St && ins.op != Op::Bra && ins.op != Op::Bar &&
+        ins.op != Op::Red && !ins.isExit() && ins.op != Op::Membar;
+    for (size_t i = 0; i < ins.ops.size(); i++) {
+        const Operand &op = ins.ops[i];
+        const bool write = has_dst && i == 0;
+        if (op.kind == Operand::Kind::Reg)
+            add(write, op.reg);
+        if (op.kind == Operand::Kind::Vec)
+            for (const int r : op.vec)
+                add(write, r);
+        if (op.kind == Operand::Kind::Mem) {
+            if (op.reg >= 0)
+                add(false, op.reg); // address base is always a read
+            for (const int r : op.vec)
+                add(false, r); // texture coordinates
+        }
+    }
+    if (ins.op == Op::Div) {
+        t.latency = isFloat(ins.type) ? LatencyClass::Sfu : LatencyClass::Sfu2x;
+    } else {
+        t.pipe = statClass(ins);
+        if (t.pipe == PipeClass::Sfu)
+            t.latency = LatencyClass::Sfu;
+    }
+    t.exit = ins.isExit();
+    t.atomic = ins.op == Op::Atom || ins.op == Op::Red;
+    return t;
+}
+
 void
 initUopCache(KernelDef &kernel)
 {
     auto cache = std::make_shared<UopCache>();
     cache->variants.push_back(lowerKernel(kernel, LowerBugs{}));
+    cache->timing.reserve(kernel.instrs.size());
+    for (const Instr &ins : kernel.instrs)
+        cache->timing.push_back(instrTiming(ins));
     kernel.uop_cache = std::move(cache);
+}
+
+const std::vector<InstrTiming> &
+timingTable(const KernelDef &kernel)
+{
+    MLGS_REQUIRE(kernel.analyzed && kernel.uop_cache,
+                 "timingTable before analyzeKernel on ", kernel.name);
+    return kernel.uop_cache->timing;
 }
 
 const UopProgram &
@@ -527,8 +583,8 @@ uopMix(const KernelDef &kernel)
     mix.uops = uint32_t(prog.uops.size());
     for (const Uop &u : prog.uops) {
         switch (u.stat_class) {
-          case 1: mix.sfu++; break;
-          case 2:
+          case PipeClass::Sfu: mix.sfu++; break;
+          case PipeClass::Mem:
             mix.mem++;
             if (u.mem.space == Space::Shared)
                 mix.shared++;

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,9 @@ struct UopMem
     Space space = Space::None;   ///< instruction's declared space (None = generic)
 };
 
+/** Issue class: the FuncStats (Uop) or TimingTotals (InstrTiming) counter. */
+enum class PipeClass : uint8_t { Alu, Sfu, Mem };
+
 /** Lowering-time bug injection flags baked into affected uops. */
 struct UopBug
 {
@@ -109,7 +113,7 @@ struct Uop
     CvtRound cvt_round = CvtRound::Trunc;
     uint8_t vec_width = 1;
     uint8_t tex_dim = 2;
-    uint8_t stat_class = 0;      ///< 0 = alu, 1 = sfu, 2 = mem (FuncStats)
+    PipeClass stat_class = PipeClass::Alu; ///< FuncStats class
     uint8_t flops_per_lane = 0;  ///< FuncStats flop contribution per lane
     uint8_t bug_flags = 0;       ///< UopBug bits baked in at lowering time
     bool pred_neg = false;
@@ -150,15 +154,49 @@ struct UopProgram
     LowerBugs bugs;                 ///< flags this variant was lowered under
 };
 
+/** Writeback latency of a register result that needs no memory access. */
+enum class LatencyClass : uint8_t { Alu, Sfu, Sfu2x };
+
 /**
- * Per-kernel cache of lowered programs, keyed by LowerBugs. Owned by the
- * KernelDef via shared_ptr so every Interpreter (including the per-CTA
- * instances the parallel engine spawns) shares one lowering per variant.
+ * One pc of a kernel's timing table: what the cycle-level core needs to
+ * schedule and retire the instruction, decided once at analysis. Float div
+ * issues on the ALU pipe with SFU latency, although Uop::stat_class counts
+ * it as sfu; integer div takes twice the SFU latency.
+ */
+struct InstrTiming
+{
+    static constexpr unsigned kMaxReads = 8;
+    static constexpr unsigned kMaxWrites = 4; ///< the Uop::dvec bound
+
+    /** Guard predicate, sources, address base, vector and tex operands. */
+    uint32_t reads[kMaxReads] = {};
+    uint32_t writes[kMaxWrites] = {};
+    uint8_t n_reads = 0;
+    uint8_t n_writes = 0;
+    PipeClass pipe = PipeClass::Alu;
+    LatencyClass latency = LatencyClass::Alu;
+    bool exit = false;   ///< ret/exit: issues only once the warp's loads drain
+    bool atomic = false; ///< atom/red: its memory requests are atomics
+
+    bool memAccess() const { return pipe == PipeClass::Mem; }
+    std::span<const uint32_t> readSet() const { return {reads, n_reads}; }
+    std::span<const uint32_t> writeSet() const { return {writes, n_writes}; }
+};
+
+/** The timing-table entry of one analyzed instruction. */
+InstrTiming instrTiming(const Instr &ins);
+
+/**
+ * Per-kernel cache of lowered programs, keyed by LowerBugs, plus the
+ * bug-independent timing table. Owned by the KernelDef via shared_ptr so
+ * every Interpreter (including the per-CTA instances the parallel engine
+ * spawns) shares one lowering per variant.
  */
 struct UopCache
 {
     std::mutex mu;
     std::vector<std::shared_ptr<const UopProgram>> variants;
+    std::vector<InstrTiming> timing; ///< 1:1 with KernelDef::instrs
 };
 
 /**
@@ -175,6 +213,9 @@ void initUopCache(KernelDef &kernel);
  */
 const UopProgram &compiledProgram(const KernelDef &kernel,
                                   const LowerBugs &bugs);
+
+/** The kernel's timing table, 1:1 with its instrs (requires analyzeKernel). */
+const std::vector<InstrTiming> &timingTable(const KernelDef &kernel);
 
 /**
  * Static per-class instruction mix of a lowered kernel: one count per

@@ -9,6 +9,7 @@
  * definitions: a missing definite definition means some path reaches the
  * read without initializing, a warning).
  */
+#include <algorithm>
 #include <cstring>
 
 #include "ptx/verifier/internal.h"
@@ -104,10 +105,9 @@ guardDivergent(const KernelDef &k, const Cfg &cfg, const Uniformity &uni,
     const uint32_t first = cfg.blocks()[cfg.blockOf(pc)].first;
     for (uint32_t p = pc; p-- > first;) {
         const Instr &def = k.instrs[p];
-        bool defines = false;
-        for (const int r : def.dst_regs)
-            defines |= (r == use.pred);
-        if (!defines)
+        const auto writes = timingTable(k)[p].writeSet();
+        if (std::find(writes.begin(), writes.end(), uint32_t(use.pred)) ==
+            writes.end())
             continue;
         // A predicated definition merges with the inflowing value; only an
         // unconditional in-block definition fully decides the guard here.
@@ -129,15 +129,13 @@ computeUniformity(const KernelDef &k)
     bool changed = true;
     while (changed) {
         changed = false;
-        for (const Instr &ins : k.instrs) {
-            if (ins.dst_regs.empty())
+        for (uint32_t pc = 0; pc < k.instrs.size(); pc++) {
+            const auto writes = timingTable(k)[pc].writeSet();
+            if (writes.empty() || !instrValueDivergent(k.instrs[pc], u))
                 continue;
-            if (!instrValueDivergent(ins, u))
-                continue;
-            for (const int r : ins.dst_regs) {
-                if (r >= 0 && size_t(r) < u.divergent.size() &&
-                    !u.divergent[size_t(r)]) {
-                    u.divergent[size_t(r)] = true;
+            for (const uint32_t r : writes) {
+                if (r < u.divergent.size() && !u.divergent[r]) {
+                    u.divergent[r] = true;
                     changed = true;
                 }
             }
@@ -202,13 +200,12 @@ checkUninit(const KernelDef &k, const Cfg &cfg, std::vector<Diagnostic> &out)
         must_gen[b].init(nr, false);
         for (uint32_t pc = cfg.blocks()[b].first; pc <= cfg.blocks()[b].last;
              pc++) {
-            const Instr &ins = k.instrs[pc];
-            for (const int r : ins.dst_regs) {
-                if (r < 0 || size_t(r) >= nr)
+            for (const uint32_t r : timingTable(k)[pc].writeSet()) {
+                if (r >= nr)
                     continue;
-                may_gen[b].set(r);
-                if (ins.pred < 0)
-                    must_gen[b].set(r);
+                may_gen[b].set(int(r));
+                if (k.instrs[pc].pred < 0)
+                    must_gen[b].set(int(r));
             }
         }
         may_out[b] = may_gen[b];
@@ -256,32 +253,32 @@ checkUninit(const KernelDef &k, const Cfg &cfg, std::vector<Diagnostic> &out)
         }
         for (uint32_t pc = cfg.blocks()[b].first; pc <= cfg.blocks()[b].last;
              pc++) {
-            const Instr &ins = k.instrs[pc];
-            for (const int r : ins.src_regs) {
-                if (r < 0 || size_t(r) >= nr || reported[size_t(r)])
+            const InstrTiming &t = timingTable(k)[pc];
+            for (const uint32_t r : t.readSet()) {
+                if (r >= nr || reported[r])
                     continue;
-                if (!may_in.test(r)) {
-                    reported[size_t(r)] = true;
+                if (!may_in.test(int(r))) {
+                    reported[r] = true;
                     out.push_back(makeDiag(
                         Severity::Error, Check::UninitRead, k, pc,
-                        "register '" + k.reg_names[size_t(r)] +
+                        "register '" + k.reg_names[r] +
                             "' is read but never written on any path to "
                             "this point"));
-                } else if (!must_in.test(r)) {
-                    reported[size_t(r)] = true;
+                } else if (!must_in.test(int(r))) {
+                    reported[r] = true;
                     out.push_back(makeDiag(
                         Severity::Warning, Check::UninitRead, k, pc,
-                        "register '" + k.reg_names[size_t(r)] +
+                        "register '" + k.reg_names[r] +
                             "' may be read uninitialized: no unconditional "
                             "definition reaches this point on every path"));
                 }
             }
-            for (const int r : ins.dst_regs) {
-                if (r < 0 || size_t(r) >= nr)
+            for (const uint32_t r : t.writeSet()) {
+                if (r >= nr)
                     continue;
-                may_in.set(r);
-                if (ins.pred < 0)
-                    must_in.set(r);
+                may_in.set(int(r));
+                if (k.instrs[pc].pred < 0)
+                    must_in.set(int(r));
             }
         }
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ptx/cfg.h"
+#include "ptx/uop.h"
 #include "ptx/verifier/verifier.h"
 
 namespace mlgs::ptx::verifier::detail

@@ -223,22 +223,18 @@ operandAffine(const Operand &op, const KernelDef &k,
     }
 }
 
-/** Abstract transfer of one dst-producing instruction. */
+/** Abstract transfer of an instruction whose only destination is `dst`. */
 Affine
-evalAffine(const Instr &ins, const KernelDef &k,
+evalAffine(const Instr &ins, uint32_t dst, const KernelDef &k,
            const std::vector<Affine> &regs, const Uniformity &uni)
 {
     auto src = [&](size_t i) -> Affine {
         return i < ins.ops.size() ? operandAffine(ins.ops[i], k, regs)
                                   : Affine{};
     };
-    const int dst =
-        ins.dst_regs.size() == 1 ? ins.dst_regs[0] : -1;
     const auto fallback = [&]() {
-        return unknownVal(dst < 0 || uni.isDivergent(dst));
+        return unknownVal(uni.isDivergent(int(dst)));
     };
-    if (ins.dst_regs.size() != 1)
-        return fallback();
 
     switch (ins.op) {
       case Op::Mov:
@@ -464,17 +460,16 @@ std::vector<Affine>
 computeAffine(const KernelDef &k, const Uniformity &uni)
 {
     std::vector<Affine> regs(k.reg_types.size());
+    const auto &tt = timingTable(k);
     bool changed = true;
     while (changed) {
         changed = false;
-        for (const Instr &ins : k.instrs) {
-            if (ins.dst_regs.size() != 1)
+        for (uint32_t pc = 0; pc < k.instrs.size(); pc++) {
+            if (tt[pc].n_writes != 1 || tt[pc].writes[0] >= regs.size())
                 continue;
-            const int dst = ins.dst_regs[0];
-            if (dst < 0 || size_t(dst) >= regs.size())
-                continue;
-            const Affine v = evalAffine(ins, k, regs, uni);
-            changed |= joinInto(regs[size_t(dst)], v);
+            const uint32_t dst = tt[pc].writes[0];
+            const Affine v = evalAffine(k.instrs[pc], dst, k, regs, uni);
+            changed |= joinInto(regs[dst], v);
         }
     }
     return regs;
@@ -490,26 +485,28 @@ namespace
  * old and new values per lane, which no single affine form represents.
  */
 void
-stepAffine(const Instr &ins, const KernelDef &k, const Uniformity &uni,
+stepAffine(const KernelDef &k, uint32_t pc, const Uniformity &uni,
            std::vector<Affine> &state)
 {
-    if (ins.dst_regs.size() == 1) {
-        const int dst = ins.dst_regs[0];
-        if (dst < 0 || size_t(dst) >= state.size())
+    const Instr &ins = k.instrs[pc];
+    const InstrTiming &t = timingTable(k)[pc];
+    if (t.n_writes == 1) {
+        const uint32_t dst = t.writes[0];
+        if (dst >= state.size())
             return;
-        const Affine v = evalAffine(ins, k, state, uni);
+        const Affine v = evalAffine(ins, dst, k, state, uni);
         if (ins.pred < 0) {
-            state[size_t(dst)] = v;
+            state[dst] = v;
         } else {
             if (uni.isDivergent(ins.pred))
-                joinInto(state[size_t(dst)], unknownVal(true));
-            joinInto(state[size_t(dst)], v);
+                joinInto(state[dst], unknownVal(true));
+            joinInto(state[dst], v);
         }
         return;
     }
-    for (const int dst : ins.dst_regs)
-        if (dst >= 0 && size_t(dst) < state.size())
-            state[size_t(dst)] = unknownVal(uni.isDivergent(dst));
+    for (const uint32_t dst : t.writeSet())
+        if (dst < state.size())
+            state[dst] = unknownVal(uni.isDivergent(int(dst)));
 }
 
 bool
@@ -543,7 +540,7 @@ computeAffineAtSites(const KernelDef &k, const Cfg &cfg, const Uniformity &uni)
         std::vector<Affine> state = entry[b];
         for (uint32_t pc = cfg.blocks()[b].first; pc <= cfg.blocks()[b].last;
              pc++)
-            stepAffine(k.instrs[pc], k, uni, state);
+            stepAffine(k, pc, uni, state);
         for (const uint32_t s : cfg.blocks()[b].succs) {
             if (s >= nb)
                 continue; // virtual exit
@@ -565,7 +562,7 @@ computeAffineAtSites(const KernelDef &k, const Cfg &cfg, const Uniformity &uni)
              pc++) {
             if (isMemSite(k.instrs[pc]))
                 sites.emplace(pc, state);
-            stepAffine(k.instrs[pc], k, uni, state);
+            stepAffine(k, pc, uni, state);
         }
     }
     return sites;

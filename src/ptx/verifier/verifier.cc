@@ -270,7 +270,8 @@ checkTypes(const KernelDef &k, std::vector<Diagnostic> &out)
                     "' is not declared .pred"));
 
         // Address base registers must hold full 64-bit device addresses.
-        if (ins.isMemAccess() && ins.op != Op::Tex) {
+        if (ins.op == Op::Ld || ins.op == Op::St || ins.op == Op::Atom ||
+            ins.op == Op::Red) {
             for (const Operand &op : ins.ops) {
                 if (op.kind != Operand::Kind::Mem || op.reg < 0)
                     continue;

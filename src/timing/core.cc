@@ -6,7 +6,51 @@ namespace mlgs::timing
 {
 
 using func::WarpStepResult;
-using ptx::Op;
+using ptx::InstrTiming;
+
+namespace
+{
+
+bool
+testReg(const uint64_t *row, uint32_t r)
+{
+    return (row[r / 64] >> (r % 64)) & 1;
+}
+
+void
+setReg(uint64_t *row, uint32_t r)
+{
+    row[r / 64] |= uint64_t(1) << (r % 64);
+}
+
+void
+clearReg(uint64_t *row, uint32_t r)
+{
+    row[r / 64] &= ~(uint64_t(1) << (r % 64));
+}
+
+/** The TimingTotals counter each ptx::PipeClass issue bumps. */
+constexpr uint64_t TimingTotals::*kPipeCounter[] = {
+    &TimingTotals::alu, &TimingTotals::sfu, &TimingTotals::mem_insts};
+
+} // namespace
+
+TimingTotals &
+TimingTotals::operator+=(const TimingTotals &o)
+{
+    for (const auto &c : kTimingCounters)
+        this->*c.member += o.*c.member;
+    return *this;
+}
+
+TimingTotals
+TimingTotals::operator-(const TimingTotals &o) const
+{
+    TimingTotals d;
+    for (const auto &c : kTimingCounters)
+        d.*c.member = this->*c.member - o.*c.member;
+    return d;
+}
 
 ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
                        func::Interpreter &interp)
@@ -14,6 +58,8 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
 {
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
+    busy_regs_.resize(warps_.size());
+    mem_dest_regs_.resize(warps_.size());
     sched_rr_.assign(cfg.schedulers_per_core, 0);
     sched_last_.assign(cfg.schedulers_per_core, -1);
     sched_owned_.resize(cfg.schedulers_per_core);
@@ -73,13 +119,16 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
             cs.live_warps++;
 
     MLGS_ASSERT(cs.cta->numWarps() == disp.warps_per_cta, "warp count mismatch");
+    const size_t words = (disp.env->kernel->reg_types.size() + 63) / 64;
     for (unsigned i = 0; i < disp.warps_per_cta; i++) {
         WarpSlot &w = warps_[slots[i]];
         w.valid = !cs.cta->warpDone(i); // restored CTAs may have done warps
         w.cta_slot = cta_idx;
         w.warp_in_cta = i;
-        w.busy_regs.clear();
-        w.mem_dest_regs.clear();
+        for (auto *rows : {&busy_regs_, &mem_dest_regs_}) {
+            std::vector<uint64_t> &row = (*rows)[slots[i]];
+            row.assign(std::max(row.size(), words), 0);
+        }
         w.pending_loads = 0;
         w.last_issue = 0;
     }
@@ -103,28 +152,24 @@ ShaderCore::warpEligible(const WarpSlot &w) const
 }
 
 bool
-ShaderCore::warpReady(const WarpSlot &w, stats::StallKind &why) const
+ShaderCore::warpReady(unsigned slot, stats::StallKind &why) const
 {
+    const WarpSlot &w = warps_[slot];
     const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
-    const ptx::KernelDef &k = *cs.disp->env->kernel;
-    const auto &st = cs.cta->stack(w.warp_in_cta);
-    const ptx::Instr &ins = k.instrs[st.pc()];
+    const InstrTiming &t =
+        (*cs.disp->timing)[cs.cta->stack(w.warp_in_cta).pc()];
+    const uint64_t *busy = busy_regs_[slot].data();
 
-    if (ins.isExit() && w.pending_loads > 0) {
+    bool hazard = t.exit && w.pending_loads > 0;
+    for (unsigned i = 0; i < t.n_reads && !hazard; i++)
+        hazard = testReg(busy, t.reads[i]);
+    for (unsigned i = 0; i < t.n_writes && !hazard; i++)
+        hazard = testReg(busy, t.writes[i]);
+    if (hazard) {
         why = stats::StallKind::DataHazard;
         return false;
     }
-    for (const int r : ins.src_regs)
-        if (w.busy_regs.count(r)) {
-            why = stats::StallKind::DataHazard;
-            return false;
-        }
-    for (const int r : ins.dst_regs)
-        if (w.busy_regs.count(r)) {
-            why = stats::StallKind::DataHazard;
-            return false;
-        }
-    if (ins.isMemAccess()) {
+    if (t.memAccess()) {
         if (out_queue_.size() >= 256 ||
             w.pending_loads >= cfg_->max_pending_loads_per_warp) {
             why = stats::StallKind::MemStructural;
@@ -135,11 +180,31 @@ ShaderCore::warpReady(const WarpSlot &w, stats::StallKind &why) const
 }
 
 void
-ShaderCore::finishLoads(WarpSlot &w)
+ShaderCore::loadPartDone(unsigned slot)
 {
-    for (const int r : w.mem_dest_regs)
-        w.busy_regs.erase(r);
-    w.mem_dest_regs.clear();
+    WarpSlot &w = warps_[slot];
+    if (!w.valid || w.pending_loads == 0 || --w.pending_loads > 0)
+        return;
+    // The warp's last load part: release every in-flight load destination.
+    std::vector<uint64_t> &busy = busy_regs_[slot];
+    std::vector<uint64_t> &mem = mem_dest_regs_[slot];
+    for (size_t i = 0; i < mem.size(); i++) {
+        busy[i] &= ~mem[i];
+        mem[i] = 0;
+    }
+}
+
+void
+ShaderCore::holdWrites(unsigned slot, const InstrTiming &t, cycle_t at)
+{
+    if (t.n_writes == 0)
+        return;
+    Writeback wb{slot, t.n_writes, false, {}};
+    for (unsigned i = 0; i < t.n_writes; i++) {
+        setReg(busy_regs_[slot].data(), t.writes[i]);
+        wb.regs[i] = t.writes[i];
+    }
+    wb_pipe_.push(wb, at);
 }
 
 void
@@ -167,25 +232,13 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     const WarpStepResult res = interp_->stepWarp(*cs.cta, w.warp_in_cta, env);
     w.last_issue = now;
 
+    const InstrTiming &t = (*cs.disp->timing)[res.pc];
     const unsigned lanes = unsigned(__builtin_popcount(res.active));
-    counters_.issued_instructions++;
+    counters_.warp_instructions++;
     counters_.thread_instructions += lanes;
+    counters_.*kPipeCounter[size_t(t.pipe)] += 1;
     if (sampler)
         sampler->recordIssue(id_, lanes);
-
-    const ptx::Instr &ins = *res.ins;
-    switch (ins.op) {
-      case Op::Sin: case Op::Cos: case Op::Ex2: case Op::Lg2:
-      case Op::Rcp: case Op::Rsqrt: case Op::Sqrt:
-        counters_.sfu++;
-        break;
-      case Op::Ld: case Op::St: case Op::Atom: case Op::Red: case Op::Tex:
-        counters_.mem++;
-        break;
-      default:
-        counters_.alu++;
-        break;
-    }
 
     if (res.exited) {
         w.valid = false;
@@ -216,61 +269,42 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
                 list.push_back(lb);
         }
 
-        bool any_load_part = false;
-        for (const addr_t la : lines) {
-            switch (l1_.accessRead(la, now)) {
-              case CacheOutcome::Hit:
-                w.pending_loads++;
-                any_load_part = true;
-                wb_pipe_.push(Writeback{slot, {}, true},
-                              now + cfg_->l1.hit_latency);
-                break;
-              case CacheOutcome::MissMerged:
-                w.pending_loads++;
-                any_load_part = true;
-                l1_waiters_[la].push_back(slot);
-                break;
-              case CacheOutcome::Miss:
-              case CacheOutcome::ReservationFail:
-              default: {
-                w.pending_loads++;
-                any_load_part = true;
-                MemFetch mf;
-                mf.id = next_fetch_id_++;
-                mf.line_addr = la;
-                mf.bytes = line;
-                mf.is_write = false;
-                mf.is_atomic = ins.op == Op::Atom || ins.op == Op::Red;
-                mf.core_id = id_;
-                mf.warp_slot = int(slot);
-                mf.created = now;
-                out_queue_.push_back(std::move(mf));
-                break;
-              }
-            }
-        }
-        for (const addr_t la : store_lines) {
-            l1_.accessWrite(la, now);
+        const auto fetch = [&](addr_t la, bool is_write) {
             MemFetch mf;
             mf.id = next_fetch_id_++;
             mf.line_addr = la;
             mf.bytes = line;
-            mf.is_write = true;
-            mf.is_atomic = ins.op == Op::Atom || ins.op == Op::Red;
+            mf.is_write = is_write;
+            mf.is_atomic = t.atomic;
             mf.core_id = id_;
-            mf.warp_slot = mf.is_atomic ? int(slot) : -1;
+            mf.warp_slot = is_write && !t.atomic ? -1 : int(slot);
             mf.created = now;
-            if (mf.is_atomic) {
-                w.pending_loads++;
-                any_load_part = true;
-            }
             out_queue_.push_back(std::move(mf));
+        };
+        // Every load line, and every atomic line, is one pending load part.
+        const unsigned pending_before = w.pending_loads;
+        for (const addr_t la : lines) {
+            w.pending_loads++;
+            const CacheOutcome outcome = l1_.accessRead(la, now);
+            if (outcome == CacheOutcome::Hit)
+                wb_pipe_.push(Writeback{slot, 0, true, {}},
+                              now + cfg_->l1.hit_latency);
+            else if (outcome == CacheOutcome::MissMerged)
+                l1_waiters_[la].push_back(slot);
+            else
+                fetch(la, false);
+        }
+        for (const addr_t la : store_lines) {
+            l1_.accessWrite(la, now);
+            if (t.atomic)
+                w.pending_loads++;
+            fetch(la, true);
         }
 
-        if (any_load_part && !ins.dst_regs.empty()) {
-            for (const int r : ins.dst_regs) {
-                w.busy_regs.insert(r);
-                w.mem_dest_regs.push_back(r);
+        if (w.pending_loads > pending_before) {
+            for (unsigned i = 0; i < t.n_writes; i++) {
+                setReg(busy_regs_[slot].data(), t.writes[i]);
+                setReg(mem_dest_regs_[slot].data(), t.writes[i]);
             }
         }
         return;
@@ -278,38 +312,18 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
 
     if (res.shared_accesses > 0) {
         counters_.shared_accesses += res.shared_accesses;
-        if (!ins.dst_regs.empty()) {
-            for (const int r : ins.dst_regs)
-                w.busy_regs.insert(r);
-            wb_pipe_.push(Writeback{slot, ins.dst_regs, false},
-                          now + cfg_->shared_latency);
-        }
+        holdWrites(slot, t, now + cfg_->shared_latency);
         return;
     }
 
-    // Arithmetic path: fixed-latency writeback.
-    if (!ins.dst_regs.empty()) {
-        unsigned lat = cfg_->alu_latency;
-        switch (ins.op) {
-          case Op::Sin: case Op::Cos: case Op::Ex2: case Op::Lg2:
-          case Op::Rcp: case Op::Rsqrt: case Op::Sqrt:
-            lat = cfg_->sfu_latency;
-            break;
-          case Op::Div:
-            lat = isFloat(ins.type) ? cfg_->sfu_latency
-                                    : cfg_->sfu_latency * 2;
-            break;
-          case Op::Ld:
-            // Param-space load resolved without a memory access.
-            lat = cfg_->alu_latency;
-            break;
-          default:
-            break;
-        }
-        for (const int r : ins.dst_regs)
-            w.busy_regs.insert(r);
-        wb_pipe_.push(Writeback{slot, ins.dst_regs, false}, now + lat);
-    }
+    // Arithmetic path (also param-space loads and fully predicated-off
+    // memory ops): fixed-latency writeback.
+    unsigned lat = cfg_->alu_latency;
+    if (t.latency == ptx::LatencyClass::Sfu)
+        lat = cfg_->sfu_latency;
+    else if (t.latency == ptx::LatencyClass::Sfu2x)
+        lat = cfg_->sfu_latency * 2;
+    holdWrites(slot, t, now + lat);
 }
 
 void
@@ -326,13 +340,11 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
     // 1. Retire matured writebacks.
     while (wb_pipe_.ready(now)) {
         const Writeback wb = wb_pipe_.pop();
-        WarpSlot &w = warps_[wb.warp];
         if (wb.load_part) {
-            if (w.valid && w.pending_loads > 0 && --w.pending_loads == 0)
-                finishLoads(w);
-        } else if (w.valid) {
-            for (const int r : wb.regs)
-                w.busy_regs.erase(r);
+            loadPartDone(wb.warp);
+        } else if (warps_[wb.warp].valid) {
+            for (unsigned i = 0; i < wb.n_regs; i++)
+                clearReg(busy_regs_[wb.warp].data(), wb.regs[i]);
         }
     }
 
@@ -358,7 +370,7 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
                 return false;
             any_eligible = true;
             stats::StallKind w_why = stats::StallKind::DataHazard;
-            if (warpReady(w, w_why))
+            if (warpReady(slot, w_why))
                 return true;
             why = w_why;
             return false;
@@ -410,18 +422,12 @@ ShaderCore::pushResponse(const MemFetch &mf, cycle_t now)
 {
     l1_.fill(mf.line_addr, now);
 
-    auto wake = [&](unsigned slot) {
-        WarpSlot &w = warps_[slot];
-        if (w.valid && w.pending_loads > 0 && --w.pending_loads == 0)
-            finishLoads(w);
-    };
-
     if (mf.warp_slot >= 0)
-        wake(unsigned(mf.warp_slot));
+        loadPartDone(unsigned(mf.warp_slot));
     const auto it = l1_waiters_.find(mf.line_addr);
     if (it != l1_waiters_.end()) {
         for (const unsigned slot : it->second)
-            wake(slot);
+            loadPartDone(slot);
         l1_waiters_.erase(it);
     }
 }

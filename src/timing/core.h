@@ -8,11 +8,12 @@
 #define MLGS_TIMING_CORE_H
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "func/engine.h"
+#include "ptx/uop.h"
 #include "stats/aerial.h"
 #include "timing/cache.h"
 #include "timing/mem_fetch.h"
@@ -20,10 +21,76 @@
 namespace mlgs::timing
 {
 
+/** Aggregated counters across a run (input to the power model). */
+struct TimingTotals
+{
+    cycle_t cycles = 0; ///< device-busy cycles (counted once under overlap)
+    uint64_t warp_instructions = 0;
+    uint64_t thread_instructions = 0;
+    uint64_t alu = 0;
+    uint64_t sfu = 0;
+    uint64_t mem_insts = 0;
+    uint64_t shared_accesses = 0;
+    uint64_t l1_hits = 0;
+    uint64_t l1_misses = 0;
+    uint64_t l2_hits = 0;
+    uint64_t l2_misses = 0;
+    uint64_t icnt_flits = 0;
+    uint64_t dram_reads = 0;
+    uint64_t dram_writes = 0;
+    uint64_t dram_row_hits = 0;
+    uint64_t dram_row_misses = 0;
+    uint64_t core_active_cycles = 0; ///< summed over cores with live warps
+    uint64_t core_idle_cycles = 0;
+
+    TimingTotals &operator+=(const TimingTotals &o);
+    TimingTotals operator-(const TimingTotals &o) const;
+    bool operator==(const TimingTotals &) const = default;
+};
+
+/** One TimingTotals counter: its stats key and its member. */
+struct TimingCounter
+{
+    const char *name;
+    uint64_t TimingTotals::*member;
+};
+
+/**
+ * Every TimingTotals counter, in stats-JSON order. The single list of the
+ * counters: arithmetic, snapshots, sampled extrapolation, the stats JSON and
+ * the equality helpers all iterate it, so adding a counter means one member,
+ * one line here and its increment site.
+ */
+inline constexpr TimingCounter kTimingCounters[] = {
+    {"cycles", &TimingTotals::cycles},
+    {"warp_instructions", &TimingTotals::warp_instructions},
+    {"thread_instructions", &TimingTotals::thread_instructions},
+    {"alu", &TimingTotals::alu},
+    {"sfu", &TimingTotals::sfu},
+    {"mem_insts", &TimingTotals::mem_insts},
+    {"shared_accesses", &TimingTotals::shared_accesses},
+    {"l1_hits", &TimingTotals::l1_hits},
+    {"l1_misses", &TimingTotals::l1_misses},
+    {"l2_hits", &TimingTotals::l2_hits},
+    {"l2_misses", &TimingTotals::l2_misses},
+    {"icnt_flits", &TimingTotals::icnt_flits},
+    {"dram_reads", &TimingTotals::dram_reads},
+    {"dram_writes", &TimingTotals::dram_writes},
+    {"dram_row_hits", &TimingTotals::dram_row_hits},
+    {"dram_row_misses", &TimingTotals::dram_row_misses},
+    {"core_active_cycles", &TimingTotals::core_active_cycles},
+    {"core_idle_cycles", &TimingTotals::core_idle_cycles},
+};
+
+static_assert(sizeof(TimingTotals) ==
+                  std::size(kTimingCounters) * sizeof(uint64_t),
+              "every TimingTotals member needs a kTimingCounters entry");
+
 /** Shared, per-launch dispatch state (which CTA goes next, completion). */
 struct KernelDispatch
 {
     const func::LaunchEnv *env = nullptr;
+    const std::vector<ptx::InstrTiming> *timing = nullptr; ///< env->kernel's
     Dim3 grid;
     Dim3 block;
     unsigned threads_per_cta = 0;
@@ -50,17 +117,6 @@ struct KernelDispatch
     bool allDone() const { return completed_ctas >= total_ctas; }
 };
 
-/** Per-core aggregate counters. */
-struct CoreCounters
-{
-    uint64_t issued_instructions = 0;
-    uint64_t thread_instructions = 0;
-    uint64_t alu = 0;
-    uint64_t sfu = 0;
-    uint64_t mem = 0;
-    uint64_t shared_accesses = 0;
-};
-
 /** One streaming multiprocessor. */
 class ShaderCore
 {
@@ -82,7 +138,8 @@ class ShaderCore
     /** Live warps or outstanding memory work. */
     bool busy() const;
 
-    const CoreCounters &counters() const { return counters_; }
+    /** This core's issue counters; every other TimingTotals field is 0. */
+    const TimingTotals &counters() const { return counters_; }
     const TagCache &l1() const { return l1_; }
     unsigned id() const { return id_; }
 
@@ -103,24 +160,28 @@ class ShaderCore
         bool valid = false;
         int cta_slot = -1;
         unsigned warp_in_cta = 0;
-        std::unordered_set<int> busy_regs;     ///< scoreboard
-        std::vector<int> mem_dest_regs;        ///< released when loads drain
         unsigned pending_loads = 0;
         cycle_t last_issue = 0;
     };
 
-    /** Delayed register writeback (fixed-latency pipelines + L1 hits). */
+    /**
+     * Delayed register writeback (fixed-latency pipelines + L1 hits). It
+     * clears its registers in whatever warp owns the slot when it matures:
+     * an exiting warp does not wait for its ALU or shared writebacks.
+     */
     struct Writeback
     {
         unsigned warp = 0;
-        std::vector<int> regs;
+        uint8_t n_regs = 0;
         bool load_part = false; ///< decrements pending_loads instead
+        uint32_t regs[ptx::InstrTiming::kMaxWrites] = {};
     };
 
     bool warpEligible(const WarpSlot &w) const;
-    bool warpReady(const WarpSlot &w, stats::StallKind &why) const;
+    bool warpReady(unsigned slot, stats::StallKind &why) const;
     void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
-    void finishLoads(WarpSlot &w);
+    void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t at);
+    void loadPartDone(unsigned slot);
     void completeCtaIfDone(int cta_slot);
 
     unsigned id_;
@@ -130,6 +191,15 @@ class ShaderCore
 
     std::vector<CtaSlot> cta_slots_;
     std::vector<WarpSlot> warps_;
+
+    /**
+     * Scoreboard bitsets per warp slot: busy registers, and the in-flight
+     * load destinations released when the warp's loads drain. A slot's rows
+     * only widen, to the most registers of any kernel installed on it, so a
+     * stale writeback from a wider kernel clears in bounds.
+     */
+    std::vector<std::vector<uint64_t>> busy_regs_;
+    std::vector<std::vector<uint64_t>> mem_dest_regs_;
     std::vector<unsigned> sched_rr_; ///< LRR rotate position per scheduler
     std::vector<int> sched_last_;    ///< GTO sticky warp per scheduler
     std::vector<std::vector<unsigned>> sched_owned_; ///< warp slots per sched
@@ -144,7 +214,7 @@ class ShaderCore
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;
 
-    CoreCounters counters_;
+    TimingTotals counters_;
 };
 
 } // namespace mlgs::timing

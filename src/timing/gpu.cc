@@ -11,23 +11,6 @@ namespace
 constexpr cycle_t kNoDeadline = std::numeric_limits<cycle_t>::max();
 } // namespace
 
-TimingTotals &
-TimingTotals::operator+=(const TimingTotals &o)
-{
-    for (const auto &c : kTimingCounters)
-        this->*c.member += o.*c.member;
-    return *this;
-}
-
-TimingTotals
-TimingTotals::operator-(const TimingTotals &o) const
-{
-    TimingTotals d;
-    for (const auto &c : kTimingCounters)
-        d.*c.member = this->*c.member - o.*c.member;
-    return d;
-}
-
 GpuModel::GpuModel(const GpuConfig &cfg, func::Interpreter &interp)
     : cfg_(cfg), interp_(&interp)
 {
@@ -177,13 +160,7 @@ GpuModel::snapshot() const
 {
     TimingTotals t = live_;
     for (const auto &core : cores_) {
-        const CoreCounters &cc = core->counters();
-        t.warp_instructions += cc.issued_instructions;
-        t.thread_instructions += cc.thread_instructions;
-        t.alu += cc.alu;
-        t.sfu += cc.sfu;
-        t.mem_insts += cc.mem;
-        t.shared_accesses += cc.shared_accesses;
+        t += core->counters();
         t.l1_hits += core->l1().hits();
         t.l1_misses += core->l1().misses();
     }
@@ -214,6 +191,7 @@ GpuModel::beginKernel(const func::LaunchEnv &env, const Dim3 &grid,
 
     KernelDispatch &disp = ak->disp;
     disp.env = &ak->env;
+    disp.timing = &ptx::timingTable(*env.kernel);
     disp.grid = grid;
     disp.block = block;
     disp.threads_per_cta = unsigned(block.count());

@@ -14,7 +14,6 @@
 #ifndef MLGS_TIMING_GPU_H
 #define MLGS_TIMING_GPU_H
 
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,71 +26,6 @@
 
 namespace mlgs::timing
 {
-
-/** Aggregated counters across a run (input to the power model). */
-struct TimingTotals
-{
-    cycle_t cycles = 0; ///< device-busy cycles (counted once under overlap)
-    uint64_t warp_instructions = 0;
-    uint64_t thread_instructions = 0;
-    uint64_t alu = 0;
-    uint64_t sfu = 0;
-    uint64_t mem_insts = 0;
-    uint64_t shared_accesses = 0;
-    uint64_t l1_hits = 0;
-    uint64_t l1_misses = 0;
-    uint64_t l2_hits = 0;
-    uint64_t l2_misses = 0;
-    uint64_t icnt_flits = 0;
-    uint64_t dram_reads = 0;
-    uint64_t dram_writes = 0;
-    uint64_t dram_row_hits = 0;
-    uint64_t dram_row_misses = 0;
-    uint64_t core_active_cycles = 0; ///< summed over cores with live warps
-    uint64_t core_idle_cycles = 0;
-
-    TimingTotals &operator+=(const TimingTotals &o);
-    TimingTotals operator-(const TimingTotals &o) const;
-    bool operator==(const TimingTotals &) const = default;
-};
-
-/** One TimingTotals counter: its stats key and its member. */
-struct TimingCounter
-{
-    const char *name;
-    uint64_t TimingTotals::*member;
-};
-
-/**
- * Every TimingTotals counter, in stats-JSON order. The single list of the
- * counters: arithmetic, snapshots, sampled extrapolation, the stats JSON and
- * the equality helpers all iterate it, so adding a counter means one member,
- * one line here and its increment site.
- */
-inline constexpr TimingCounter kTimingCounters[] = {
-    {"cycles", &TimingTotals::cycles},
-    {"warp_instructions", &TimingTotals::warp_instructions},
-    {"thread_instructions", &TimingTotals::thread_instructions},
-    {"alu", &TimingTotals::alu},
-    {"sfu", &TimingTotals::sfu},
-    {"mem_insts", &TimingTotals::mem_insts},
-    {"shared_accesses", &TimingTotals::shared_accesses},
-    {"l1_hits", &TimingTotals::l1_hits},
-    {"l1_misses", &TimingTotals::l1_misses},
-    {"l2_hits", &TimingTotals::l2_hits},
-    {"l2_misses", &TimingTotals::l2_misses},
-    {"icnt_flits", &TimingTotals::icnt_flits},
-    {"dram_reads", &TimingTotals::dram_reads},
-    {"dram_writes", &TimingTotals::dram_writes},
-    {"dram_row_hits", &TimingTotals::dram_row_hits},
-    {"dram_row_misses", &TimingTotals::dram_row_misses},
-    {"core_active_cycles", &TimingTotals::core_active_cycles},
-    {"core_idle_cycles", &TimingTotals::core_idle_cycles},
-};
-
-static_assert(sizeof(TimingTotals) ==
-                  std::size(kTimingCounters) * sizeof(uint64_t),
-              "every TimingTotals member needs a kTimingCounters entry");
 
 /** Result of one kernel run on the performance model. */
 struct KernelRunStats

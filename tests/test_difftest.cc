@@ -4,7 +4,8 @@
  * run continuously): a fixed 200-seed corpus of generated kernels must agree
  * bitwise between the independent scalar reference and the SIMT engine at
  * sim_threads 1 and 4, every bug_model.h injection flag must be detectable,
- * and static verifier verdicts must match dynamic race-shadow behaviour.
+ * static verifier verdicts must match dynamic race-shadow behaviour, and
+ * detailed timing of generated kernels must not depend on sim_threads.
  *
  * Built as its own ctest executable carrying the `difftest` label, so
  * `ctest -L difftest` selects exactly this corpus while the default ctest
@@ -12,6 +13,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -119,6 +122,70 @@ TEST(DifftestGenerator, LaunchShapesStayBounded)
         EXPECT_LE(gk.spec.totalThreads(), 1024u) << "seed " << seed;
         EXPECT_GE(gk.spec.totalThreads(), 1u);
     }
+}
+
+/**
+ * Detailed timing of a generated kernel on a fresh device, with
+ * `sim_threads` host threads stepping the cores. Inputs are random words
+ * from the spec's data seed; `num_regs` receives the declared register count.
+ */
+timing::TimingTotals
+timeGenerated(const GenKernel &gk, unsigned sim_threads, size_t &num_regs)
+{
+    const ptx::Module mod = ptx::parseModule(gk.ptx(), "gen.ptx");
+    const ptx::KernelDef &k = *mod.findKernel(gk.spec.kernel);
+    num_regs = k.reg_types.size();
+
+    test::MiniGpu gpu;
+    const uint64_t threads = gk.spec.totalThreads();
+    Rng rng(gk.spec.data_seed);
+    std::vector<uint32_t> words(size_t(gk.spec.in_words) * threads);
+    for (auto &w : words)
+        w = uint32_t(rng.next());
+    const addr_t in0 = gpu.uploadVec(words);
+    const addr_t in1 = gpu.uploadVec(words);
+    const addr_t out = gpu.alloc.alloc(size_t(8) * gk.spec.out_slots * threads);
+    test::ParamPack p;
+    p.add<uint64_t>(in0).add<uint64_t>(in1).add<uint64_t>(out).add<uint32_t>(
+        uint32_t(threads));
+
+    func::LaunchEnv env;
+    env.kernel = &k;
+    env.params = p.bytes();
+    env.symbols = &gpu.symbols;
+    // One CTA per core, so multi-CTA grids keep several cores busy and the
+    // sharded step runs.
+    timing::GpuConfig cfg;
+    cfg.max_ctas_per_core = 1;
+    timing::GpuModel model(cfg, gpu.interp);
+    ThreadPool pool(sim_threads);
+    model.setThreadPool(&pool);
+    model.runKernel(env, gk.spec.grid, gk.spec.block);
+    return model.totals();
+}
+
+/**
+ * Differential timing fuzz: a fixed seed list of generated kernels gives
+ * bitwise-equal TimingTotals whether one or four host threads step the
+ * cores.
+ */
+TEST(DifftestTiming, GeneratedKernelTotalsMatchAcrossSimThreads)
+{
+    size_t max_regs = 0;
+    unsigned multi_cta = 0;
+    for (uint64_t seed = 1; seed <= 200; seed++) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const GenKernel gk = KernelGen(seed).generate();
+        size_t regs = 0;
+        const timing::TimingTotals t1 = timeGenerated(gk, 1, regs);
+        const timing::TimingTotals t4 = timeGenerated(gk, 4, regs);
+        EXPECT_GT(t1.warp_instructions, 0u);
+        test::expectTotalsEq(t1, t4);
+        max_regs = std::max(max_regs, regs);
+        multi_cta += gk.spec.grid.count() > 1;
+    }
+    std::printf("largest declared register count %zu; %u multi-CTA grids\n",
+                max_regs, multi_cta);
 }
 
 TEST(DifftestDefects, SharedRaceIsCaughtStaticallyAndDynamically)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Timing-model tests: correctness is preserved under the performance model,
- * cycle counts behave sensibly, caches/DRAM/interconnect bookkeeping, and
- * the AerialVision sampler series.
+ * cycle counts behave sensibly, caches/DRAM/interconnect bookkeeping, the
+ * AerialVision sampler series, and the per-pc timing table the core
+ * schedules from.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "power/power_model.h"
+#include "ptx/uop.h"
 #include "sim_test_util.h"
 #include "timing/gpu.h"
 
@@ -310,6 +315,199 @@ TEST(TimingTotals, OperatorsCoverEveryCounter)
         EXPECT_FALSE(other == a) << c.name;
         v++;
     }
+}
+
+const char *kTableProbe = R"(
+.tex .u64 tex_src;
+.visible .entry table_probe(.param .u64 A)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<8>;
+    .reg .s32 %s<4>;
+    .reg .f32 %f<12>;
+    .reg .pred %p<3>;
+    ld.param.u64 %rd1, [A];
+    div.approx.f32 %f3, %f1, %f2;
+    div.s32 %s3, %s1, %s2;
+    sin.approx.f32 %f4, %f1;
+    ld.global.v4.f32 {%f5, %f6, %f7, %f8}, [%rd1];
+    tex.2d.v4.f32.s32 {%f5, %f6, %f7, %f8}, [tex_src, {%r1, %r2}];
+    red.global.add.f32 [%rd1], %f1;
+    atom.global.add.u32 %r3, [%rd1], %r1;
+    setp.lt.u32 %p1, %r1, %r2;
+    @%p1 add.u32 %r4, %r1, %r2;
+    ret;
+}
+)";
+
+std::vector<uint32_t>
+readSet(const ptx::InstrTiming &t)
+{
+    return {t.readSet().begin(), t.readSet().end()};
+}
+
+std::vector<uint32_t>
+writeSet(const ptx::InstrTiming &t)
+{
+    return {t.writeSet().begin(), t.writeSet().end()};
+}
+
+TEST(TimingTable, ClassLatencyAndRegisterSetsPerPc)
+{
+    const ptx::Module m = ptx::parseModule(kTableProbe, "probe.ptx");
+    const ptx::KernelDef &k = *m.findKernel("table_probe");
+    const auto &tt = ptx::timingTable(k);
+    ASSERT_EQ(tt.size(), k.instrs.size());
+    const auto reg = [&](const char *name) { return uint32_t(k.regId(name)); };
+    using ptx::LatencyClass;
+    using ptx::PipeClass;
+    using Regs = std::vector<uint32_t>;
+
+    // Param-space ld: a mem-pipe op whose result needs only ALU latency.
+    EXPECT_EQ(tt[0].pipe, PipeClass::Mem);
+    EXPECT_EQ(tt[0].latency, LatencyClass::Alu);
+    EXPECT_EQ(writeSet(tt[0]), Regs{reg("%rd1")});
+
+    // Float div: ALU pipe, SFU latency (FuncStats counts it as sfu).
+    EXPECT_EQ(tt[1].pipe, PipeClass::Alu);
+    EXPECT_EQ(tt[1].latency, LatencyClass::Sfu);
+    EXPECT_EQ(k.instrs[1].op, ptx::Op::Div);
+    EXPECT_EQ(ptx::compiledProgram(k, {}).uops[1].stat_class, PipeClass::Sfu);
+
+    // Integer div: ALU pipe, twice the SFU latency.
+    EXPECT_EQ(tt[2].pipe, PipeClass::Alu);
+    EXPECT_EQ(tt[2].latency, LatencyClass::Sfu2x);
+    EXPECT_EQ(readSet(tt[2]), (Regs{reg("%s1"), reg("%s2")}));
+
+    EXPECT_EQ(tt[3].pipe, PipeClass::Sfu);
+    EXPECT_EQ(tt[3].latency, LatencyClass::Sfu);
+
+    // ld.global.v4 writes all four vector registers.
+    EXPECT_TRUE(tt[4].memAccess());
+    EXPECT_EQ(writeSet(tt[4]),
+              (Regs{reg("%f5"), reg("%f6"), reg("%f7"), reg("%f8")}));
+    EXPECT_EQ(readSet(tt[4]), Regs{reg("%rd1")});
+
+    // tex reads its coordinates and writes its vector destination.
+    EXPECT_TRUE(tt[5].memAccess());
+    EXPECT_EQ(readSet(tt[5]), (Regs{reg("%r1"), reg("%r2")}));
+    EXPECT_EQ(tt[5].n_writes, 4u);
+    EXPECT_FALSE(tt[5].atomic);
+
+    // red writes nothing; atom writes its old-value register. Both atomic.
+    EXPECT_TRUE(tt[6].atomic);
+    EXPECT_EQ(writeSet(tt[6]), Regs{});
+    EXPECT_EQ(readSet(tt[6]), (Regs{reg("%rd1"), reg("%f1")}));
+    EXPECT_TRUE(tt[7].atomic);
+    EXPECT_EQ(writeSet(tt[7]), Regs{reg("%r3")});
+
+    // A guarded instruction reads its predicate.
+    EXPECT_EQ(readSet(tt[9]), (Regs{reg("%p1"), reg("%r1"), reg("%r2")}));
+    EXPECT_FALSE(tt[9].exit);
+    EXPECT_TRUE(tt[10].exit);
+
+    // setp with two predicate destinations (PTX's %p|%q form). The parser
+    // has no such syntax, so give the parsed setp a two-register vector
+    // destination operand.
+    ptx::Instr two = k.instrs[8];
+    ASSERT_EQ(two.op, ptx::Op::Setp);
+    two.ops[0].kind = ptx::Operand::Kind::Vec;
+    two.ops[0].vec = {k.regId("%p1"), k.regId("%p2")};
+    const ptx::InstrTiming t2 = ptx::instrTiming(two);
+    EXPECT_EQ(writeSet(t2), (Regs{reg("%p1"), reg("%p2")}));
+    EXPECT_EQ(t2.pipe, PipeClass::Alu);
+    EXPECT_EQ(t2.latency, LatencyClass::Alu);
+}
+
+TEST(TimingTable, MoreThanFourWrittenRegistersIsAFatalError)
+{
+    const std::string ptx = R"(
+.tex .u64 tex_src;
+.visible .entry wide_tex()
+{
+    .reg .s32 %r<3>;
+    .reg .f32 %f<6>;
+    tex.2d.v4.f32.s32 {%f1, %f2, %f3, %f4, %f5}, [tex_src, {%r1, %r2}];
+    ret;
+}
+)";
+    EXPECT_THROW(ptx::parseModule(ptx, "wide_tex.ptx"), FatalError);
+}
+
+/**
+ * A kernel declaring `nf` f32 registers (plus 12 others) whose dependence
+ * chain reads and writes registers across the whole file: ALU and SFU ops,
+ * a global load into a high register, and an ALU write right before ret so
+ * a writeback is still in flight when the warp exits.
+ */
+std::string
+widePtx(unsigned nf)
+{
+    std::ostringstream os;
+    os << ".visible .entry wide(.param .u64 A, .param .u64 B)\n{\n"
+       << "    .reg .u64 %rd<8>;\n    .reg .u32 %r<4>;\n"
+       << "    .reg .f32 %f<" << nf << ">;\n"
+       << "    ld.param.u64 %rd1, [A];\n    ld.param.u64 %rd2, [B];\n"
+       << "    mov.u32 %r1, %ctaid.x;\n    mov.u32 %r2, %ntid.x;\n"
+       << "    mov.u32 %r3, %tid.x;\n    mad.lo.u32 %r1, %r1, %r2, %r3;\n"
+       << "    mul.wide.u32 %rd3, %r1, 4;\n    add.u64 %rd4, %rd1, %rd3;\n"
+       << "    add.u64 %rd5, %rd2, %rd3;\n    ld.global.f32 %f0, [%rd4];\n";
+    for (unsigned i = 1; i < nf; i++) {
+        if (i == nf - 8)
+            os << "    ld.global.f32 %f" << i << ", [%rd4];\n";
+        else if (i % 10 == 0)
+            os << "    sin.approx.f32 %f" << i << ", %f" << i - 1 << ";\n";
+        else
+            os << "    sub.f32 %f" << i << ", %f" << i - 1 << ", %f" << i / 2
+               << ";\n";
+    }
+    os << "    st.global.f32 [%rd5], %f" << nf - 1 << ";\n"
+       << "    add.f32 %f" << nf - 1 << ", %f" << nf - 2 << ", %f1;\n"
+       << "    ret;\n}\n";
+    return os.str();
+}
+
+/**
+ * Detailed timing of the wide kernel resident together with vecadd (12
+ * registers), so warp slots pass between kernels of very different widths
+ * while the wide kernel's exit writebacks are still in flight.
+ */
+timing::TimingTotals
+runWideWithVecAdd(unsigned sim_threads)
+{
+    TimingFixture f;
+    const ptx::Module wide = ptx::parseModule(widePtx(160), "wide.ptx");
+    const unsigned n = 2048;
+    const addr_t in = f.gpu.uploadVec(std::vector<float>(n, 0.25f));
+    const addr_t out = f.gpu.alloc.alloc(n * 4);
+    ParamPack p;
+    p.add<uint64_t>(in).add<uint64_t>(out);
+    func::LaunchEnv wenv;
+    wenv.kernel = wide.findKernel("wide");
+    wenv.params = p.bytes();
+    wenv.symbols = &f.gpu.symbols;
+    EXPECT_GT(wenv.kernel->reg_types.size(), 128u);
+
+    timing::GpuConfig cfg;
+    cfg.num_cores = 4;
+    timing::GpuModel m(cfg, f.gpu.interp);
+    ThreadPool pool(sim_threads);
+    m.setThreadPool(&pool);
+    m.beginKernel(wenv, Dim3(n / 64), Dim3(64), 0);
+    m.beginKernel(f.env, Dim3(f.n / 128), Dim3(128), 0);
+    while (m.residentKernels() > 0)
+        m.advanceUntil(~cycle_t(0));
+    f.checkResult();
+    return m.totals();
+}
+
+TEST(Timing, WideKernelTotalsMatchAcrossSimThreads)
+{
+    const timing::TimingTotals t1 = runWideWithVecAdd(1);
+    const timing::TimingTotals t4 = runWideWithVecAdd(4);
+    EXPECT_GT(t1.sfu, 0u);
+    EXPECT_GT(t1.warp_instructions, 0u);
+    expectTotalsEq(t1, t4);
 }
 
 } // namespace
