@@ -23,7 +23,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>

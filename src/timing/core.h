@@ -90,7 +90,7 @@ static_assert(sizeof(TimingTotals) ==
 struct KernelDispatch
 {
     const func::LaunchEnv *env = nullptr;
-    const std::vector<ptx::InstrTiming> *timing = nullptr; ///< env->kernel's
+    const std::vector<ptx::InstrTiming> *timing = nullptr; ///< of env->kernel
     Dim3 grid;
     Dim3 block;
     unsigned threads_per_cta = 0;

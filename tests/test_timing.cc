@@ -437,8 +437,9 @@ TEST(TimingTable, MoreThanFourWrittenRegistersIsAFatalError)
 /**
  * A kernel declaring `nf` f32 registers (plus 12 others) whose dependence
  * chain reads and writes registers across the whole file: ALU and SFU ops,
- * a global load into a high register, and an ALU write right before ret so
- * a writeback is still in flight when the warp exits.
+ * a global load into a high register, and an SFU write to its highest
+ * register right before ret, so that writeback is still in flight when the
+ * warp exits.
  */
 std::string
 widePtx(unsigned nf)
@@ -462,22 +463,24 @@ widePtx(unsigned nf)
                << ";\n";
     }
     os << "    st.global.f32 [%rd5], %f" << nf - 1 << ";\n"
-       << "    add.f32 %f" << nf - 1 << ", %f" << nf - 2 << ", %f1;\n"
+       << "    sin.approx.f32 %f" << nf - 1 << ", %f" << nf - 2 << ";\n"
        << "    ret;\n}\n";
     return os.str();
 }
 
 /**
- * Detailed timing of the wide kernel resident together with vecadd (12
- * registers), so warp slots pass between kernels of very different widths
- * while the wide kernel's exit writebacks are still in flight.
+ * Detailed timing of the wide kernel launched ahead of vecadd (12
+ * registers) on two cores that hold two CTAs each. Once the wide grid is
+ * all issued, vecadd CTAs take the warp slots its last CTAs free while
+ * their exit writebacks are still in flight, so those writebacks clear
+ * registers in a narrower kernel's warps.
  */
 timing::TimingTotals
 runWideWithVecAdd(unsigned sim_threads)
 {
     TimingFixture f;
     const ptx::Module wide = ptx::parseModule(widePtx(160), "wide.ptx");
-    const unsigned n = 2048;
+    const unsigned n = 1024;
     const addr_t in = f.gpu.uploadVec(std::vector<float>(n, 0.25f));
     const addr_t out = f.gpu.alloc.alloc(n * 4);
     ParamPack p;
@@ -489,7 +492,8 @@ runWideWithVecAdd(unsigned sim_threads)
     EXPECT_GT(wenv.kernel->reg_types.size(), 128u);
 
     timing::GpuConfig cfg;
-    cfg.num_cores = 4;
+    cfg.num_cores = 2;
+    cfg.max_ctas_per_core = 2;
     timing::GpuModel m(cfg, f.gpu.interp);
     ThreadPool pool(sim_threads);
     m.setThreadPool(&pool);
