@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "cudnn/cudnn.h"
-#include "func/exec_mode.h"
 #include "power/power_model.h"
 #include "sample/options.h"
 #include "stats/aerial.h"
@@ -29,8 +28,8 @@ namespace mlgs::bench
 /**
  * Build/environment stamp embedded in every BENCH_*.json ("build_meta" key):
  * results are meaningless to compare across compilers, build types, or
- * resolved execution/timing modes, so each artifact records the ones it was
- * produced under.
+ * resolved timing modes, so each artifact records the ones it was produced
+ * under.
  */
 inline std::string
 buildMetaJson(int device_count = 1)
@@ -53,9 +52,7 @@ buildMetaJson(int device_count = 1)
     os << "{\"compiler\": \"" << compiler << "\", \"build_type\": \""
        << build_type
        << "\", \"sim_threads\": " << ThreadPool::resolveThreadCount(0)
-       << ", \"exec_mode\": \""
-       << func::execModeName(func::resolveExecMode(func::ExecMode::Auto))
-       << "\", \"timing_mode\": \""
+       << ", \"timing_mode\": \""
        << sample::timingModeName(
               sample::resolveTimingMode(sample::TimingMode::Auto))
        << "\", \"device_count\": " << device_count << "}";

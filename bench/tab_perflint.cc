@@ -2,8 +2,8 @@
  * @file
  * Static-vs-dynamic perf-lint cross-validation: run real workloads (one
  * LeNet training step on the GTX 1050 model, the Section V conv_sample
- * algorithm sweep on the GTX 1080 Ti model) under the functional
- * interpreter with the per-site memory profiler attached, then join every
+ * algorithm sweep on the GTX 1080 Ti model) in functional mode with the
+ * per-site memory profiler attached, then join every
  * statically-classified global/shared access site against the measured
  * transaction and bank-conflict counters.
  *
@@ -198,9 +198,6 @@ functionalOptions(timing::GpuConfig gpu)
     cuda::ContextOptions opts;
     opts.mode = cuda::SimMode::Functional;
     opts.gpu = std::move(gpu);
-    // The site profiler observes the reference interpreter; pin the backend
-    // so an MLGS_EXEC=compiled environment cannot detach it.
-    opts.exec_mode = func::ExecMode::Interp;
     return opts;
 }
 
@@ -209,7 +206,7 @@ runLenet()
 {
     cuda::Context ctx(functionalOptions(timing::GpuConfig::gtx1050()));
     func::SiteProfiler prof;
-    ctx.interpreter().setSiteProfiler(&prof);
+    ctx.executor().setSiteProfiler(&prof);
     runLenetTrainStepFrontend(ctx);
     return joinContext("lenet_train_step", ctx, prof);
 }
@@ -222,7 +219,7 @@ runConv(const char *name, Pass pass, int algo)
     spec.algo = algo;
     cuda::Context ctx(functionalOptions(timing::GpuConfig::gtx1080ti()));
     func::SiteProfiler prof;
-    ctx.interpreter().setSiteProfiler(&prof);
+    ctx.executor().setSiteProfiler(&prof);
     runConvFrontend(ctx, spec);
     return joinContext(name, ctx, prof);
 }

@@ -33,14 +33,12 @@ struct WorkloadCounts
 
 /** A mid-sized conv workload used for mode-speed comparison. */
 WorkloadCounts
-runConvWorkload(cuda::SimMode mode, unsigned sim_threads = 1,
-                func::ExecMode exec = func::ExecMode::Auto)
+runConvWorkload(cuda::SimMode mode, unsigned sim_threads = 1)
 {
     cuda::ContextOptions opts;
     opts.mode = mode;
     opts.gpu = timing::GpuConfig::gtx1050();
     opts.sim_threads = sim_threads;
-    opts.exec_mode = exec;
     cuda::Context ctx(opts);
     cudnn::CudnnHandle h(ctx);
 
@@ -273,84 +271,6 @@ writeSimSpeedJson(const char *path)
                 pts[3].wall_seconds / pts[4].wall_seconds);
 }
 
-// ---- interpreter vs compiled executor (BENCH_compiled_exec.json) ----
-
-/**
- * Same conv workload, functional mode, with the execution backend pinned:
- * the reference interpreter vs the decode-once compiled executor. Emitted
- * separately so BENCH_sim_speed.json keeps its schema; the headline number
- * is the warp-instrs/sec speedup at sim_threads 1 (pure backend effect, no
- * thread-pool scaling mixed in).
- */
-void
-writeCompiledExecJson(const char *path)
-{
-    struct BackendPoint
-    {
-        const char *backend;
-        func::ExecMode exec;
-        unsigned sim_threads;
-        double wall_seconds = 1e300;
-        WorkloadCounts counts;
-    };
-    BackendPoint pts[] = {
-        {"interp", func::ExecMode::Interp, 1, 1e300, {}},
-        {"compiled", func::ExecMode::Compiled, 1, 1e300, {}},
-        {"interp", func::ExecMode::Interp, 4, 1e300, {}},
-        {"compiled", func::ExecMode::Compiled, 4, 1e300, {}},
-    };
-    for (auto &pt : pts) {
-        for (int rep = 0; rep < 3; rep++) {
-            const auto t0 = std::chrono::steady_clock::now();
-            pt.counts = runConvWorkload(cuda::SimMode::Functional,
-                                        pt.sim_threads, pt.exec);
-            const auto t1 = std::chrono::steady_clock::now();
-            pt.wall_seconds =
-                std::min(pt.wall_seconds,
-                         std::chrono::duration<double>(t1 - t0).count());
-        }
-    }
-
-    auto instrs_per_sec = [](const BackendPoint &pt) {
-        return double(pt.counts.warp_instructions) / pt.wall_seconds;
-    };
-    const double speedup_1t = instrs_per_sec(pts[1]) / instrs_per_sec(pts[0]);
-    const double speedup_4t = instrs_per_sec(pts[3]) / instrs_per_sec(pts[2]);
-
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"build_meta\": %s,\n", buildMetaJson().c_str());
-    std::fprintf(f, "  \"workload\": \"conv_fwd implicit_gemm+winograd_nonfused"
-                    " n2c8h14w14 k8r3s3 gtx1050 functional\",\n");
-    std::fprintf(f, "  \"runs\": [\n");
-    const size_t n = sizeof(pts) / sizeof(pts[0]);
-    for (size_t i = 0; i < n; i++) {
-        const BackendPoint &pt = pts[i];
-        std::fprintf(f,
-                     "    {\"backend\": \"%s\", \"sim_threads\": %u, "
-                     "\"wall_seconds\": %.6f, "
-                     "\"warp_instructions\": %llu, "
-                     "\"warp_instrs_per_sec\": %.2f}%s\n",
-                     pt.backend, pt.sim_threads, pt.wall_seconds,
-                     (unsigned long long)pt.counts.warp_instructions,
-                     instrs_per_sec(pt), i + 1 < n ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_compiled_vs_interp_1t\": %.3f,\n",
-                 speedup_1t);
-    std::fprintf(f, "  \"speedup_compiled_vs_interp_4t\": %.3f\n",
-                 speedup_4t);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s (compiled vs interp warp-instrs/sec: %.2fx at 1t, "
-                "%.2fx at 4t)\n",
-                path, speedup_1t, speedup_4t);
-}
-
 } // namespace
 
 int
@@ -361,6 +281,5 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     writeSimSpeedJson("BENCH_sim_speed.json");
-    writeCompiledExecJson("BENCH_compiled_exec.json");
     return 0;
 }

@@ -172,7 +172,7 @@ main()
         // Regression workload: just the scale kernel (simulates "known-good
         // regression tests").
         cuda::Context ctx;
-        ctx.interpreter().setCoverage(&regression);
+        ctx.executor().setCoverage(&regression);
         ctx.loadModule(kScale, "scale.ptx");
         const addr_t buf = ctx.malloc(64 * 4);
         cuda::KernelArgs a;
@@ -183,7 +183,7 @@ main()
     {
         // Failing workload: scale + ring shift.
         cuda::Context ctx;
-        ctx.interpreter().setCoverage(&failing);
+        ctx.executor().setCoverage(&failing);
         ctx.loadModule(kScale, "scale.ptx");
         ctx.loadModule(kRingShift, "ring.ptx");
         const addr_t src = ctx.malloc(100 * 4);

@@ -56,26 +56,41 @@ std::unique_ptr<func::CtaExec>
 loadCta(BinaryReader &r, const ptx::KernelDef &kernel, const Dim3 &grid,
         const Dim3 &block)
 {
+    const std::string &ckpt = r.name();
     Dim3 cta_id;
     cta_id.x = r.get<uint32_t>();
     cta_id.y = r.get<uint32_t>();
     cta_id.z = r.get<uint32_t>();
+    MLGS_REQUIRE(cta_id.x < grid.x && cta_id.y < grid.y && cta_id.z < grid.z,
+                 "corrupt checkpoint ", ckpt, ": CTA (", cta_id.x, ",",
+                 cta_id.y, ",", cta_id.z, ") lies outside grid (", grid.x,
+                 ",", grid.y, ",", grid.z, ")");
     auto cta = std::make_unique<func::CtaExec>(kernel, grid, block, cta_id);
 
     const auto nthreads = r.get<uint32_t>();
-    MLGS_REQUIRE(nthreads == cta->numThreads(), "checkpoint CTA shape mismatch");
+    MLGS_REQUIRE(nthreads == cta->numThreads(),
+                 "checkpoint CTA shape mismatch in ", ckpt);
     for (unsigned t = 0; t < nthreads; t++) {
         auto &th = cta->thread(t);
         const auto nregs = r.get<uint64_t>();
         MLGS_REQUIRE(nregs == th.regs.size(),
-                     "checkpoint register-file layout mismatch");
+                     "checkpoint register-file layout mismatch in ", ckpt);
         for (auto &reg : th.regs)
             reg.u64 = r.get<uint64_t>();
         th.local = r.getVector<uint8_t>();
+        MLGS_REQUIRE(th.local.size() == kernel.local_bytes,
+                     "corrupt checkpoint ", ckpt, ": thread ", t, " has ",
+                     th.local.size(), " bytes of local memory, kernel ",
+                     kernel.name, " declares ", kernel.local_bytes);
     }
     const auto nwarps = r.get<uint32_t>();
-    MLGS_REQUIRE(nwarps == cta->numWarps(), "checkpoint warp count mismatch");
+    MLGS_REQUIRE(nwarps == cta->numWarps(),
+                 "checkpoint warp count mismatch in ", ckpt);
+    const size_t ninstrs = kernel.instrs.size();
     for (unsigned wp = 0; wp < nwarps; wp++) {
+        // A fresh CTA's stack holds exactly the warp's live lanes; lanes past
+        // a partial last warp have no thread state to execute against.
+        const warp_mask_t live = cta->stack(wp).activeMask();
         auto &stack = cta->stack(wp).entries();
         stack.clear();
         const auto nentries = r.get<uint64_t>();
@@ -84,12 +99,32 @@ loadCta(BinaryReader &r, const ptx::KernelDef &kernel, const Dim3 &grid,
             entry.pc = r.get<uint32_t>();
             entry.rpc = r.get<uint32_t>();
             entry.mask = r.get<uint32_t>();
+            MLGS_REQUIRE(entry.pc < ninstrs, "corrupt checkpoint ", ckpt,
+                         ": warp ", wp, " pc ", entry.pc, " is past the ",
+                         ninstrs, " instructions of ", kernel.name);
+            MLGS_REQUIRE(entry.rpc < ninstrs ||
+                             entry.rpc == ptx::kReconvExit,
+                         "corrupt checkpoint ", ckpt, ": warp ", wp,
+                         " reconvergence pc ", entry.rpc, " is past the ",
+                         ninstrs, " instructions of ", kernel.name);
+            MLGS_REQUIRE(entry.mask != 0 && (entry.mask & ~live) == 0,
+                         "corrupt checkpoint ", ckpt, ": warp ", wp,
+                         " active mask ", entry.mask,
+                         " is empty or names lanes outside live mask ", live);
             stack.push_back(entry);
         }
-        cta->barrierFlags()[wp] = r.get<uint8_t>();
+        const auto at_barrier = r.get<uint8_t>();
+        MLGS_REQUIRE(at_barrier <= 1, "corrupt checkpoint ", ckpt, ": warp ",
+                     wp, " barrier flag ", unsigned(at_barrier),
+                     " is not 0 or 1");
+        cta->barrierFlags()[wp] = at_barrier;
         cta->instrCounts()[wp] = r.get<uint64_t>();
     }
     cta->shared() = r.getVector<uint8_t>();
+    MLGS_REQUIRE(cta->shared().size() == kernel.shared_bytes,
+                 "corrupt checkpoint ", ckpt, ": ", cta->shared().size(),
+                 " bytes of shared memory, kernel ", kernel.name,
+                 " declares ", kernel.shared_bytes);
     return cta;
 }
 
@@ -171,7 +206,7 @@ CheckpointWriter::onLaunch(cuda::LaunchRecord &rec)
 // ---- loader ----
 
 CheckpointLoader::CheckpointLoader(cuda::Context &ctx, const std::string &path)
-    : ctx_(&ctx)
+    : ctx_(&ctx), path_(path)
 {
     BinaryReader r = BinaryReader::fromFile(path);
     r.readHeader(kMagic, kVersion, kVersion, "checkpoint");
@@ -263,7 +298,7 @@ CheckpointLoader::onLaunch(cuda::LaunchRecord &rec)
 
     std::vector<std::unique_ptr<func::CtaExec>> preloaded;
     for (const auto &bytes : raw_ctas_) {
-        BinaryReader r(bytes);
+        BinaryReader r(bytes, path_);
         preloaded.push_back(loadCta(r, *rec.kernel, rec.grid, rec.block));
     }
 

@@ -35,7 +35,13 @@ struct CheckpointConfig
 /** Serialize one CTA's Data1 state. */
 void saveCta(BinaryWriter &w, const func::CtaExec &cta);
 
-/** Restore one CTA's Data1 state (kernel must match the saved layout). */
+/**
+ * Restore one CTA's Data1 state (kernel must match the saved layout). The
+ * record is untrusted: a CTA id outside `grid`, a SIMT entry whose pc or
+ * reconvergence pc is out of range or whose mask is empty or names dead
+ * lanes, a barrier flag other than 0/1, or mis-sized local or shared memory
+ * is a FatalError naming the reader (the checkpoint path).
+ */
 std::unique_ptr<func::CtaExec> loadCta(BinaryReader &r,
                                        const ptx::KernelDef &kernel,
                                        const Dim3 &grid, const Dim3 &block);
@@ -78,6 +84,7 @@ class CheckpointLoader
     bool onLaunch(cuda::LaunchRecord &rec);
 
     cuda::Context *ctx_;
+    std::string path_;
     uint64_t kernel_x_ = 0;
     uint64_t cta_m_ = 0;
     std::string kernel_name_;

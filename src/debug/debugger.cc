@@ -52,8 +52,8 @@ Replayer::replayOn(GpuMemory &mem, const cuda::CapturedLaunch &launch,
     for (const auto &buf : launch.buffers)
         mem.write(buf.addr, buf.data.data(), buf.data.size());
 
-    func::Interpreter interp(mem, bugs);
-    func::FunctionalEngine engine(interp);
+    func::Executor exec(mem, bugs);
+    func::FunctionalEngine engine(exec);
     func::LaunchEnv env;
     env.kernel = kernel;
     env.params = params;

@@ -10,7 +10,7 @@
  *      comparing per-call output buffers between a golden and a suspect
  *      context — see the tests/examples);
  *   2. replay each captured kernel launch of that call on "hardware" (the
- *      golden interpreter) and on the suspect simulator, comparing every
+ *      bug-free executor) and on the suspect simulator, comparing every
  *      buffer a kernel parameter points to (Fig 2);
  *   3. instrument the first incorrect kernel so every register write is
  *      logged, and flag the first write that differs (Fig 3).

@@ -132,17 +132,16 @@ RunImage
 runEngine(const ptx::KernelDef &k, const LaunchSpec &spec,
           const BufferPlan &plan, const std::vector<uint8_t> &in0,
           const std::vector<uint8_t> &in1, const func::BugModel &bugs,
-          bool capture_regs, bool race_check, unsigned pool_threads,
-          func::ExecMode mode)
+          bool capture_regs, bool race_check, unsigned pool_threads)
 {
     GpuMemory mem;
     mem.write(plan.in0, in0.data(), in0.size());
     mem.write(plan.in1, in1.data(), in1.size());
     mem.memset(plan.out, 0, plan.out_bytes);
 
-    func::Interpreter interp(mem, bugs, mode);
-    interp.setRaceCheck(race_check);
-    func::FunctionalEngine engine(interp);
+    func::Executor exec(mem, bugs);
+    exec.setRaceCheck(race_check);
+    func::FunctionalEngine engine(exec);
 
     func::LaunchEnv env;
     env.kernel = &k;
@@ -254,42 +253,6 @@ setFailure(DiffResult &r, const std::string &msg)
 {
     if (r.failure.empty())
         r.failure = msg;
-}
-
-/** Engine backends selected by opts.exec, in ground-truth-first order. */
-std::vector<func::ExecMode>
-backendsFor(DiffExec sel)
-{
-    switch (sel) {
-      case DiffExec::Interp:
-        return {func::ExecMode::Interp};
-      case DiffExec::Compiled:
-        return {func::ExecMode::Compiled};
-      default:
-        return {func::ExecMode::Interp, func::ExecMode::Compiled};
-    }
-}
-
-const char *
-diffExecName(DiffExec sel)
-{
-    switch (sel) {
-      case DiffExec::Interp:   return "interp";
-      case DiffExec::Compiled: return "compiled";
-      default:                 return "both";
-    }
-}
-
-/** Append `mode`'s name to the diverged-backend record ("a+b" on both). */
-void
-noteDiverged(DiffResult &r, func::ExecMode mode)
-{
-    const char *name = func::execModeName(mode);
-    if (r.diverged_backend.find(name) != std::string::npos)
-        return;
-    if (!r.diverged_backend.empty())
-        r.diverged_backend += "+";
-    r.diverged_backend += name;
 }
 
 // ---- minimal JSON helpers for the reproducer sidecar (own format only) ----
@@ -404,83 +367,55 @@ runPtx(const std::string &ptx_text, const LaunchSpec &spec,
         return r;
     }
 
-    const std::vector<func::ExecMode> backends = backendsFor(opts.exec);
     try {
         if (opts.inject.anyEnabled()) {
-            // Injected-bug mode: the only question is "does it diverge?" —
-            // asked of every selected backend.
-            for (const func::ExecMode mode : backends) {
-                const RunImage bad = runEngine(*k, spec, plan, in0, in1,
-                                               opts.inject, true, false, 1,
-                                               mode);
-                if (diverged(ref, bad)) {
-                    r.injected_diverged = true;
-                    noteDiverged(r, mode);
-                }
-            }
+            // Injected-bug mode: the only question is "does it diverge?".
+            const RunImage bad = runEngine(*k, spec, plan, in0, in1,
+                                           opts.inject, true, false, 1);
+            r.injected_diverged = diverged(ref, bad);
             r.ok = r.parse_ok;
             return r;
         }
 
-        r.serial_match = r.parallel_match = r.race_run_match = true;
-        for (const func::ExecMode mode : backends) {
-            const std::string tag = func::execModeName(mode);
-
-            const RunImage serial = runEngine(*k, spec, plan, in0, in1, {},
-                                              true, false, 1, mode);
-            std::string where;
-            if (!regsMatch(ref, serial, &where)) {
-                r.serial_match = false;
-                noteDiverged(r, mode);
-                setFailure(r, tag + ": serial register mismatch: " + where);
-            }
-            const int64_t d0 = firstOutDiff(ref, serial);
-            if (d0 >= 0) {
-                r.serial_match = false;
-                noteDiverged(r, mode);
-                setFailure(r, tag + ": serial output mismatch at byte " +
-                                  std::to_string(d0));
-            }
-
-            const RunImage par =
-                runEngine(*k, spec, plan, in0, in1, {}, false, false,
-                          opts.parallel_threads, mode);
-            if (firstOutDiff(ref, par) >= 0) {
-                r.parallel_match = false;
-                noteDiverged(r, mode);
-                setFailure(r, tag + ": parallel (sim_threads " +
-                                  std::to_string(opts.parallel_threads) +
-                                  ") output mismatch");
-            }
-
-            const RunImage raced = runEngine(*k, spec, plan, in0, in1, {},
-                                             true, true, 1, mode);
-            if (diverged(ref, raced)) {
-                r.race_run_match = false;
-                noteDiverged(r, mode);
-                setFailure(r, tag + ": race-shadow run altered results");
-            }
-            r.shared_races = std::max(r.shared_races, raced.shared_races);
+        const RunImage serial =
+            runEngine(*k, spec, plan, in0, in1, {}, true, false, 1);
+        std::string where;
+        r.serial_match = regsMatch(ref, serial, &where);
+        if (!r.serial_match)
+            setFailure(r, "serial register mismatch: " + where);
+        const int64_t d0 = firstOutDiff(ref, serial);
+        if (d0 >= 0) {
+            r.serial_match = false;
+            setFailure(r, "serial output mismatch at byte " +
+                              std::to_string(d0));
         }
+
+        const RunImage par = runEngine(*k, spec, plan, in0, in1, {}, false,
+                                       false, opts.parallel_threads);
+        r.parallel_match = firstOutDiff(ref, par) < 0;
+        if (!r.parallel_match)
+            setFailure(r, "parallel (sim_threads " +
+                              std::to_string(opts.parallel_threads) +
+                              ") output mismatch");
+
+        const RunImage raced =
+            runEngine(*k, spec, plan, in0, in1, {}, true, true, 1);
+        r.race_run_match = !diverged(ref, raced);
+        if (!r.race_run_match)
+            setFailure(r, "race-shadow run altered results");
+        r.shared_races = raced.shared_races;
         if (r.verifier_clean && r.shared_races != 0)
             setFailure(r, "verifier-clean kernel reported " +
                               std::to_string(r.shared_races) +
                               " dynamic shared races");
 
         if (opts.check_bug_detectability) {
-            // Probed on one backend: the compiled executor when selected
-            // (injection is baked in at lowering time there — the riskier
-            // path), the interpreter otherwise.
-            const func::ExecMode probe = opts.exec == DiffExec::Interp
-                                             ? func::ExecMode::Interp
-                                             : func::ExecMode::Compiled;
             const func::BugModel models[3] = {
                 {.legacy_rem = true}, {.legacy_bfe = true},
                 {.split_fma = true}};
             for (int i = 0; i < 3; i++) {
                 const RunImage bad = runEngine(*k, spec, plan, in0, in1,
-                                               models[i], true, false, 1,
-                                               probe);
+                                               models[i], true, false, 1);
                 r.bug_diverged[i] = diverged(ref, bad);
             }
         }
@@ -608,7 +543,7 @@ minimize(GenKernel &gk, const DiffOptions &opts)
 
 void
 dumpReproducer(const GenKernel &gk, const DiffOptions &opts,
-               const std::string &base, const DiffResult *result)
+               const std::string &base)
 {
     {
         std::ofstream ptx(base + ".ptx", std::ios::binary);
@@ -628,9 +563,6 @@ dumpReproducer(const GenKernel &gk, const DiffOptions &opts,
        << "  \"out_slots\": " << s.out_slots << ",\n"
        << "  \"data_seed\": " << s.data_seed << ",\n"
        << "  \"seed\": " << gk.seed << ",\n"
-       << "  \"exec\": \"" << diffExecName(opts.exec) << "\",\n"
-       << "  \"diverged_backend\": \""
-       << (result ? result->diverged_backend : "") << "\",\n"
        << "  \"inject\": {\n"
        << "    \"legacy_rem\": "
        << (opts.inject.legacy_rem ? "true" : "false") << ",\n"
@@ -659,10 +591,6 @@ runReproducer(const std::string &base)
     opts.inject.legacy_bfe = jsonBool(js, "legacy_bfe");
     opts.inject.split_fma = jsonBool(js, "split_fma");
     opts.check_bug_detectability = false;
-    const std::string exec = jsonStr(js, "exec", "both");
-    opts.exec = exec == "interp"     ? DiffExec::Interp
-                : exec == "compiled" ? DiffExec::Compiled
-                                     : DiffExec::Both;
     return runPtx(ptx_text, spec, opts);
 }
 
@@ -684,8 +612,8 @@ checkDefect(uint64_t seed, Defect defect)
         const BufferPlan plan = planBuffers(gk.spec);
         std::vector<uint8_t> in0, in1;
         fillInputs(gk.spec, in0, in1);
-        const RunImage img = runEngine(*k, gk.spec, plan, in0, in1, {}, true,
-                                       true, 1, func::ExecMode::Auto);
+        const RunImage img =
+            runEngine(*k, gk.spec, plan, in0, in1, {}, true, true, 1);
         r.dynamic_races = img.shared_races;
     }
     return r;

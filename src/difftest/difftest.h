@@ -2,8 +2,8 @@
  * @file
  * Differential-testing driver (the paper's Section III-D methodology,
  * industrialized): run a generated kernel through the independent scalar
- * reference (RefExec), the SIMT engine serially and with a CTA thread pool,
- * and the engine with each bug_model.h injection flag — asserting bitwise
+ * reference (RefExec) and the SIMT engine (the compiled executor) serially,
+ * with a CTA thread pool and with each bug_model.h injection flag — asserting bitwise
  * equality on the clean paths and divergence on the injected-bug paths —
  * plus static/dynamic cross-checks of the PTX verifier and race shadow.
  */
@@ -15,18 +15,9 @@
 
 #include "difftest/kernel_gen.h"
 #include "func/bug_model.h"
-#include "func/exec_mode.h"
 
 namespace mlgs::difftest
 {
-
-/** Which functional backend(s) the engine side of the comparison uses. */
-enum class DiffExec : uint8_t
-{
-    Interp,   ///< reference interpreter only
-    Compiled, ///< compiled micro-op executor only
-    Both,     ///< run every cross-check once per backend
-};
 
 /** Knobs for one differential run. */
 struct DiffOptions
@@ -46,15 +37,6 @@ struct DiffOptions
 
     /** Worker count for the parallel (sim_threads > 1) engine run. */
     unsigned parallel_threads = 4;
-
-    /**
-     * Functional backend(s) under test. The default (Both) runs the
-     * serial/parallel/race cross-checks once per backend, so every fuzz
-     * seed validates the interpreter *and* the compiled executor against
-     * RefExec; bug detectability is probed on the compiled backend (the
-     * production default — the flags are baked in at lowering time there).
-     */
-    DiffExec exec = DiffExec::Both;
 };
 
 /** Outcome of one kernel's differential run. */
@@ -72,13 +54,6 @@ struct DiffResult
 
     bool ok = false;        ///< all clean-path checks passed
     std::string failure;    ///< first failing check, human-readable
-
-    /**
-     * Backend name(s) ("interp", "compiled", "interp+compiled") whose run
-     * failed a clean-path check or, with opts.inject, diverged from the
-     * reference. Empty when no engine run misbehaved.
-     */
-    std::string diverged_backend;
 };
 
 /** Differential run of already-rendered PTX text (reproducer path). */
@@ -111,16 +86,17 @@ unsigned minimize(GenKernel &gk, const DiffOptions &opts);
 
 /**
  * Write `base`.ptx (rendered kernel honouring minimizer state) and
- * `base`.json (launch shape, data seed, injection flags, backend selection)
- * — everything `mlgs-difftest --repro base` needs to re-run the failure.
- * When `result` is given, its diverged_backend is recorded so the artifact
- * names the backend that misbehaved.
+ * `base`.json (launch shape, data seed, injection flags) — everything
+ * `mlgs-difftest --repro base` needs to re-run the failure.
  */
 void dumpReproducer(const GenKernel &gk, const DiffOptions &opts,
-                    const std::string &base,
-                    const DiffResult *result = nullptr);
+                    const std::string &base);
 
-/** Re-run a reproducer dumped by dumpReproducer. */
+/**
+ * Re-run a reproducer dumped by dumpReproducer. Keys this build does not
+ * read (such as `exec` and `diverged_backend`, written by older builds that
+ * had two engine backends) are ignored.
+ */
 DiffResult runReproducer(const std::string &base);
 
 /** Static/dynamic verdicts for a deliberately-defective kernel. */

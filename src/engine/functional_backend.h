@@ -1,7 +1,7 @@
 /**
  * @file
  * Functional-mode execution backend: grids execute to completion the moment
- * they begin (warp-serial interpretation), and are charged an
+ * they begin (warp-serial functional execution), and are charged an
  * instruction-proportional duration so stream overlap remains meaningful.
  * Residency is unlimited — any number of streams' kernels may be in flight.
  */

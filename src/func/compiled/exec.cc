@@ -3,9 +3,9 @@
  * The compiled micro-op executor. Dispatch is a flat table of per-kind
  * handlers over the lowered uop stream (ptx/uop.h): control kinds are
  * handled inline by the dispatch loop, generic kinds funnel into the shared
- * scalar semantics (func/exec_semantics.h) — the same code the interpreter
- * runs — and the specialized kinds are dense 32-lane loops over pre-resolved
- * register slots, structured so the compiler can unroll/vectorize them.
+ * scalar semantics (func/exec_semantics.h), and the specialized kinds are
+ * dense 32-lane loops over pre-resolved register slots, structured so the
+ * compiler can unroll/vectorize them.
  *
  * The batch loop (runWarp) additionally exploits the basic-block structure
  * the lowering pass marked via `ends_block`: within a block the active mask
@@ -18,7 +18,8 @@
 
 #include "func/engine.h"
 #include "func/exec_semantics.h"
-#include "func/interpreter.h"
+#include "func/executor.h"
+#include "func/site_profiler.h"
 #include "ptx/uop.h"
 
 namespace mlgs::func::compiled
@@ -51,16 +52,17 @@ struct ExecCtx
     RegVal *lanes[kWarpSize] = {};     ///< per-lane register files
     WarpStepResult *res = nullptr;     ///< single-step mode: access sink
     FuncStats *stats = nullptr;        ///< batch mode: direct accumulation
+    SiteProfiler *profiler = nullptr;  ///< single-step mode: shared lanes
 };
 
 ExecCtx
-makeCtx(Interpreter &interp, CtaExec &cta, const LaunchEnv &env,
+makeCtx(Executor &executor, CtaExec &cta, const LaunchEnv &env,
         const UopProgram &prog, unsigned warp)
 {
     ExecCtx ctx;
     ctx.cta = &cta;
     ctx.env = &env;
-    ctx.mem = &interp.memory();
+    ctx.mem = &executor.memory();
     ctx.prog = &prog;
     ctx.warp = warp;
     ctx.tid0 = warp * kWarpSize;
@@ -72,7 +74,7 @@ makeCtx(Interpreter &interp, CtaExec &cta, const LaunchEnv &env,
     return ctx;
 }
 
-/** Guard-predicate evaluation, identical to the interpreter's. */
+/** Guard-predicate evaluation over the warp's active lanes. */
 warp_mask_t
 predMask(const Uop &u, warp_mask_t mask, const ExecCtx &ctx)
 {
@@ -113,7 +115,7 @@ runtimeSym(const ExecCtx &ctx, int32_t sym)
     fatal("unresolved symbol '", name, "' in kernel ", ctx.env->kernel->name);
 }
 
-/** Generic scalar source read (mirrors Interpreter::readOperand). */
+/** Generic scalar source read (any UopSrc kind). */
 RegVal
 srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, const RegVal *r)
 {
@@ -133,7 +135,7 @@ srcVal(const ExecCtx &ctx, const UopSrc &s, unsigned lane, const RegVal *r)
         v.u64 = runtimeSym(ctx, s.sym);
         return v;
       default:
-        return v; // None: zeroed, like the interpreter's absent operands
+        return v; // None: an absent operand reads as zero
     }
 }
 
@@ -144,7 +146,7 @@ srcRI(const UopSrc &s, const RegVal *r)
     return s.kind == UopSrc::K::Reg ? r[size_t(s.reg)] : s.imm;
 }
 
-/** Pre-resolved effective address (mirrors Interpreter::resolveAddr). */
+/** Pre-resolved effective address with generic-space resolution. */
 Ea
 uopAddr(const ExecCtx &ctx, const UopMem &m, const RegVal *r)
 {
@@ -162,7 +164,8 @@ uopAddr(const ExecCtx &ctx, const UopMem &m, const RegVal *r)
  * Book-keep one lane's ld/st. Single-step mode pushes the access for the
  * engine's FuncStats::accumulate; batch mode applies the exact same
  * accumulation directly (bytes only for global/const, shared counts +
- * race shadow for shared, nothing for param).
+ * race shadow for shared, nothing for param). An attached site profiler
+ * sees every shared lane, in lane order.
  */
 void
 recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
@@ -184,6 +187,8 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
             ctx.res->shared_accesses++;
         else if (ctx.stats)
             ctx.stats->shared_accesses++;
+        if (ctx.profiler)
+            ctx.profiler->noteSharedLane(ea.addr - kSharedBase, bytes);
         if (RaceShadow *rs = ctx.cta->raceShadow())
             rs->onAccess(size_t(ea.addr - kSharedBase), bytes, tid, u.pc,
                          u.line, is_store);
@@ -322,6 +327,9 @@ hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
                 ctx.res->shared_accesses++;
             else if (ctx.stats)
                 ctx.stats->shared_accesses++;
+            if (ctx.profiler)
+                ctx.profiler->noteSharedLane(ea.addr - kSharedBase,
+                                             ptx::typeSize(u.type));
         } else if (ctx.res) {
             ctx.res->accesses.push_back(MemAccess{
                 ea.addr, ptx::typeSize(u.type), true, true, ea.space});
@@ -338,7 +346,7 @@ void
 hTex(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
     if (!exec)
-        return; // the interpreter's lane loop never reaches the lookups
+        return; // no active lane: no texture lookup, no binding required
     MLGS_REQUIRE(ctx.env->textures,
                  "texture instruction without texture table");
     const std::string &name = ctx.prog->syms[size_t(u.mem.sym)];
@@ -559,7 +567,7 @@ void
 hFMad32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
     // Exactly the generic mad.f32: the product is rounded to f32 (canonical
-    // NaN applied) before the add — two roundings, like the interpreter.
+    // NaN applied) before the add — two roundings.
     MLGS_LANE_LOOP({
         const RegVal prod =
             makeF(Type::F32,
@@ -666,17 +674,17 @@ static_assert(sizeof(kHandlers) / sizeof(kHandlers[0]) == kNumKinds,
               "handler table out of sync with UopKind");
 
 /**
- * The lowered program for this CTA's kernel under the interpreter's bug
- * model, cached on the CtaExec (a CTA is stepped by one thread only, and the
- * timing model shares one Interpreter across CTAs, so the cache must be
- * per-CTA rather than per-Interpreter).
+ * The lowered program for this CTA's kernel under the executor's bug model,
+ * cached on the CtaExec (a CTA is stepped by one thread only, and the timing
+ * model shares one Executor across CTAs, so the cache must be per-CTA rather
+ * than per-Executor).
  */
 const UopProgram &
-programFor(Interpreter &interp, CtaExec &cta)
+programFor(Executor &executor, CtaExec &cta)
 {
     if (const UopProgram *p = cta.uopProgram())
         return *p;
-    const BugModel &b = interp.bugs();
+    const BugModel &b = executor.bugs();
     const UopProgram &p = ptx::compiledProgram(
         cta.kernel(),
         ptx::LowerBugs{b.legacy_rem, b.legacy_bfe, b.split_fma});
@@ -687,9 +695,10 @@ programFor(Interpreter &interp, CtaExec &cta)
 } // namespace
 
 WarpStepResult
-stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
+stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
+         const LaunchEnv &env)
 {
-    const UopProgram &prog = programFor(interp, cta);
+    const UopProgram &prog = programFor(executor, cta);
     SimtStack &st = cta.stack(warp);
     MLGS_ASSERT(!st.empty(), "stepWarp on a finished warp");
     MLGS_ASSERT(!cta.warpAtBarrier(warp), "stepWarp on a warp at a barrier");
@@ -699,7 +708,7 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
                 env.kernel->name);
     const Uop &u = prog.uops[pc];
     const warp_mask_t mask = st.activeMask();
-    ExecCtx ctx = makeCtx(interp, cta, env, prog, warp);
+    ExecCtx ctx = makeCtx(executor, cta, env, prog, warp);
     const warp_mask_t exec = predMask(u, mask, ctx);
 
     WarpStepResult res;
@@ -707,7 +716,7 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
     res.pc = pc;
     res.active = exec;
     cta.warpInstrCount(warp)++;
-    if (CoverageMap *cov = interp.coverage())
+    if (CoverageMap *cov = executor.coverage())
         cov->hit(u.variant_id);
 
     switch (u.kind) {
@@ -736,20 +745,21 @@ stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env)
     }
 
     ctx.res = &res;
+    ctx.profiler = executor.siteProfiler();
     kHandlers[size_t(u.kind)](u, exec, ctx);
     st.advance();
     return res;
 }
 
 void
-runWarp(Interpreter &interp, CtaExec &cta, unsigned warp, const LaunchEnv &env,
+runWarp(Executor &executor, CtaExec &cta, unsigned warp, const LaunchEnv &env,
         uint64_t max_instr_per_warp, FuncStats *stats)
 {
-    const UopProgram &prog = programFor(interp, cta);
+    const UopProgram &prog = programFor(executor, cta);
     SimtStack &st = cta.stack(warp);
-    ExecCtx ctx = makeCtx(interp, cta, env, prog, warp);
+    ExecCtx ctx = makeCtx(executor, cta, env, prog, warp);
     ctx.stats = stats;
-    CoverageMap *cov = interp.coverage();
+    CoverageMap *cov = executor.coverage();
     uint64_t &icount = cta.warpInstrCount(warp);
     const Uop *const uops = prog.uops.data();
     const size_t nuops = prog.uops.size();

@@ -2,19 +2,19 @@
  * @file
  * Compiled warp execution: dispatches the decode-once micro-op stream a
  * kernel was lowered into (ptx/uop.h) instead of re-decoding parsed
- * instructions each step. Two entry points:
+ * instructions each step. This is the only functional execution path; two
+ * entry points:
  *
- *  - stepWarp(): single-instruction step with the exact WarpStepResult
- *    contract of Interpreter::stepWarpExec — used by the timing model and
- *    whenever a warp-stream cache is attached (record keeps its per-step
- *    granularity).
+ *  - stepWarp(): single-instruction step returning a WarpStepResult — used
+ *    by the timing model and whenever a warp-stream cache or a site
+ *    profiler is attached (both need per-step granularity).
  *  - runWarp(): the batched fast path for the pure-functional engine — runs
  *    the warp until it finishes, reaches a barrier, or hits the instruction
  *    limit, folding stats in directly and walking straight-line basic-block
  *    spans without touching the SIMT stack.
  *
- * Both are bitwise identical to the interpreter on register files, memory
- * and every FuncStats field.
+ * Both are bitwise identical on register files, memory and every FuncStats
+ * field (tests/test_compiled_exec.cc compares them case by case).
  */
 #ifndef MLGS_FUNC_COMPILED_EXEC_H
 #define MLGS_FUNC_COMPILED_EXEC_H
@@ -27,7 +27,7 @@ namespace mlgs::func
 {
 
 class CtaExec;
-class Interpreter;
+class Executor;
 struct FuncStats;
 struct LaunchEnv;
 
@@ -35,15 +35,14 @@ namespace compiled
 {
 
 /** Execute one warp instruction (timing-model / warp-stream contract). */
-WarpStepResult stepWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
+WarpStepResult stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
                         const LaunchEnv &env);
 
 /**
  * Run a warp until done, at a barrier, or at the per-warp instruction limit.
- * `stats` may be null (checkpoint fast-forward discards counts, exactly like
- * the interpreter path).
+ * `stats` may be null (checkpoint fast-forward discards counts).
  */
-void runWarp(Interpreter &interp, CtaExec &cta, unsigned warp,
+void runWarp(Executor &executor, CtaExec &cta, unsigned warp,
              const LaunchEnv &env, uint64_t max_instr_per_warp,
              FuncStats *stats);
 

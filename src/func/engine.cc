@@ -36,20 +36,19 @@ bool
 FunctionalEngine::runCta(CtaExec &cta, const LaunchEnv &env,
                          uint64_t max_instr_per_warp, FuncStats *stats)
 {
-    return runCtaWith(*interp_, cta, env, max_instr_per_warp, stats);
+    return runCtaWith(*exec_, cta, env, max_instr_per_warp, stats);
 }
 
 bool
-FunctionalEngine::runCtaWith(Interpreter &interp, CtaExec &cta,
+FunctionalEngine::runCtaWith(Executor &exec, CtaExec &cta,
                              const LaunchEnv &env, uint64_t max_instr_per_warp,
                              FuncStats *stats)
 {
-    if (interp.raceCheck())
+    if (exec.raceCheck())
         cta.enableRaceCheck();
-    // The compiled backend runs warps in batches (whole basic-block spans per
-    // dispatch) unless a warp-stream cache needs per-step granularity.
-    const bool batch =
-        interp.execMode() == ExecMode::Compiled && !interp.warpStreamActive();
+    // Warps run in batches (whole basic-block spans per dispatch) unless a
+    // warp-stream cache or a site profiler needs per-step granularity.
+    const bool batch = !exec.warpStreamActive() && !exec.siteProfiler();
     // Stat classes do not depend on bug flags: the clean program serves.
     const ptx::Uop *uops =
         stats && !batch
@@ -77,14 +76,14 @@ FunctionalEngine::runCtaWith(Interpreter &interp, CtaExec &cta,
         for (unsigned w = 0; w < cta.numWarps(); w++) {
             if (batch) {
                 const uint64_t before = cta.warpInstrCount(w);
-                compiled::runWarp(interp, cta, w, env, max_instr_per_warp,
+                compiled::runWarp(exec, cta, w, env, max_instr_per_warp,
                                   stats);
                 progressed |= cta.warpInstrCount(w) != before;
                 continue;
             }
             while (!cta.warpDone(w) && !cta.warpAtBarrier(w) &&
                    cta.warpInstrCount(w) < max_instr_per_warp) {
-                const WarpStepResult res = interp.stepWarp(cta, w, env);
+                const WarpStepResult res = exec.stepWarp(cta, w, env);
                 if (stats)
                     stats->accumulate(res, uops[res.pc]);
                 progressed = true;
@@ -125,7 +124,7 @@ FunctionalEngine::launch(const LaunchEnv &env, const Dim3 &grid,
     // run serially while it is attached.
     const bool parallel = pool_ && pool_->threadCount() > 1 && num_ctas > 1 &&
                           !ptx::usesGlobalAtomics(*env.kernel) &&
-                          !interp_->siteProfiler();
+                          !exec_->siteProfiler();
     if (parallel)
         return launchParallel(env, grid, block, num_ctas);
 
@@ -147,19 +146,18 @@ FunctionalEngine::launchParallel(const LaunchEnv &env, const Dim3 &grid,
     // coverage counts are integer vectors, so reducing the shards in fixed
     // worker order reproduces the serial totals bitwise.
     const unsigned workers = pool_->threadCount();
-    CoverageMap *cov = interp_->coverage();
+    CoverageMap *cov = exec_->coverage();
     std::vector<FuncStats> stat_shards(workers);
     std::vector<CoverageMap> cov_shards(cov ? workers : 0);
 
     pool_->parallelFor(num_ctas, [&](uint64_t c, unsigned w) {
-        Interpreter interp(interp_->memory(), interp_->bugs(),
-                           interp_->execMode());
-        interp.setRaceCheck(interp_->raceCheck());
+        Executor exec(exec_->memory(), exec_->bugs());
+        exec.setRaceCheck(exec_->raceCheck());
         if (cov)
-            interp.setCoverage(&cov_shards[w]);
+            exec.setCoverage(&cov_shards[w]);
         auto cta = makeCta(env, grid, block, c);
         const bool done =
-            runCtaWith(interp, *cta, env, UINT64_MAX, &stat_shards[w]);
+            runCtaWith(exec, *cta, env, UINT64_MAX, &stat_shards[w]);
         MLGS_ASSERT(done, "unlimited CTA run did not complete");
     });
 

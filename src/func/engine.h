@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "common/thread_pool.h"
-#include "func/interpreter.h"
+#include "func/executor.h"
 #include "ptx/uop.h"
 
 namespace mlgs::func
@@ -33,7 +33,7 @@ struct FuncStats
 
     /**
      * Same-phase shared-memory conflicts confirmed by the dynamic race
-     * shadow (always 0 unless Interpreter::setRaceCheck is on; the shadow
+     * shadow (always 0 unless Executor::setRaceCheck is on; the shadow
      * never alters any other stat or simulated state).
      */
     uint64_t shared_races = 0;
@@ -76,7 +76,7 @@ struct FuncStats
 };
 
 /**
- * Executes grids CTA-by-CTA on an Interpreter.
+ * Executes grids CTA-by-CTA on an Executor.
  *
  * With a ThreadPool attached (setThreadPool), launch() fans independent CTAs
  * out across the pool's workers: each worker steps whole CTAs with its own
@@ -88,7 +88,7 @@ struct FuncStats
 class FunctionalEngine
 {
   public:
-    explicit FunctionalEngine(Interpreter &interp) : interp_(&interp) {}
+    explicit FunctionalEngine(Executor &exec) : exec_(&exec) {}
 
     /** Attach (or detach with nullptr) the worker pool for CTA fan-out. */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
@@ -111,17 +111,15 @@ class FunctionalEngine
                 uint64_t max_instr_per_warp = UINT64_MAX,
                 FuncStats *stats = nullptr);
 
-    Interpreter &interpreter() { return *interp_; }
-
   private:
-    static bool runCtaWith(Interpreter &interp, CtaExec &cta,
+    static bool runCtaWith(Executor &exec, CtaExec &cta,
                            const LaunchEnv &env, uint64_t max_instr_per_warp,
                            FuncStats *stats);
 
     FuncStats launchParallel(const LaunchEnv &env, const Dim3 &grid,
                              const Dim3 &block, uint64_t num_ctas);
 
-    Interpreter *interp_;
+    Executor *exec_;
     ThreadPool *pool_ = nullptr;
 };
 

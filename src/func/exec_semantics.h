@@ -1,13 +1,11 @@
 /**
  * @file
- * The scalar execution semantics of the PTX dialect, extracted from the
- * interpreter so the compiled micro-op executor (src/func/compiled/) runs the
- * exact same code paths. Everything here is deliberately deterministic down
- * to the bit: canonical NaN on computed float results, -0 < +0 min/max
- * ordering, partial-union register writes, f32 arithmetic via a double
- * round-trip. Both backends must stay bitwise identical on register files
- * and memory — that property is what the difftest corpus enforces — so any
- * change here changes both backends together.
+ * The scalar execution semantics of the PTX dialect, shared by every handler
+ * of the compiled micro-op executor (src/func/compiled/). Everything here is
+ * deliberately deterministic down to the bit: canonical NaN on computed
+ * float results, -0 < +0 min/max ordering, partial-union register writes,
+ * f32 arithmetic via a double round-trip. The difftest corpus checks the
+ * results against the independent scalar reference (difftest::RefExec).
  */
 #ifndef MLGS_FUNC_EXEC_SEMANTICS_H
 #define MLGS_FUNC_EXEC_SEMANTICS_H
@@ -230,25 +228,6 @@ readSpecial(ptx::SReg sreg, const CtaExec &cta, unsigned tid)
       case ptx::SReg::Clock: return uint32_t(cta.totalInstrCount());
       default: panic("bad special register");
     }
-}
-
-/** Kernel-static (shared/local/param) then module-symbol address lookup. */
-inline addr_t
-symbolAddr(const std::string &sym, const ptx::KernelDef &k,
-           const SymbolTable *symbols)
-{
-    if (const auto *sv = k.findShared(sym))
-        return kSharedBase + sv->offset;
-    if (const auto *lv = k.findLocal(sym))
-        return kLocalBase + lv->offset;
-    if (const auto *p = k.findParam(sym))
-        return kParamBase + p->offset;
-    if (symbols) {
-        const auto it = symbols->find(sym);
-        if (it != symbols->end())
-            return it->second;
-    }
-    fatal("unresolved symbol '", sym, "' in kernel ", k.name);
 }
 
 /** Resolved effective address. */

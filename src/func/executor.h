@@ -1,25 +1,22 @@
 /**
  * @file
- * Functional execution of PTX warp instructions. One Interpreter instance is
+ * Functional execution of PTX warp instructions. One Executor instance is
  * shared by the pure-functional engine and by the timing model (which calls
  * stepWarp at issue time, GPGPU-Sim style).
  *
- * Two backends sit behind stepWarp(): the reference interpreter here
- * (per-instruction decode of the parsed IR) and the compiled micro-op
- * executor (src/func/compiled/, threaded dispatch over the lowered uop
- * stream from ptx/uop.h). Both run the shared scalar semantics in
- * func/exec_semantics.h and are bitwise identical on register files and
- * memory; ExecMode picks which one executes.
+ * The Executor owns nothing that executes: it holds global memory, the bug
+ * model and the attached observers (coverage, warp streams, race check, site
+ * profiler), and dispatches each step to the compiled micro-op executor
+ * (src/func/compiled/, threaded dispatch over the lowered uop stream from
+ * ptx/uop.h) or, with a warp-stream replay cache attached, to the recorded
+ * stream.
  */
-#ifndef MLGS_FUNC_INTERPRETER_H
-#define MLGS_FUNC_INTERPRETER_H
-
-#include <string>
+#ifndef MLGS_FUNC_EXECUTOR_H
+#define MLGS_FUNC_EXECUTOR_H
 
 #include "func/bug_model.h"
 #include "func/coverage.h"
 #include "func/cta_exec.h"
-#include "func/exec_mode.h"
 #include "func/launch_env.h"
 #include "func/texture.h"
 #include "func/warp_step.h"
@@ -33,17 +30,13 @@ namespace mlgs::func
 class SiteProfiler;
 
 /** Executes warp instructions against a CtaExec and global memory. */
-class Interpreter
+class Executor
 {
   public:
-    explicit Interpreter(GpuMemory &mem, BugModel bugs = BugModel{},
-                         ExecMode mode = ExecMode::Auto)
-        : mem_(&mem), bugs_(bugs), mode_(resolveExecMode(mode))
+    explicit Executor(GpuMemory &mem, BugModel bugs = BugModel{})
+        : mem_(&mem), bugs_(bugs)
     {
     }
-
-    /** The resolved functional backend (never Auto). */
-    ExecMode execMode() const { return mode_; }
 
     /** Optional coverage collection (differential coverage debugging). */
     void setCoverage(CoverageMap *cov) { coverage_ = cov; }
@@ -57,7 +50,7 @@ class Interpreter
 
     /**
      * Replay warp instructions from previously recorded streams instead of
-     * interpreting: stepWarp() pops the next recorded step for the warp and
+     * executing: stepWarp() pops the next recorded step for the warp and
      * performs no register or memory work, so device memory is not updated.
      * Pass nullptr to detach. Mutually exclusive with record.
      */
@@ -88,13 +81,12 @@ class Interpreter
     bool raceCheck() const { return check_races_; }
 
     /**
-     * Attach a per-pc memory-site profiler (perf-lint agreement loop).
-     * Requires the interp backend (the profiler needs per-lane shared
-     * addresses only the reference interpreter surfaces) and forces both
-     * engines onto their serial paths. Pass nullptr to detach. Purely
-     * observational: simulation results are bitwise identical either way.
+     * Attach a per-pc memory-site profiler (perf-lint agreement loop). It
+     * forces both engines onto their serial, per-step paths. Pass nullptr to
+     * detach. Purely observational: simulation results are bitwise
+     * identical either way.
      */
-    void setSiteProfiler(SiteProfiler *prof);
+    void setSiteProfiler(SiteProfiler *prof) { profiler_ = prof; }
     SiteProfiler *siteProfiler() const { return profiler_; }
 
     /**
@@ -104,17 +96,11 @@ class Interpreter
     WarpStepResult stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env);
 
   private:
-    WarpStepResult stepWarpExec(CtaExec &cta, unsigned warp,
-                                const LaunchEnv &env);
     WarpStepResult replayStep(CtaExec &cta, unsigned warp,
                               const LaunchEnv &env);
 
-    void execLane(const ptx::Instr &ins, CtaExec &cta, unsigned tid,
-                  unsigned lane, const LaunchEnv &env, WarpStepResult &res);
-
     GpuMemory *mem_;
     BugModel bugs_;
-    ExecMode mode_;
     bool check_races_ = false;
     CoverageMap *coverage_ = nullptr;
     WarpStreamCache *record_streams_ = nullptr;
@@ -124,4 +110,4 @@ class Interpreter
 
 } // namespace mlgs::func
 
-#endif // MLGS_FUNC_INTERPRETER_H
+#endif // MLGS_FUNC_EXECUTOR_H

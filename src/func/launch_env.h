@@ -1,8 +1,7 @@
 /**
  * @file
- * Launch-time environment shared by both execution backends (the reference
- * interpreter and the compiled micro-op executor): kernel, packed params,
- * module symbol addresses and texture bindings.
+ * Launch-time environment of the functional executor: kernel, packed
+ * params, module symbol addresses and texture bindings.
  */
 #ifndef MLGS_FUNC_LAUNCH_ENV_H
 #define MLGS_FUNC_LAUNCH_ENV_H

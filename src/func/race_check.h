@@ -1,6 +1,6 @@
 /**
  * @file
- * Dynamic shared-memory race detection for the functional interpreter: the
+ * Dynamic shared-memory race detection for the functional executor: the
  * run-time confirmation side of the static verifier's shared-race check.
  *
  * Each CTA carries per-byte shadow state over its shared segment recording

@@ -1,16 +1,16 @@
 /**
  * @file
  * Per-pc memory-site profiler: the dynamic half of perf-lint's agreement
- * loop. While attached to the interpreter (interp backend only, serial
- * execution is forced), it measures for every executed memory instruction
+ * loop. While attached to the func::Executor (per-step, serial execution is
+ * forced), it measures for every executed memory instruction
  *
  *  - global sites: the number of distinct L1 lines each warp access touches
  *    (the same dedupe the timing model's coalescer performs), split into
  *    all accesses and full-warp (32 active lanes) accesses;
  *  - shared sites: the bank-conflict degree of each warp access (max
  *    distinct bank-width words routed to one bank; same-word lanes
- *    broadcast), from the per-lane shared addresses the interpreter feeds
- *    in during the step.
+ *    broadcast), from the per-lane shared addresses the compiled stepWarp
+ *    feeds in during the step, in lane order.
  *
  * Results are keyed by (kernel name, block shape) so one run covering many
  * launch shapes can still be joined site-by-site against the static
@@ -75,7 +75,7 @@ class SiteProfiler
     {
     }
 
-    /** Interpreter hooks (serial execution is forced while attached). */
+    /** Executor hooks (serial execution is forced while attached). */
     void beginStep() { shared_lanes_.clear(); }
     void
     noteSharedLane(addr_t seg_addr, unsigned bytes)

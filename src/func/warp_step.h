@@ -1,7 +1,7 @@
 /**
  * @file
  * Result record of executing one warp instruction — the contract between the
- * functional interpreter and both engines (pure-functional and timing).
+ * functional executor and both engines (pure-functional and timing).
  */
 #ifndef MLGS_FUNC_WARP_STEP_H
 #define MLGS_FUNC_WARP_STEP_H

@@ -13,8 +13,9 @@
  * about address-window bases or the functional engine. Static symbols are
  * stored as (space, offset) pairs and runtime symbols (module globals,
  * texrefs) as indices into UopProgram::syms; the executor in src/func folds
- * window bases and resolves names against the launch environment, keeping
- * generic-space resolution identical to the interpreter's.
+ * window bases and resolves names against the launch environment, then
+ * classifies each effective address by its window (generic-space
+ * resolution).
  */
 #ifndef MLGS_PTX_UOP_H
 #define MLGS_PTX_UOP_H
@@ -189,7 +190,7 @@ InstrTiming instrTiming(const Instr &ins);
 /**
  * Per-kernel cache of lowered programs, keyed by LowerBugs, plus the
  * bug-independent timing table. Owned by the KernelDef via shared_ptr so
- * every Interpreter (including the per-CTA instances the parallel engine
+ * every func::Executor (including the per-CTA instances the parallel engine
  * spawns) shares one lowering per variant.
  */
 struct UopCache

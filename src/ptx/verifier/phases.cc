@@ -6,7 +6,7 @@
  * region between the branch and its reconvergence block is executed by each
  * side of the warp split serially (SIMT-stack semantics). A bar.sync inside
  * that region whose reconvergence point post-dominates it can never be
- * reached by the whole CTA at once — the interpreter would trip its
+ * reached by the whole CTA at once — the executor would trip its
  * "divergent warp at barrier" requirement at run time; here it is an error
  * before anything runs.
  *

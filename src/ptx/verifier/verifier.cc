@@ -2,7 +2,7 @@
  * @file
  * Verifier driver and the type/width consistency check.
  *
- * The type check exploits a property of the interpreter's register file:
+ * The type check exploits a property of the executor's register file:
  * RegVal is a 64-bit union and writeTyped touches only the field selected by
  * the instruction's type specifier. A register declared wider than an
  * instruction writing it therefore keeps stale upper bytes (the paper's

@@ -13,11 +13,10 @@ namespace mlgs::cuda
 {
 
 Context::Device::Device(const ContextOptions &opts)
-    : interp(mem, opts.bugs, opts.exec_mode),
-      func_engine(interp),
-      gpu(std::make_unique<timing::GpuModel>(opts.gpu, interp))
+    : exec(mem, opts.bugs), func_engine(exec),
+      gpu(std::make_unique<timing::GpuModel>(opts.gpu, exec))
 {
-    interp.setRaceCheck(opts.check_races);
+    exec.setRaceCheck(opts.check_races);
 }
 
 Context::Device::~Device() = default;

@@ -9,14 +9,15 @@
  *
  * One Context hosts `device_count` fully independent simulated GPUs behind a
  * cudaSetDevice-style device table: each device owns its memory, allocator,
- * interpreter, timing model, module registry, texture state and DeviceEngine.
+ * functional executor, timing model, module registry, texture state and
+ * DeviceEngine.
  * Peer-to-peer copies (cudaMemcpyPeer-style) travel over a link::Fabric
  * interconnect model and are the only cross-device coupling.
  *
  * Execution itself lives one layer down: Context translates API calls into
  * engine::Stream ops and hands them to the owning device's
  * engine::DeviceEngine driving a mode-appropriate engine::ExecBackend
- * (functional interpretation or the cycle-level timing model with concurrent
+ * (functional execution or the cycle-level timing model with concurrent
  * kernel residency).
  */
 #ifndef MLGS_RUNTIME_CONTEXT_H
@@ -83,13 +84,6 @@ struct ContextOptions
     SimMode mode = SimMode::Functional;
     func::BugModel bugs;
     timing::GpuConfig gpu;
-
-    /**
-     * Functional execution backend: the reference interpreter or the
-     * compiled micro-op executor (bitwise identical; the compiled backend is
-     * faster). Auto resolves from MLGS_EXEC, defaulting to compiled.
-     */
-    func::ExecMode exec_mode = func::ExecMode::Auto;
 
     /**
      * How launches are timed in performance mode: every launch through the
@@ -352,7 +346,7 @@ class Context : public func::TextureProvider
     GpuMemory &memory(int device) { return at(device).mem; }
     DeviceAllocator &allocator() { return dev().alloc; }
     DeviceAllocator &allocator(int device) { return at(device).alloc; }
-    func::Interpreter &interpreter() { return dev().interp; }
+    func::Executor &executor() { return dev().exec; }
     func::FunctionalEngine &functionalEngine() { return dev().func_engine; }
     timing::GpuModel &gpuModel() { return *dev().gpu; }
     timing::GpuModel &gpuModel(int device) { return *at(device).gpu; }
@@ -401,7 +395,7 @@ class Context : public func::TextureProvider
 
         GpuMemory mem;
         DeviceAllocator alloc;
-        func::Interpreter interp;
+        func::Executor exec;
         func::FunctionalEngine func_engine;
         std::unique_ptr<timing::GpuModel> gpu;
 

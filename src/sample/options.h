@@ -3,10 +3,10 @@
  * Sampled fast-forward timing configuration. The performance model can run
  * every launch through the cycle-level GpuModel (Detailed), or cluster
  * launches by signature and cycle-simulate only cluster representatives
- * (Sampled). Selection order mirrors func::ExecMode: an explicit
- * ContextOptions choice wins, then the MLGS_TIMING environment variable
- * ("detailed" / "sampled"), then the default (Detailed — the cycle model
- * stays bitwise-unchanged unless sampling is asked for).
+ * (Sampled). Selection order mirrors ThreadPool::resolveThreadCount: an
+ * explicit ContextOptions choice wins, then the MLGS_TIMING environment
+ * variable ("detailed" / "sampled"), then the default (Detailed — the cycle
+ * model stays bitwise-unchanged unless sampling is asked for).
  */
 #ifndef MLGS_SAMPLE_OPTIONS_H
 #define MLGS_SAMPLE_OPTIONS_H

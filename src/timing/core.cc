@@ -53,8 +53,8 @@ TimingTotals::operator-(const TimingTotals &o) const
 }
 
 ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
-                       func::Interpreter &interp)
-    : id_(id), cfg_(&cfg), interp_(&interp), l1_(cfg.l1)
+                       func::Executor &exec)
+    : id_(id), cfg_(&cfg), exec_(&exec), l1_(cfg.l1)
 {
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
@@ -109,7 +109,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
     } else {
         cs.cta = std::make_unique<func::CtaExec>(
             *disp.env->kernel, disp.grid, disp.block, cta_id,
-            /*alloc_state=*/!interp_->warpStreamReplayActive());
+            /*alloc_state=*/!exec_->warpStreamReplayActive());
     }
     cs.disp = &disp;
     cs.warp_slots = slots;
@@ -229,7 +229,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
     const func::LaunchEnv &env = *cs.disp->env;
 
-    const WarpStepResult res = interp_->stepWarp(*cs.cta, w.warp_in_cta, env);
+    const WarpStepResult res = exec_->stepWarp(*cs.cta, w.warp_in_cta, env);
     w.last_issue = now;
 
     const InstrTiming &t = (*cs.disp->timing)[res.pc];

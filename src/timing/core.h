@@ -121,7 +121,7 @@ struct KernelDispatch
 class ShaderCore
 {
   public:
-    ShaderCore(unsigned id, const GpuConfig &cfg, func::Interpreter &interp);
+    ShaderCore(unsigned id, const GpuConfig &cfg, func::Executor &exec);
 
     /** Try to claim and install the dispatch's next CTA; true on success. */
     bool tryIssueCta(KernelDispatch &disp);
@@ -186,7 +186,7 @@ class ShaderCore
 
     unsigned id_;
     const GpuConfig *cfg_;
-    func::Interpreter *interp_;
+    func::Executor *exec_;
     TagCache l1_;
 
     std::vector<CtaSlot> cta_slots_;

@@ -11,11 +11,11 @@ namespace
 constexpr cycle_t kNoDeadline = std::numeric_limits<cycle_t>::max();
 } // namespace
 
-GpuModel::GpuModel(const GpuConfig &cfg, func::Interpreter &interp)
-    : cfg_(cfg), interp_(&interp)
+GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec)
+    : cfg_(cfg), exec_(&exec)
 {
     for (unsigned c = 0; c < cfg_.num_cores; c++)
-        cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, interp));
+        cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, exec));
     for (unsigned p = 0; p < cfg_.num_partitions; p++)
         partitions_.push_back(std::make_unique<MemPartition>(cfg_, p));
 }
@@ -41,14 +41,14 @@ GpuModel::parallelStepAllowed(const stats::AerialSampler *sampler) const
         return false;
     // The sampler and the coverage map are shared mutable state written
     // from inside ShaderCore::cycle / stepWarp; keep those runs serial.
-    if (sampler || interp_->coverage())
+    if (sampler || exec_->coverage())
         return false;
     // Warp-stream capture appends to shared per-warp vectors and replay is
     // only meaningful against a serially recorded stream; keep both serial.
-    if (interp_->warpStreamActive())
+    if (exec_->warpStreamActive())
         return false;
     // The site profiler accumulates per-pc counters in one map.
-    if (interp_->siteProfiler())
+    if (exec_->siteProfiler())
         return false;
     // Global atomics order cross-CTA memory updates; a started kernel
     // using them pins the whole device to the serial path.

@@ -19,7 +19,7 @@
 #include <optional>
 
 #include "common/thread_pool.h"
-#include "func/interpreter.h"
+#include "func/executor.h"
 #include "stats/aerial.h"
 #include "timing/core.h"
 #include "timing/partition.h"
@@ -63,7 +63,7 @@ struct KernelCompletion
 class GpuModel
 {
   public:
-    GpuModel(const GpuConfig &cfg, func::Interpreter &interp);
+    GpuModel(const GpuConfig &cfg, func::Executor &exec);
     ~GpuModel();
 
     // ---- event-driven interface ----
@@ -177,7 +177,7 @@ class GpuModel
     KernelCompletion finishActive(size_t idx);
 
     GpuConfig cfg_;
-    func::Interpreter *interp_;
+    func::Executor *exec_;
     ThreadPool *pool_ = nullptr;
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     std::vector<std::unique_ptr<MemPartition>> partitions_;

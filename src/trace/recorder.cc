@@ -37,7 +37,7 @@ TraceRecorder::detach()
         if (ctx_->apiObserver() == this)
             ctx_->setApiObserver(nullptr);
         if (warp_streams_)
-            ctx_->interpreter().setWarpStreamRecord(nullptr);
+            ctx_->executor().setWarpStreamRecord(nullptr);
     }
     ctx_ = nullptr;
 }
@@ -53,7 +53,7 @@ TraceRecorder::captureWarpStreams()
                  "warp-stream capture requires performance mode");
     if (!warp_streams_) {
         warp_streams_ = std::make_shared<func::WarpStreamCache>();
-        ctx_->interpreter().setWarpStreamRecord(warp_streams_.get());
+        ctx_->executor().setWarpStreamRecord(warp_streams_.get());
     }
 }
 

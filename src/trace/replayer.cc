@@ -59,15 +59,15 @@ TraceReplayer::replayImpl(cuda::Context &ctx, func::WarpStreamCache *record,
     // Attach the warp-stream hooks for the duration of the replay.
     MLGS_REQUIRE(!(record && replay_streams),
                  "cannot capture and replay warp streams at once");
-    ctx.interpreter().setWarpStreamRecord(record);
-    ctx.interpreter().setWarpStreamReplay(replay_streams);
+    ctx.executor().setWarpStreamRecord(record);
+    ctx.executor().setWarpStreamReplay(replay_streams);
     struct HookGuard
     {
         cuda::Context *ctx;
         ~HookGuard()
         {
-            ctx->interpreter().setWarpStreamRecord(nullptr);
-            ctx->interpreter().setWarpStreamReplay(nullptr);
+            ctx->executor().setWarpStreamRecord(nullptr);
+            ctx->executor().setWarpStreamReplay(nullptr);
         }
     } guard{&ctx};
 

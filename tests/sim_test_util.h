@@ -100,13 +100,11 @@ struct MiniGpu
 {
     GpuMemory mem;
     DeviceAllocator alloc;
-    func::Interpreter interp;
+    func::Executor exec;
     func::FunctionalEngine engine;
     func::SymbolTable symbols;
 
-    explicit MiniGpu(func::BugModel bugs = {},
-                     func::ExecMode mode = func::ExecMode::Auto)
-        : interp(mem, bugs, mode), engine(interp)
+    explicit MiniGpu(func::BugModel bugs = {}) : exec(mem, bugs), engine(exec)
     {
     }
 

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "func/bug_model.h"
+#include "func/site_profiler.h"
 #include "sim_test_util.h"
 
 using namespace mlgs;
@@ -40,9 +41,13 @@ enum Slot
     kNumSlots = 8
 };
 
-/** Run the probe kernel under `bugs`; returns the 8 output slots raw. */
+/**
+ * Run the probe kernel under `bugs`; returns the 8 output slots raw. With
+ * `step` set, a site profiler is attached, which moves the functional engine
+ * from the batch loop onto the per-step path the timing model uses.
+ */
 std::vector<uint32_t>
-runProbe(func::BugModel bugs, func::ExecMode mode = func::ExecMode::Auto)
+runProbe(func::BugModel bugs, bool step = false)
 {
     const char *src = R"(
 .visible .entry bugprobe(.param .u64 out)
@@ -89,7 +94,10 @@ runProbe(func::BugModel bugs, func::ExecMode mode = func::ExecMode::Auto)
     ret;
 }
 )";
-    MiniGpu gpu(bugs, mode);
+    MiniGpu gpu(bugs);
+    func::SiteProfiler prof;
+    if (step)
+        gpu.exec.setSiteProfiler(&prof);
     const ptx::Module m = ptx::parseModule(src, "bugprobe.ptx");
     const addr_t out = gpu.alloc.alloc(kNumSlots * 4);
     ParamPack p;
@@ -180,45 +188,37 @@ TEST(BugModel, SplitFmaChangesExactlyFmaF32)
     EXPECT_EQ(bugged[kFmaF32], bugged[kMulAdd]);
 }
 
-// Bug injection is baked in at lowering time for the compiled backend, so
-// every flag must behave identically there: same targeted slot, same buggy
-// value, no collateral damage — regardless of what MLGS_EXEC says.
+// Bug injection is baked into the compiled executor at lowering time, so
+// every flag must behave identically on its per-step path (timing model,
+// warp streams, site profiler) as in the batch loop: same targeted slot,
+// same buggy value, no collateral damage.
 
 TEST(BugModel, LegacyRemUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.legacy_rem = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.legacy_rem = true}, true);
     expectOnlySlotChanged(base, bugged, kRemS32);
     EXPECT_EQ(bugged[kRemS32], 0u);
-    // Both backends produce the identical buggy bit pattern.
-    EXPECT_EQ(bugged, runProbe({.legacy_rem = true}, func::ExecMode::Interp));
+    // Step and batch produce the identical buggy bit pattern.
+    EXPECT_EQ(bugged, runProbe({.legacy_rem = true}));
 }
 
 TEST(BugModel, LegacyBfeUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.legacy_bfe = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.legacy_bfe = true}, true);
     expectOnlySlotChanged(base, bugged, kBfeS32);
     EXPECT_EQ(bugged[kBfeS32], 15u);
-    EXPECT_EQ(bugged, runProbe({.legacy_bfe = true}, func::ExecMode::Interp));
+    EXPECT_EQ(bugged, runProbe({.legacy_bfe = true}));
 }
 
 TEST(BugModel, SplitFmaUnderCompiledBackend)
 {
-    const auto base = runProbe({}, func::ExecMode::Compiled);
-    const auto bugged =
-        runProbe({.split_fma = true}, func::ExecMode::Compiled);
+    const auto base = runProbe({}, true);
+    const auto bugged = runProbe({.split_fma = true}, true);
     expectOnlySlotChanged(base, bugged, kFmaF32);
     EXPECT_EQ(bugged[kFmaF32], bits(kFmaA * kFmaA + kFmaC));
-    EXPECT_EQ(bugged, runProbe({.split_fma = true}, func::ExecMode::Interp));
-}
-
-TEST(BugModel, CleanProbeIdenticalAcrossBackends)
-{
-    EXPECT_EQ(runProbe({}, func::ExecMode::Interp),
-              runProbe({}, func::ExecMode::Compiled));
+    EXPECT_EQ(bugged, runProbe({.split_fma = true}));
 }
 
 TEST(BugModel, FlagsComposeIndependently)

@@ -52,7 +52,7 @@ runConv(cuda::SimMode mode, unsigned threads, cudnn::ConvFwdAlgo algo)
 
     func::CoverageMap cov;
     if (mode == cuda::SimMode::Functional)
-        ctx.interpreter().setCoverage(&cov);
+        ctx.executor().setCoverage(&cov);
 
     const cudnn::TensorDesc xd(2, 8, 12, 12);
     const cudnn::FilterDesc wd(8, 8, 3, 3);

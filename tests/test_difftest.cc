@@ -157,7 +157,7 @@ timeGenerated(const GenKernel &gk, unsigned sim_threads, size_t &num_regs)
     // sharded step runs.
     timing::GpuConfig cfg;
     cfg.max_ctas_per_core = 1;
-    timing::GpuModel model(cfg, gpu.interp);
+    timing::GpuModel model(cfg, gpu.exec);
     ThreadPool pool(sim_threads);
     model.setThreadPool(&pool);
     model.runKernel(env, gk.spec.grid, gk.spec.block);
@@ -254,51 +254,44 @@ TEST(DifftestReproducer, DumpAndReRunRefails)
         << "reproducer no longer fails: " << again.failure;
 }
 
-TEST(DifftestExecSelection, SingleBackendCleanRunsPass)
+TEST(DifftestReproducer, SidecarOmitsAndIgnoresBackendKeys)
 {
-    KernelGen gen(5);
-    const GenKernel gk = gen.generate();
-    for (DiffExec sel : {DiffExec::Interp, DiffExec::Compiled}) {
-        DiffOptions opts;
-        opts.exec = sel;
-        opts.check_bug_detectability = false;
-        const DiffResult r = runKernel(gk, opts);
-        EXPECT_TRUE(r.ok) << r.failure;
-        EXPECT_TRUE(r.diverged_backend.empty()) << r.diverged_backend;
-    }
-}
-
-TEST(DifftestExecSelection, InjectedDivergenceNamesBothBackends)
-{
-    // The flags are semantic (baked into both backends), so an injected
-    // divergence must show up on the interpreter AND the compiled executor,
-    // and the reproducer sidecar must record selection + culprit.
+    // The writer records no engine-backend selection (there is one engine);
+    // sidecars written by older builds still carry `exec` and
+    // `diverged_backend`, and the loader must ignore both keys.
     DiffOptions opts;
     opts.inject.legacy_rem = true;
-    opts.exec = DiffExec::Both;
 
     KernelGen gen(7);
-    GenKernel gk = gen.generate();
-    const DiffResult r = runKernel(gk, opts);
-    ASSERT_TRUE(r.injected_diverged);
-    EXPECT_EQ(r.diverged_backend, "interp+compiled");
+    const GenKernel gk = gen.generate();
+    ASSERT_TRUE(runKernel(gk, opts).injected_diverged);
 
     mlgs::test::ScopedTmpDir tmp;
-    const std::string base = tmp.file("repro_exec");
-    dumpReproducer(gk, opts, base, &r);
+    const std::string base = tmp.file("repro_keys");
+    dumpReproducer(gk, opts, base);
 
-    std::ifstream js(base + ".json");
-    ASSERT_TRUE(js.good());
-    std::stringstream ss;
-    ss << js.rdbuf();
-    const std::string sidecar = ss.str();
-    EXPECT_NE(sidecar.find("\"exec\": \"both\""), std::string::npos);
-    EXPECT_NE(sidecar.find("\"diverged_backend\": \"interp+compiled\""),
-              std::string::npos);
+    std::string sidecar;
+    {
+        std::ifstream js(base + ".json");
+        ASSERT_TRUE(js.good());
+        std::stringstream ss;
+        ss << js.rdbuf();
+        sidecar = ss.str();
+    }
+    EXPECT_EQ(sidecar.find("\"exec\""), std::string::npos);
+    EXPECT_EQ(sidecar.find("\"diverged_backend\""), std::string::npos);
 
+    const size_t at = sidecar.find("  \"inject\"");
+    ASSERT_NE(at, std::string::npos);
+    sidecar.insert(at, "  \"exec\": \"interp\",\n"
+                       "  \"diverged_backend\": \"interp+compiled\",\n");
+    {
+        std::ofstream js(base + ".json", std::ios::binary | std::ios::trunc);
+        js << sidecar;
+    }
     const DiffResult again = runReproducer(base);
+    EXPECT_TRUE(again.parse_ok);
     EXPECT_TRUE(again.injected_diverged) << again.failure;
-    EXPECT_EQ(again.diverged_backend, "interp+compiled");
 }
 
 TEST(DifftestReference, DisagreesWithEveryInjectedBugOnProbeKernel)
@@ -409,11 +402,11 @@ TEST_P(DifftestStrideProbe, StaticAndMeasuredClassMatchSeed)
         ASSERT_NE(ssite, nullptr) << "seed " << seed;
         EXPECT_EQ(ssite->conflict_degree, c.degree) << "seed " << seed;
 
-        // Dynamic side: run under the interpreter with the site profiler
-        // attached and require the measured counters to agree exactly.
-        mlgs::test::MiniGpu gpu({}, func::ExecMode::Interp);
+        // Dynamic side: run with the site profiler attached and require the
+        // measured counters to agree exactly.
+        mlgs::test::MiniGpu gpu;
         func::SiteProfiler prof;
-        gpu.interp.setSiteProfiler(&prof);
+        gpu.exec.setSiteProfiler(&prof);
 
         const uint64_t threads = gk.spec.totalThreads();
         std::vector<uint8_t> in(size_t(4) * gk.spec.in_words * threads, 0);

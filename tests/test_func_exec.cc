@@ -1,8 +1,9 @@
 /**
  * @file
- * Functional-interpreter unit tests: per-instruction semantics (including
- * the paper's rem/bfe/brev cases), divergence, barriers, atomics, and the
- * injectable legacy bugs.
+ * Functional-executor unit tests with fixed expected values: per-instruction
+ * semantics (including the paper's rem/bfe/brev cases), divergence,
+ * barriers, atomics, and the injectable legacy bugs. (The suite keeps its
+ * historical name, Interp.)
  */
 #include <gtest/gtest.h>
 
@@ -640,7 +641,7 @@ TEST(Interp, CoverageMapRecordsVariants)
 {
     MiniGpu gpu;
     func::CoverageMap cov;
-    gpu.interp.setCoverage(&cov);
+    gpu.exec.setCoverage(&cov);
     runScalarKernel<uint32_t>(R"(
     mov.u32 %r1, 17;
     mov.u32 %r2, 5;

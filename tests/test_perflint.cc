@@ -379,9 +379,9 @@ joinAgreement(const KernelPerfReport &rep,
 
 TEST(PerfLintAgreement, ShippedKernelsMatchMeasuredCounters)
 {
-    test::MiniGpu gpu({}, func::ExecMode::Interp);
+    test::MiniGpu gpu;
     func::SiteProfiler prof;
-    gpu.interp.setSiteProfiler(&prof);
+    gpu.exec.setSiteProfiler(&prof);
 
     const ptx::Module common =
         ptx::parseModule(cudnn::kCommonPtx, "common.ptx");

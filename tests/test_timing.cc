@@ -91,7 +91,7 @@ TEST(Timing, VecAddCorrectUnderTimingModel)
     TimingFixture f;
     timing::GpuConfig cfg;
     cfg.num_cores = 4;
-    timing::GpuModel gpu_model(cfg, f.gpu.interp);
+    timing::GpuModel gpu_model(cfg, f.gpu.exec);
     const auto rs = gpu_model.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
     f.checkResult();
     EXPECT_GT(rs.cycles, 100u);
@@ -108,7 +108,7 @@ TEST(Timing, MoreCoresFewerCycles)
         TimingFixture f;
         timing::GpuConfig cfg;
         cfg.num_cores = 1;
-        timing::GpuModel m(cfg, f.gpu.interp);
+        timing::GpuModel m(cfg, f.gpu.exec);
         cycles_small = m.runKernel(f.env, Dim3(f.n / 128), Dim3(128)).cycles;
         f.checkResult();
     }
@@ -116,7 +116,7 @@ TEST(Timing, MoreCoresFewerCycles)
         TimingFixture f;
         timing::GpuConfig cfg;
         cfg.num_cores = 8;
-        timing::GpuModel m(cfg, f.gpu.interp);
+        timing::GpuModel m(cfg, f.gpu.exec);
         cycles_big = m.runKernel(f.env, Dim3(f.n / 128), Dim3(128)).cycles;
         f.checkResult();
     }
@@ -130,7 +130,7 @@ TEST(Timing, SchedulerPoliciesBothComplete)
         timing::GpuConfig cfg;
         cfg.num_cores = 2;
         cfg.sched_policy = pol;
-        timing::GpuModel m(cfg, f.gpu.interp);
+        timing::GpuModel m(cfg, f.gpu.exec);
         const auto rs = m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
         f.checkResult();
         EXPECT_GT(rs.cycles, 0u);
@@ -142,7 +142,7 @@ TEST(Timing, AerialSamplerSeries)
     TimingFixture f;
     timing::GpuConfig cfg;
     cfg.num_cores = 2;
-    timing::GpuModel m(cfg, f.gpu.interp);
+    timing::GpuModel m(cfg, f.gpu.exec);
     stats::AerialSampler sampler(64, cfg.num_cores, cfg.totalDramBanks());
     m.runKernel(f.env, Dim3(f.n / 128), Dim3(128), &sampler);
     sampler.finish();
@@ -161,7 +161,7 @@ TEST(Timing, PowerBreakdownPositiveAndDominatedSensibly)
     TimingFixture f;
     timing::GpuConfig cfg;
     cfg.num_cores = 4;
-    timing::GpuModel m(cfg, f.gpu.interp);
+    timing::GpuModel m(cfg, f.gpu.exec);
     m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
     power::PowerModel pm;
     const auto pb = pm.compute(m.totals(), cfg.core_clock_ghz);
@@ -268,7 +268,7 @@ TEST(Timing, ResumeFromSkippedCtasMatchesFull)
     timing::GpuConfig cfg;
     cfg.num_cores = 2;
     {
-        timing::GpuModel m(cfg, full.gpu.interp);
+        timing::GpuModel m(cfg, full.gpu.exec);
         m.runKernel(full.env, Dim3(full.n / 128), Dim3(128));
         full.checkResult();
     }
@@ -282,7 +282,7 @@ TEST(Timing, ResumeFromSkippedCtasMatchesFull)
                                                Dim3(128), c);
             part.gpu.engine.runCta(*cta, part.env);
         }
-        timing::GpuModel m(cfg, part.gpu.interp);
+        timing::GpuModel m(cfg, part.gpu.exec);
         const auto rs = m.runKernelFrom(part.env, Dim3(part.n / 128), Dim3(128),
                                         skip, {});
         part.checkResult();
@@ -494,7 +494,7 @@ runWideWithVecAdd(unsigned sim_threads)
     timing::GpuConfig cfg;
     cfg.num_cores = 2;
     cfg.max_ctas_per_core = 2;
-    timing::GpuModel m(cfg, f.gpu.interp);
+    timing::GpuModel m(cfg, f.gpu.exec);
     ThreadPool pool(sim_threads);
     m.setThreadPool(&pool);
     m.beginKernel(wenv, Dim3(n / 64), Dim3(64), 0);

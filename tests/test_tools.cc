@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 
 #include "chkpt/checkpoint.h"
 #include "debug/debugger.h"
@@ -244,7 +245,7 @@ TEST(DebugTool, DifferentialCoverageIsolatesRem)
 
     auto runWith = [&](bool with_shift, func::CoverageMap &cov) {
         cuda::Context ctx;
-        ctx.interpreter().setCoverage(&cov);
+        ctx.executor().setCoverage(&cov);
         ctx.loadModule(kScale, "scale.ptx");
         ctx.loadModule(kRingShift, "ring.ptx");
         const addr_t src = ctx.malloc(n * 4);
@@ -282,8 +283,8 @@ TEST(Instrument, InstrumentedKernelStillComputesAndLogs)
     const addr_t src = 0x10000000, dst = 0x10001000, log = 0x10100000;
     for (unsigned i = 0; i < n; i++)
         mem.store<float>(src + i * 4, float(i));
-    func::Interpreter interp(mem);
-    func::FunctionalEngine eng(interp);
+    func::Executor exec(mem);
+    func::FunctionalEngine eng(exec);
     func::LaunchEnv env;
     env.kernel = &inst;
     cuda::KernelArgs args;
@@ -374,8 +375,8 @@ TEST(Checkpoint, CtaStateRoundTrips)
     GpuMemory mem;
     for (unsigned i = 0; i < 64; i++)
         mem.store<float>(0x10000000 + i * 4, float(i));
-    func::Interpreter interp(mem);
-    func::FunctionalEngine eng(interp);
+    func::Executor exec(mem);
+    func::FunctionalEngine eng(exec);
     func::LaunchEnv env;
     env.kernel = &m.kernels[0];
     cuda::KernelArgs args;
@@ -409,12 +410,267 @@ TEST(Checkpoint, CtaStateRoundTrips)
     GpuMemory mem2;
     for (unsigned i = 0; i < 64; i++)
         mem2.store<float>(0x10000000 + i * 4, float(i));
-    func::Interpreter interp2(mem2);
-    func::FunctionalEngine eng2(interp2);
+    func::Executor exec2(mem2);
+    func::FunctionalEngine eng2(exec2);
     eng2.runCta(*restored, env);
     for (unsigned i = 0; i < 64; i++)
         ASSERT_EQ(mem.load<float>(0x10002000 + i * 4),
                   mem2.load<float>(0x10002000 + i * 4));
+}
+
+// Two 40-thread CTAs: warp 1 of each is a partial warp with 8 live lanes.
+// Shared memory, a barrier and a divergent branch give the checkpointed SIMT
+// state some depth; few registers keep the file small enough to corrupt at
+// every byte offset.
+const char *kPartialWarp = R"(
+.visible .entry partial_warp(.param .u64 Dst)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<6>;
+    .reg .pred %p<2>;
+    .shared .align 4 .b8 tile[160];
+    ld.param.u64 %rd1, [Dst];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %ctaid.x;
+    mad.lo.u32 %r3, %r2, 40, %r1;
+    mov.u64 %rd2, tile;
+    mul.wide.u32 %rd3, %r1, 4;
+    add.u64 %rd2, %rd2, %rd3;
+    st.shared.u32 [%rd2], %r3;
+    bar.sync 0;
+    setp.lt.u32 %p1, %r1, 20;
+    @%p1 bra SKIP;
+    ld.shared.u32 %r4, [%rd2];
+    add.u32 %r5, %r4, 1000;
+    mul.wide.u32 %rd3, %r3, 4;
+    add.u64 %rd3, %rd1, %rd3;
+    st.global.u32 [%rd3], %r5;
+SKIP:
+    ret;
+}
+)";
+
+/** Launch partial_warp over 80 outputs and return them. */
+std::vector<uint32_t>
+runPartialWarp(cuda::Context &ctx)
+{
+    const addr_t dst = ctx.malloc(80 * 4);
+    ctx.memsetD(dst, 0, 80 * 4);
+    cuda::KernelArgs args;
+    args.ptr(dst);
+    ctx.launch("partial_warp", Dim3(2), Dim3(40), args);
+    ctx.deviceSynchronize();
+    std::vector<uint32_t> out(80);
+    ctx.memcpyD2H(out.data(), dst, out.size() * 4);
+    return out;
+}
+
+std::unique_ptr<cuda::Context>
+partialWarpContext(cuda::SimMode mode)
+{
+    cuda::ContextOptions opts;
+    opts.mode = mode;
+    opts.gpu.num_cores = 1;
+    opts.sim_threads = 1;
+    auto ctx = std::make_unique<cuda::Context>(opts);
+    ctx->loadModule(kPartialWarp, "partial.ptx");
+    return ctx;
+}
+
+void
+writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(bytes.data()),
+            std::streamsize(bytes.size()));
+}
+
+/**
+ * Load `bytes` as a checkpoint and resume it in `mode`. Returns true when a
+ * FatalError rejected it, at load or at resume; any other exception fails
+ * the test.
+ */
+bool
+rejected(const std::string &path, const std::vector<uint8_t> &bytes,
+         cuda::SimMode mode, const std::string &what)
+{
+    writeFile(path, bytes);
+    try {
+        auto ctx = partialWarpContext(mode);
+        chkpt::CheckpointLoader loader(*ctx, path);
+        runPartialWarp(*ctx);
+        return false;
+    } catch (const FatalError &) {
+        return true;
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << what << ": not a FatalError: " << e.what();
+        return true;
+    }
+}
+
+uint64_t
+readLe(const std::vector<uint8_t> &b, size_t at, size_t n)
+{
+    uint64_t v = 0;
+    std::memcpy(&v, b.data() + at, n);
+    return v;
+}
+
+void
+writeLe(std::vector<uint8_t> &b, size_t at, uint64_t v, size_t n)
+{
+    std::memcpy(b.data() + at, &v, n);
+}
+
+/**
+ * Offset of CTA (cta_x, 0, 0)'s record inside a partial_warp checkpoint,
+ * found by its id and 40-thread count.
+ */
+size_t
+ctaRecordOffset(const std::vector<uint8_t> &file, uint32_t cta_x)
+{
+    uint8_t head[16] = {};
+    std::memcpy(head, &cta_x, 4);
+    const uint32_t nthreads = 40;
+    std::memcpy(head + 12, &nthreads, 4);
+    for (size_t i = 0; i + sizeof(head) <= file.size(); i++)
+        if (std::memcmp(file.data() + i, head, sizeof(head)) == 0)
+            return i;
+    ADD_FAILURE() << "CTA " << cta_x << " record not found";
+    return 0;
+}
+
+/** Offset of warp `warp`'s SIMT entry count in the CTA record at `cta`. */
+size_t
+warpRecordOffset(const std::vector<uint8_t> &file, size_t cta, unsigned warp)
+{
+    size_t pos = cta + 16; // id, thread count
+    for (unsigned t = 0; t < 40; t++) {
+        pos += 8 + 8 * readLe(file, pos, 8); // registers
+        pos += 8 + readLe(file, pos, 8);     // local memory
+    }
+    pos += 4; // warp count
+    for (unsigned w = 0; w < warp; w++)
+        pos += 8 + 12 * readLe(file, pos, 8) + 1 + 8;
+    return pos;
+}
+
+TEST(Checkpoint, CorruptFileIsFatalError)
+{
+    mlgs::test::ScopedTmpDir tmp;
+    const std::string good_path = tmp.file("good.ckpt");
+    const std::string bad_path = tmp.file("bad.ckpt");
+
+    std::vector<uint32_t> want;
+    {
+        auto ctx = partialWarpContext(cuda::SimMode::Functional);
+        want = runPartialWarp(*ctx);
+    }
+    // Both CTAs stop after 11 instructions per warp: warp 0 has just
+    // diverged at the bra (its taken lanes wait at SKIP under the
+    // fallthrough entry: two SIMT entries), warp 1 has one entry.
+    {
+        auto ctx = partialWarpContext(cuda::SimMode::Functional);
+        chkpt::CheckpointConfig cfg;
+        cfg.kernel_x = 0;
+        cfg.cta_m = 0;
+        cfg.cta_t = 1;
+        cfg.instr_y = 11;
+        cfg.path = good_path;
+        chkpt::CheckpointWriter writer(*ctx, cfg);
+        runPartialWarp(*ctx);
+        ASSERT_TRUE(writer.reached());
+    }
+    std::vector<uint8_t> good;
+    {
+        std::ifstream f(good_path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(good.empty());
+
+    // The intact file resumes to the straight run's result in both modes.
+    for (const auto mode :
+         {cuda::SimMode::Functional, cuda::SimMode::Performance}) {
+        auto ctx = partialWarpContext(mode);
+        chkpt::CheckpointLoader loader(*ctx, good_path);
+        EXPECT_EQ(runPartialWarp(*ctx), want) << "mode " << int(mode);
+    }
+
+    // Truncation at every byte offset.
+    for (size_t n = 0; n < good.size(); n++) {
+        const std::vector<uint8_t> cut(good.begin(), good.begin() + n);
+        EXPECT_TRUE(rejected(bad_path, cut, cuda::SimMode::Functional,
+                             "truncated to " + std::to_string(n)))
+            << "truncated to " << n << " bytes";
+    }
+
+    // Single-byte flips at every offset: a clean rejection or a resumed run,
+    // never a panic or a crash. The CTA ids and SIMT records also resume on
+    // the timing model (register bytes only matter functionally).
+    const size_t cta0 = ctaRecordOffset(good, 0);
+    const size_t cta1 = ctaRecordOffset(good, 1);
+    std::vector<std::pair<size_t, size_t>> simt; // [begin, end) byte ranges
+    for (const size_t cta : {cta0, cta1}) {
+        simt.push_back({cta, cta + 16});
+        simt.push_back({warpRecordOffset(good, cta, 0) - 4,
+                        warpRecordOffset(good, cta, 2) + 8});
+    }
+    for (size_t at = 0; at < good.size(); at++) {
+        for (const uint8_t flip : {uint8_t(0x01), uint8_t(0xff)}) {
+            std::vector<uint8_t> bad = good;
+            bad[at] ^= flip;
+            const std::string what = "byte " + std::to_string(at) + " ^ " +
+                                     std::to_string(flip);
+            rejected(bad_path, bad, cuda::SimMode::Functional, what);
+            for (const auto &[b, e] : simt)
+                if (at >= b && at < e)
+                    rejected(bad_path, bad, cuda::SimMode::Performance, what);
+        }
+    }
+
+    // Targeted SIMT corruptions, each rejected at load with an error that
+    // names the checkpoint.
+    const uint64_t ninstrs =
+        ptx::parseModule(kPartialWarp, "partial.ptx").kernels[0].instrs.size();
+    const size_t w0 = warpRecordOffset(good, cta0, 0);
+    const size_t w1 = warpRecordOffset(good, cta0, 1);
+    ASSERT_EQ(readLe(good, w0, 8), 2u) << "warp 0 should be diverged";
+    ASSERT_EQ(readLe(good, w1, 8), 1u);
+    ASSERT_EQ(readLe(good, w1 + 16, 4), 0xffu) << "8 live lanes";
+    const size_t w0_top = w0 + 8 + 12;
+    struct Case
+    {
+        const char *what;
+        size_t at;
+        uint64_t value;
+        size_t width;
+    };
+    const Case cases[] = {
+        {"top pc == instruction count", w0_top, ninstrs, 4},
+        {"bottom pc past the kernel", w0 + 8, 0x7fffffff, 4},
+        {"reconvergence pc past the kernel", w0_top + 4, ninstrs + 3, 4},
+        {"partial-warp mask names a dead lane", w1 + 16, 0x1ff, 4},
+        {"partial-warp mask of lane 31", w1 + 16, 0x80000000u, 4},
+        {"empty mask", w0_top + 8, 0, 4},
+        {"barrier flag 2", w1 + 8 + 12, 2, 1},
+        {"CTA id outside the grid", cta1, 2, 4},
+        {"CTA y outside the grid", cta1 + 4, 1, 4},
+    };
+    for (const Case &c : cases) {
+        std::vector<uint8_t> bad = good;
+        writeLe(bad, c.at, c.value, c.width);
+        writeFile(bad_path, bad);
+        try {
+            auto ctx = partialWarpContext(cuda::SimMode::Functional);
+            chkpt::CheckpointLoader loader(*ctx, bad_path);
+            ADD_FAILURE() << c.what << ": accepted at load";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(bad_path), std::string::npos)
+                << c.what << ": error does not name the checkpoint: "
+                << e.what();
+        }
+    }
 }
 
 // ---- oracle ----

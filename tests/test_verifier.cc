@@ -305,7 +305,7 @@ runRaceKernel(test::MiniGpu &gpu, const char *src, const char *kernel,
 TEST(DynamicRace, ConfirmsSeededRace)
 {
     test::MiniGpu gpu;
-    gpu.interp.setRaceCheck(true);
+    gpu.exec.setRaceCheck(true);
     const auto stats = runRaceKernel(gpu, kBadRace, "bad_race");
     EXPECT_GT(stats.shared_races, 0u)
         << "the neighbour-slot load must be confirmed as a dynamic race";
@@ -314,7 +314,7 @@ TEST(DynamicRace, ConfirmsSeededRace)
 TEST(DynamicRace, BarrierSeparatedExchangeIsRaceFree)
 {
     test::MiniGpu gpu;
-    gpu.interp.setRaceCheck(true);
+    gpu.exec.setRaceCheck(true);
     const auto stats = runRaceKernel(gpu, kGoodRace, "good_race");
     EXPECT_EQ(stats.shared_races, 0u);
 }
@@ -341,7 +341,7 @@ observeSgemm(bool check_races)
     test::MiniGpu gpu;
     ThreadPool pool(4);
     gpu.engine.setThreadPool(&pool);
-    gpu.interp.setRaceCheck(check_races);
+    gpu.exec.setRaceCheck(check_races);
 
     const ptx::Module m = ptx::parseModule(blas::kBlasPtx, "libcublas_lite.ptx");
     const unsigned n = 32;
