@@ -9,11 +9,6 @@ namespace mlgs
 namespace
 {
 
-// Spin this many epoch checks before a worker goes to sleep on the condvar.
-// The timing model issues one job per simulated cycle, so between jobs the
-// gap is typically far shorter than a sleep/wake round trip.
-constexpr unsigned kSpinLimit = 1u << 14;
-
 // Safety cap: more threads than this is never useful for this simulator.
 constexpr unsigned kMaxThreads = 256;
 
@@ -44,13 +39,11 @@ ThreadPool::ThreadPool(unsigned threads)
 
 ThreadPool::~ThreadPool()
 {
-    stop_.store(true);
     {
         std::lock_guard<std::mutex> lk(mu_);
-        cv_.notify_all();
+        stop_ = true;
     }
-    // Wake spinners too: the epoch bump makes them re-check stop_.
-    epoch_.fetch_add(1);
+    job_cv_.notify_all();
     for (auto &t : workers_)
         t.join();
 }
@@ -79,30 +72,17 @@ ThreadPool::workerLoop(unsigned worker)
 {
     uint64_t seen = 0;
     while (true) {
-        unsigned spins = 0;
-        while (true) {
-            const uint64_t e = epoch_.load();
-            if (stop_.load())
-                return;
-            if (e != seen) {
-                seen = e;
-                break;
-            }
-            if (++spins < kSpinLimit) {
-                continue;
-            }
+        {
             std::unique_lock<std::mutex> lk(mu_);
-            sleepers_.fetch_add(1);
-            cv_.wait(lk, [&] {
-                return stop_.load() || epoch_.load() != seen;
-            });
-            sleepers_.fetch_sub(1);
-            spins = 0;
+            job_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
+            if (stop_)
+                return;
+            seen = epoch_;
         }
-        if (stop_.load())
-            return;
         runShard(worker);
-        pending_.fetch_sub(1, std::memory_order_release);
+        std::lock_guard<std::mutex> lk(mu_);
+        if (--pending_ == 0)
+            done_cv_.notify_one();
     }
 }
 
@@ -116,30 +96,26 @@ ThreadPool::parallelFor(uint64_t n,
         return;
     }
 
-    body_ = &body;
-    total_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    pending_.store(unsigned(workers_.size()), std::memory_order_relaxed);
-    epoch_.fetch_add(1); // publish (seq_cst pairs with the sleepers_ check)
-    if (sleepers_.load() > 0) {
+    {
         std::lock_guard<std::mutex> lk(mu_);
-        cv_.notify_all();
+        body_ = &body;
+        total_ = n;
+        next_.store(0, std::memory_order_relaxed);
+        failed_.store(false, std::memory_order_relaxed);
+        first_error_ = nullptr;
+        pending_ = unsigned(workers_.size());
+        epoch_++;
     }
+    job_cv_.notify_all();
 
     runShard(0);
 
-    // Workers still draining indices; help by just waiting (each remaining
-    // index is claimed exactly once via next_).
-    unsigned spins = 0;
-    while (pending_.load(std::memory_order_acquire) > 0) {
-        if (++spins >= kSpinLimit) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
+    // Each worker decrements pending_ under mu_ after its shard, which also
+    // publishes any first_error_ it set.
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [&] { return pending_ == 0; });
     body_ = nullptr;
+    lk.unlock();
 
     if (first_error_)
         std::rethrow_exception(first_error_);

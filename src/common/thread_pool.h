@@ -1,11 +1,9 @@
 /**
  * @file
- * Fixed-size worker pool with a parallelFor primitive, shared by the
- * functional engine (CTA fan-out) and the timing model (per-cycle core
- * sharding). Designed for very frequent, very short parallel regions: the
- * timing model invokes parallelFor once per simulated cycle, so workers
- * spin briefly on an epoch counter before falling back to a condition
- * variable, and the calling thread participates as worker 0.
+ * Fixed-size worker pool with a parallelFor primitive, used by the
+ * functional engine to fan independent CTAs across host threads. Jobs are
+ * coarse (whole CTAs), so workers simply sleep on a condition variable
+ * between jobs, and the calling thread participates as worker 0.
  *
  * parallelFor is a plain fork-join: indices are handed out with an atomic
  * counter (dynamic chunking, chunk size 1) and the call returns only after
@@ -65,21 +63,20 @@ class ThreadPool
 
     std::vector<std::thread> workers_;
 
-    // Job descriptor for the current parallelFor invocation.
+    // Job descriptor for the current parallelFor invocation, published
+    // under mu_ together with the epoch bump.
     const std::function<void(uint64_t, unsigned)> *body_ = nullptr;
     uint64_t total_ = 0;
-    std::atomic<uint64_t> next_{0};    ///< next index to hand out
-    std::atomic<unsigned> pending_{0}; ///< workers still inside the job
-    std::atomic<uint64_t> epoch_{0};   ///< bumped to publish a new job
-    std::atomic<bool> stop_{false};
+    std::atomic<uint64_t> next_{0};   ///< next index to hand out
+    std::atomic<bool> failed_{false}; ///< a body threw; drain remaining
+    std::exception_ptr first_error_;  ///< set by the first thrower only
 
-    std::atomic<bool> failed_{false};  ///< a body threw; drain remaining
-    std::exception_ptr first_error_;
-
-    // Sleep path for workers that spun too long between jobs.
     std::mutex mu_;
-    std::condition_variable cv_;
-    std::atomic<unsigned> sleepers_{0};
+    std::condition_variable job_cv_;  ///< workers: new epoch or stop
+    std::condition_variable done_cv_; ///< caller: pending_ reached zero
+    uint64_t epoch_ = 0;              ///< bumped to publish a new job
+    unsigned pending_ = 0;            ///< workers still inside the job
+    bool stop_ = false;
 };
 
 } // namespace mlgs

@@ -45,10 +45,8 @@ Context::Context(ContextOptions opts) : opts_(std::move(opts))
 
     for (int i = 0; i < opts_.device_count; i++) {
         auto d = std::make_unique<Device>(opts_);
-        if (pool_) {
+        if (pool_)
             d->func_engine.setThreadPool(pool_.get());
-            d->gpu->setThreadPool(pool_.get());
-        }
         if (opts_.mode == SimMode::Performance) {
             if (resolved_timing_ == sample::TimingMode::Sampled) {
                 auto sb = std::make_unique<sample::SampledBackend>(

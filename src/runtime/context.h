@@ -126,11 +126,12 @@ struct ContextOptions
     bool check_races = false;
 
     /**
-     * Host worker threads for the simulation itself: parallel CTA fan-out
-     * in functional mode, sharded per-cycle core stepping in performance
-     * mode. 0 = auto (MLGS_SIM_THREADS env var, else hardware concurrency);
-     * 1 = exact legacy serial path. Results are bitwise identical at any
-     * setting. Multi-GPU contexts share one pool across all devices.
+     * Host worker threads for functional CTA fan-out: functional mode and
+     * the functionally fast-forwarded launches of sampled timing. Detailed
+     * timing steps its cores on the calling thread at any setting. 0 = auto
+     * (MLGS_SIM_THREADS env var, else hardware concurrency); 1 = exact
+     * legacy serial path. Results are bitwise identical at any setting.
+     * Multi-GPU contexts share one pool across all devices.
      */
     unsigned sim_threads = 0;
 

@@ -7,7 +7,6 @@
 #ifndef MLGS_TIMING_CORE_H
 #define MLGS_TIMING_CORE_H
 
-#include <atomic>
 #include <iterator>
 #include <memory>
 #include <unordered_map>
@@ -98,13 +97,7 @@ struct KernelDispatch
     unsigned shared_bytes_per_cta = 0;
     uint64_t total_ctas = 0;
     uint64_t next_cta = 0;      ///< next linear CTA id to install
-
-    /**
-     * Atomic: cores stepping in parallel (GpuModel's sharded cycle loop)
-     * retire CTAs concurrently. The value is a pure sum, so the result is
-     * independent of retirement order.
-     */
-    std::atomic<uint64_t> completed_ctas{0};
+    uint64_t completed_ctas = 0;
 
     /**
      * Checkpoint resume: pre-initialized (possibly mid-execution) CTA states

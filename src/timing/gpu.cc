@@ -11,8 +11,7 @@ namespace
 constexpr cycle_t kNoDeadline = std::numeric_limits<cycle_t>::max();
 } // namespace
 
-GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec)
-    : cfg_(cfg), exec_(&exec)
+GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec) : cfg_(cfg)
 {
     for (unsigned c = 0; c < cfg_.num_cores; c++)
         cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, exec));
@@ -34,55 +33,16 @@ GpuModel::anythingInFlight() const
     return !to_partition_.empty() || !to_core_.empty();
 }
 
-bool
-GpuModel::parallelStepAllowed(const stats::AerialSampler *sampler) const
-{
-    if (!pool_ || pool_->threadCount() <= 1)
-        return false;
-    // The sampler and the coverage map are shared mutable state written
-    // from inside ShaderCore::cycle / stepWarp; keep those runs serial.
-    if (sampler || exec_->coverage())
-        return false;
-    // Warp-stream capture appends to shared per-warp vectors and replay is
-    // only meaningful against a serially recorded stream; keep both serial.
-    if (exec_->warpStreamActive())
-        return false;
-    // The site profiler accumulates per-pc counters in one map.
-    if (exec_->siteProfiler())
-        return false;
-    // Global atomics order cross-CTA memory updates; a started kernel
-    // using them pins the whole device to the serial path.
-    for (const auto &ak : active_)
-        if (ak->started && ptx::usesGlobalAtomics(*ak->env.kernel))
-            return false;
-    return true;
-}
-
 void
 GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 {
-    // 1. Shader cores (issue + writeback). Cores are independent within a
-    //    cycle: each only touches its own CTA slots, L1, queues and
-    //    counters, plus GpuMemory (thread-safe) and the atomic CTA
-    //    completion count. Everything cross-core below runs on this thread
-    //    in ascending core-id order, so the sharded step is bitwise
-    //    equivalent to the serial loop.
-    unsigned busy = 0;
+    // 1. Shader cores (issue + writeback), in ascending core-id order.
     for (auto &core : cores_) {
-        if (core->liveWarps()) {
+        if (core->liveWarps())
             live_.core_active_cycles++;
-            busy++;
-        } else {
+        else
             live_.core_idle_cycles++;
-        }
-    }
-    if (busy >= 2 && parallelStepAllowed(sampler)) {
-        pool_->parallelFor(cores_.size(), [&](uint64_t c, unsigned) {
-            cores_[c]->cycle(now, nullptr);
-        });
-    } else {
-        for (auto &core : cores_)
-            core->cycle(now, sampler);
+        core->cycle(now, sampler);
     }
 
     // 2. Core -> interconnect (all outgoing requests enter the crossbar;

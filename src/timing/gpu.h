@@ -3,6 +3,8 @@
  * Top-level performance model ("Performance simulation mode"): shader cores,
  * a crossbar interconnect, and memory partitions advanced in lock-step, with
  * AerialVision sampling hooks and aggregated counters for the power model.
+ * Like GPGPU-Sim's cycle loop, one host thread (the caller) steps every core
+ * in ascending core-id order; host threads parallelize only functional CTAs.
  *
  * The model is event-drivable: kernels are made resident with beginKernel()
  * and the clock advances via advanceUntil(), so up to
@@ -18,7 +20,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "func/executor.h"
 #include "stats/aerial.h"
 #include "timing/core.h"
@@ -120,17 +121,6 @@ class GpuModel
     const TimingTotals &totals() const { return totals_; }
 
     /**
-     * Attach (or detach with nullptr) the worker pool. With a pool, each
-     * cycle's ShaderCore::cycle calls are sharded across workers; all
-     * cross-core interaction (queue drains, interconnect, partitions) stays
-     * on the calling thread in ascending core-id order, so cycle counts and
-     * all statistics match the serial run bitwise. The serial path is used
-     * whenever an AerialSampler or CoverageMap is attached or a resident
-     * kernel uses global atomics (shared mutable state / ordering).
-     */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
-
-    /**
      * Per-bank DRAM row hit/miss counters, partition-major (partition p,
      * bank b at index p * dram_banks + b). Determinism-suite hook.
      */
@@ -171,14 +161,11 @@ class GpuModel
     };
 
     void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
-    bool parallelStepAllowed(const stats::AerialSampler *sampler) const;
     bool anythingInFlight() const;
     TimingTotals snapshot() const;
     KernelCompletion finishActive(size_t idx);
 
     GpuConfig cfg_;
-    func::Executor *exec_;
-    ThreadPool *pool_ = nullptr;
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     std::vector<std::unique_ptr<MemPartition>> partitions_;
     DelayQueue<MemFetch> to_partition_;

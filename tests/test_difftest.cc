@@ -5,7 +5,8 @@
  * bitwise between the independent scalar reference and the SIMT engine at
  * sim_threads 1 and 4, every bug_model.h injection flag must be detectable,
  * static verifier verdicts must match dynamic race-shadow behaviour, and
- * detailed timing of generated kernels must not depend on sim_threads.
+ * detailed timing of generated kernels must leave the same output memory as
+ * the functional engine.
  *
  * Built as its own ctest executable carrying the `difftest` label, so
  * `ctest -L difftest` selects exactly this corpus while the default ctest
@@ -125,63 +126,75 @@ TEST(DifftestGenerator, LaunchShapesStayBounded)
 }
 
 /**
- * Detailed timing of a generated kernel on a fresh device, with
- * `sim_threads` host threads stepping the cores. Inputs are random words
- * from the spec's data seed; `num_regs` receives the declared register count.
+ * A generated kernel set up on a fresh device: inputs are random words from
+ * the spec's data seed, followed by the output buffer.
  */
-timing::TimingTotals
-timeGenerated(const GenKernel &gk, unsigned sim_threads, size_t &num_regs)
+struct GenLaunch
 {
-    const ptx::Module mod = ptx::parseModule(gk.ptx(), "gen.ptx");
-    const ptx::KernelDef &k = *mod.findKernel(gk.spec.kernel);
-    num_regs = k.reg_types.size();
-
+    ptx::Module mod;
     test::MiniGpu gpu;
-    const uint64_t threads = gk.spec.totalThreads();
-    Rng rng(gk.spec.data_seed);
-    std::vector<uint32_t> words(size_t(gk.spec.in_words) * threads);
-    for (auto &w : words)
-        w = uint32_t(rng.next());
-    const addr_t in0 = gpu.uploadVec(words);
-    const addr_t in1 = gpu.uploadVec(words);
-    const addr_t out = gpu.alloc.alloc(size_t(8) * gk.spec.out_slots * threads);
-    test::ParamPack p;
-    p.add<uint64_t>(in0).add<uint64_t>(in1).add<uint64_t>(out).add<uint32_t>(
-        uint32_t(threads));
-
     func::LaunchEnv env;
-    env.kernel = &k;
-    env.params = p.bytes();
-    env.symbols = &gpu.symbols;
-    // One CTA per core, so multi-CTA grids keep several cores busy and the
-    // sharded step runs.
-    timing::GpuConfig cfg;
-    cfg.max_ctas_per_core = 1;
-    timing::GpuModel model(cfg, gpu.exec);
-    ThreadPool pool(sim_threads);
-    model.setThreadPool(&pool);
-    model.runKernel(env, gk.spec.grid, gk.spec.block);
-    return model.totals();
-}
+    addr_t out = 0;
+    size_t out_bytes = 0;
+
+    explicit GenLaunch(const GenKernel &gk)
+        : mod(ptx::parseModule(gk.ptx(), "gen.ptx"))
+    {
+        const uint64_t threads = gk.spec.totalThreads();
+        Rng rng(gk.spec.data_seed);
+        std::vector<uint32_t> words(size_t(gk.spec.in_words) * threads);
+        for (auto &w : words)
+            w = uint32_t(rng.next());
+        const addr_t in0 = gpu.uploadVec(words);
+        const addr_t in1 = gpu.uploadVec(words);
+        out_bytes = size_t(8) * gk.spec.out_slots * threads;
+        out = gpu.alloc.alloc(out_bytes);
+        test::ParamPack p;
+        p.add<uint64_t>(in0).add<uint64_t>(in1).add<uint64_t>(out).add<uint32_t>(
+            uint32_t(threads));
+        env.kernel = mod.findKernel(gk.spec.kernel);
+        env.params = p.bytes();
+        env.symbols = &gpu.symbols;
+    }
+
+    std::vector<uint8_t> output() { return gpu.download<uint8_t>(out, out_bytes); }
+};
 
 /**
- * Differential timing fuzz: a fixed seed list of generated kernels gives
- * bitwise-equal TimingTotals whether one or four host threads step the
- * cores.
+ * Detailed timing executes each instruction functionally at issue, in the
+ * order its warp schedulers pick. For a fixed seed list of generated
+ * kernels, run with one CTA per core so multi-CTA grids spread over cores,
+ * that order must not change the result: output memory is byte-identical
+ * to the functional engine's run of the same seed.
  */
-TEST(DifftestTiming, GeneratedKernelTotalsMatchAcrossSimThreads)
+TEST(DifftestTiming, GeneratedKernelOutputMatchesFunctionalEngine)
 {
     size_t max_regs = 0;
     unsigned multi_cta = 0;
     for (uint64_t seed = 1; seed <= 200; seed++) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const GenKernel gk = KernelGen(seed).generate();
-        size_t regs = 0;
-        const timing::TimingTotals t1 = timeGenerated(gk, 1, regs);
-        const timing::TimingTotals t4 = timeGenerated(gk, 4, regs);
-        EXPECT_GT(t1.warp_instructions, 0u);
-        test::expectTotalsEq(t1, t4);
-        max_regs = std::max(max_regs, regs);
+
+        GenLaunch functional(gk);
+        functional.gpu.engine.launch(functional.env, gk.spec.grid,
+                                     gk.spec.block);
+
+        GenLaunch timed(gk);
+        timing::GpuConfig cfg;
+        cfg.max_ctas_per_core = 1;
+        timing::GpuModel model(cfg, timed.gpu.exec);
+        const timing::KernelRunStats rs =
+            model.runKernel(timed.env, gk.spec.grid, gk.spec.block);
+        EXPECT_GT(rs.warp_instructions, 0u);
+
+        const std::vector<uint8_t> want = functional.output();
+        const std::vector<uint8_t> got = timed.output();
+        const size_t first_diff = size_t(
+            std::mismatch(want.begin(), want.end(), got.begin()).first -
+            want.begin());
+        EXPECT_EQ(first_diff, want.size()) << "first differing output byte";
+
+        max_regs = std::max(max_regs, timed.env.kernel->reg_types.size());
         multi_cta += gk.spec.grid.count() > 1;
     }
     std::printf("largest declared register count %zu; %u multi-CTA grids\n",

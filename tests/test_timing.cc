@@ -469,14 +469,14 @@ widePtx(unsigned nf)
 }
 
 /**
- * Detailed timing of the wide kernel launched ahead of vecadd (12
- * registers) on two cores that hold two CTAs each. Once the wide grid is
- * all issued, vecadd CTAs take the warp slots its last CTAs free while
- * their exit writebacks are still in flight, so those writebacks clear
- * registers in a narrower kernel's warps.
+ * A wide kernel (172 registers) launched ahead of vecadd (12 registers) on
+ * two cores that hold two CTAs each. Once the wide grid is all issued,
+ * vecadd CTAs take the warp slots its last CTAs free while their exit
+ * writebacks are still in flight, so those writebacks clear registers in a
+ * narrower kernel's warps. The scoreboard must stay in bounds and vecadd's
+ * result must be right.
  */
-timing::TimingTotals
-runWideWithVecAdd(unsigned sim_threads)
+TEST(Timing, NarrowKernelReusesWideKernelSlotsInFlight)
 {
     TimingFixture f;
     const ptx::Module wide = ptx::parseModule(widePtx(160), "wide.ptx");
@@ -495,23 +495,13 @@ runWideWithVecAdd(unsigned sim_threads)
     cfg.num_cores = 2;
     cfg.max_ctas_per_core = 2;
     timing::GpuModel m(cfg, f.gpu.exec);
-    ThreadPool pool(sim_threads);
-    m.setThreadPool(&pool);
     m.beginKernel(wenv, Dim3(n / 64), Dim3(64), 0);
     m.beginKernel(f.env, Dim3(f.n / 128), Dim3(128), 0);
     while (m.residentKernels() > 0)
         m.advanceUntil(~cycle_t(0));
     f.checkResult();
-    return m.totals();
-}
-
-TEST(Timing, WideKernelTotalsMatchAcrossSimThreads)
-{
-    const timing::TimingTotals t1 = runWideWithVecAdd(1);
-    const timing::TimingTotals t4 = runWideWithVecAdd(4);
-    EXPECT_GT(t1.sfu, 0u);
-    EXPECT_GT(t1.warp_instructions, 0u);
-    expectTotalsEq(t1, t4);
+    EXPECT_GT(m.totals().sfu, 0u);
+    EXPECT_GT(m.totals().warp_instructions, 0u);
 }
 
 } // namespace
