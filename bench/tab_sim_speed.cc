@@ -5,17 +5,21 @@
  * user fast-forward functionally and pay the detailed-model cost only for
  * the region of interest. Also emits BENCH_sim_speed.json — a
  * machine-readable record of simulator throughput (kernels/sec,
- * warp-instrs/sec, wall-clock) per sim_threads setting, so the perf
- * trajectory is tracked across PRs.
+ * warp-instrs/sec, wall-clock) per mode and sim_threads setting, plus
+ * detailed-timing replays of the recorded LeNet train step and the
+ * fused-WINOGRAD forward conv (sim cycles/s, warp-instrs/s, CPU seconds),
+ * so the perf trajectory is tracked across PRs.
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "bench/trace_workloads.h"
 #include "chkpt/checkpoint.h"
 
 using namespace mlgs;
@@ -79,7 +83,8 @@ BM_PerformanceMode(benchmark::State &state)
     for (auto _ : state)
         runConvWorkload(cuda::SimMode::Performance, threads);
 }
-BENCHMARK(BM_PerformanceMode)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+// Detailed timing steps its cores on one host thread at any sim_threads.
+BENCHMARK(BM_PerformanceMode)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /** Checkpoint fast-forward: functional prefix + detailed tail. */
 void
@@ -217,6 +222,61 @@ measure(SweepPoint &pt)
     pt.wall_seconds = best;
 }
 
+/** One detailed-timing replay of a recorded trace (best of 3 by CPU time). */
+struct DetailedPoint
+{
+    const char *workload;
+    trace::TraceFile trace;
+    double cpu_seconds = 0.0;
+    double wall_seconds = 0.0;
+    uint64_t cycles = 0;
+    uint64_t warp_instructions = 0;
+};
+
+/**
+ * Record a frontend on a functional context (the op stream and D2H payloads
+ * of both workloads here do not depend on the mode) and tag the trace for
+ * detailed replay.
+ */
+template <typename Frontend>
+trace::TraceFile
+recordForDetailedReplay(cuda::ContextOptions opts, Frontend &&frontend)
+{
+    opts.mode = cuda::SimMode::Functional;
+    cuda::Context ctx(opts);
+    trace::TraceRecorder rec(ctx);
+    frontend(ctx);
+    rec.detach();
+    trace::TraceFile trace = rec.finalize();
+    trace.options.mode = uint8_t(cuda::SimMode::Performance);
+    return trace;
+}
+
+void
+measureDetailed(DetailedPoint &pt)
+{
+    const trace::TraceReplayer rep(pt.trace);
+    cuda::ContextOptions opts = rep.options();
+    opts.sim_threads = 1;
+    pt.cpu_seconds = 1e300;
+    for (int rep_i = 0; rep_i < 3; rep_i++) {
+        const std::clock_t c0 = std::clock();
+        const auto t0 = std::chrono::steady_clock::now();
+        cuda::Context ctx(opts);
+        rep.replay(ctx);
+        const double cpu = double(std::clock() - c0) / CLOCKS_PER_SEC;
+        const double wall = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        if (cpu < pt.cpu_seconds) {
+            pt.cpu_seconds = cpu;
+            pt.wall_seconds = wall;
+        }
+        pt.cycles = ctx.gpuModel().totals().cycles;
+        pt.warp_instructions = ctx.gpuModel().totals().warp_instructions;
+    }
+}
+
 void
 writeSimSpeedJson(const char *path)
 {
@@ -225,10 +285,26 @@ writeSimSpeedJson(const char *path)
         {"functional", cuda::SimMode::Functional, 2, 0.0, {}},
         {"functional", cuda::SimMode::Functional, 4, 0.0, {}},
         {"performance", cuda::SimMode::Performance, 1, 0.0, {}},
-        {"performance", cuda::SimMode::Performance, 4, 0.0, {}},
     };
     for (auto &pt : pts)
         measure(pt);
+
+    ConvTraceSpec wino;
+    wino.algo = int(cudnn::ConvFwdAlgo::Winograd);
+    DetailedPoint detailed[] = {
+        {"lenet_step",
+         recordForDetailedReplay(lenetTraceOptions(),
+                                 [](cuda::Context &ctx) {
+                                     runLenetTrainStepFrontend(ctx);
+                                 })},
+        {"winograd_fwd",
+         recordForDetailedReplay(convTraceOptions(wino),
+                                 [&](cuda::Context &ctx) {
+                                     runConvFrontend(ctx, wino);
+                                 })},
+    };
+    for (auto &pt : detailed)
+        measureDetailed(pt);
 
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -259,16 +335,32 @@ writeSimSpeedJson(const char *path)
                      i + 1 < n ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_functional_4t\": %.3f,\n",
+    std::fprintf(f, "  \"detailed_replays\": [\n");
+    const size_t nd = sizeof(detailed) / sizeof(detailed[0]);
+    for (size_t i = 0; i < nd; i++) {
+        const DetailedPoint &pt = detailed[i];
+        std::fprintf(f,
+                     "    {\"workload\": \"%s\", \"sim_threads\": 1, "
+                     "\"cpu_seconds\": %.3f, \"wall_seconds\": %.3f, "
+                     "\"cycles\": %llu, \"sim_cycles_per_cpu_s\": %.0f, "
+                     "\"warp_instructions\": %llu, "
+                     "\"warp_instrs_per_cpu_s\": %.0f}%s\n",
+                     pt.workload, pt.cpu_seconds, pt.wall_seconds,
+                     (unsigned long long)pt.cycles,
+                     double(pt.cycles) / pt.cpu_seconds,
+                     (unsigned long long)pt.warp_instructions,
+                     double(pt.warp_instructions) / pt.cpu_seconds,
+                     i + 1 < nd ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"speedup_functional_4t\": %.3f\n",
                  pts[0].wall_seconds / pts[2].wall_seconds);
-    std::fprintf(f, "  \"speedup_performance_4t\": %.3f\n",
-                 pts[3].wall_seconds / pts[4].wall_seconds);
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::printf("wrote %s (functional 4t speedup %.2fx, "
-                "performance 4t speedup %.2fx)\n",
+    std::printf("wrote %s (functional 4t speedup %.2fx; detailed lenet_step "
+                "%.2f CPU s, winograd_fwd %.2f CPU s)\n",
                 path, pts[0].wall_seconds / pts[2].wall_seconds,
-                pts[3].wall_seconds / pts[4].wall_seconds);
+                detailed[0].cpu_seconds, detailed[1].cpu_seconds);
 }
 
 } // namespace

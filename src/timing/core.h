@@ -139,6 +139,12 @@ class ShaderCore
     /** Number of live (installed, unfinished) warps. */
     unsigned liveWarps() const { return live_warps_total_; }
 
+    /**
+     * Panics unless nothing is left in flight: no writeback, L1 waiter or
+     * L1 MSHR. Called when a kernel retires on a drained device.
+     */
+    void assertDrained() const;
+
   private:
     struct CtaSlot
     {
@@ -148,6 +154,15 @@ class ShaderCore
         unsigned live_warps = 0;
     };
 
+    /** Cached scheduling verdict of a warp slot's next instruction. */
+    enum class Verdict : uint8_t
+    {
+        Ready,   ///< no data hazard (the memory-structural test is live)
+        Hazard,  ///< a register it reads or writes is busy, or an exit waits
+                 ///< for loads
+        Barrier, ///< parked at bar.sync (or not eligible at all)
+    };
+
     struct WarpSlot
     {
         bool valid = false;
@@ -155,6 +170,10 @@ class ShaderCore
         unsigned warp_in_cta = 0;
         unsigned pending_loads = 0;
         cycle_t last_issue = 0;
+        /** verdict/mem_next are recomputed by refresh() only while stale. */
+        bool stale = true;
+        Verdict verdict = Verdict::Barrier;
+        bool mem_next = false; ///< next instruction touches memory
     };
 
     /**
@@ -170,10 +189,57 @@ class ShaderCore
         uint32_t regs[ptx::InstrTiming::kMaxWrites] = {};
     };
 
-    bool warpEligible(const WarpSlot &w) const;
-    bool warpReady(unsigned slot, stats::StallKind &why) const;
+    /**
+     * Writebacks bucketed by maturity cycle modulo a power-of-two ring
+     * larger than the longest latency. Each bucket is a list threaded
+     * through one node vector, whose free nodes form a free list, so the
+     * pool grows to the most writebacks in flight and is reused from then
+     * on. Drain order within a bucket is unspecified: a writeback only
+     * clears scoreboard bits and decrements a pending-load count, so
+     * same-cycle writebacks commute.
+     */
+    class WritebackWheel
+    {
+      public:
+        explicit WritebackWheel(unsigned max_latency);
+
+        /** Enqueue to mature at `at`, no earlier than the cycle after now. */
+        void push(const Writeback &wb, cycle_t now, cycle_t at);
+
+        /** Pop each writeback maturing at `now` into `f` (it must not push). */
+        template <typename F> void drain(cycle_t now, F &&f);
+
+        bool empty() const { return size_ == 0; }
+        /** Walks every bucket: the drained-device check, not a hot path. */
+        bool bucketsEmpty() const;
+
+      private:
+        static constexpr uint32_t kNil = ~uint32_t(0);
+        struct Node
+        {
+            Writeback wb;
+            uint32_t next = kNil;
+        };
+
+        std::vector<uint32_t> heads_; ///< first node of each bucket
+        std::vector<Node> nodes_;
+        cycle_t mask_ = 0;
+        uint32_t free_ = kNil;
+        size_t size_ = 0;
+    };
+
+    /** Recompute a stale slot's cached verdict from its next instruction. */
+    void refresh(unsigned slot);
+    /** An event changed the slot's inputs; wakes its scheduler. */
+    void
+    markStale(unsigned slot)
+    {
+        warps_[slot].stale = true;
+        sched_quiet_[slot % sched_quiet_.size()] = 0;
+    }
     void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
-    void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t at);
+    void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t now,
+                    cycle_t at);
     void loadPartDone(unsigned slot);
     void completeCtaIfDone(int cta_slot);
 
@@ -196,16 +262,24 @@ class ShaderCore
     std::vector<unsigned> sched_rr_; ///< LRR rotate position per scheduler
     std::vector<int> sched_last_;    ///< GTO sticky warp per scheduler
     std::vector<std::vector<unsigned>> sched_owned_; ///< warp slots per sched
+    /**
+     * Scheduler whose last scan found nothing to issue; it skips scans
+     * until markStale() or a drop below a memory-structural limit wakes it.
+     */
+    std::vector<uint8_t> sched_quiet_;
+    /** CTA slots whose barrier may have completed since the last cycle. */
+    std::vector<unsigned> barrier_checks_;
 
     unsigned used_threads_ = 0;
     unsigned used_shared_ = 0;
     unsigned used_ctas_ = 0;
     unsigned live_warps_total_ = 0;
 
-    PqDelayQueue<Writeback> wb_pipe_;
+    WritebackWheel wb_wheel_;
     std::deque<MemFetch> out_queue_;
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;
+    std::vector<addr_t> load_lines_, store_lines_; ///< issueWarp scratch
 
     TimingTotals counters_;
 };

@@ -1,5 +1,7 @@
 #include "timing/dram.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace mlgs::timing
@@ -34,14 +36,17 @@ DramChannel::rowOf(addr_t line_addr) const
 void
 DramChannel::push(MemFetch mf)
 {
-    pending_per_bank_[bankOf(mf.line_addr)]++;
-    queue_.push_back(std::move(mf));
+    const unsigned bank = bankOf(mf.line_addr);
+    const uint64_t row = rowOf(mf.line_addr);
+    pending_per_bank_[bank]++;
+    queue_.push_back({std::move(mf), bank, row});
 }
 
 void
 DramChannel::cycle(cycle_t now)
 {
-    if (queue_.empty())
+    // No bank can take a request before the earliest one is ready.
+    if (queue_.empty() || now < earliest_ready_)
         return;
 
     const size_t window = std::min(queue_.size(), size_t(cfg_->dram_sched_window));
@@ -50,10 +55,8 @@ DramChannel::cycle(cycle_t now)
     if (cfg_->dram_frfcfs) {
         // First ready row-hit in the window.
         for (size_t i = 0; i < window; i++) {
-            const MemFetch &mf = queue_[i];
-            const unsigned b = bankOf(mf.line_addr);
-            if (banks_[b].ready_at <= now &&
-                banks_[b].open_row == rowOf(mf.line_addr)) {
+            const Bank &bank = banks_[queue_[i].bank];
+            if (bank.ready_at <= now && bank.open_row == queue_[i].row) {
                 pick = i;
                 break;
             }
@@ -62,8 +65,7 @@ DramChannel::cycle(cycle_t now)
     if (pick == SIZE_MAX) {
         // Oldest request whose bank is ready.
         for (size_t i = 0; i < window; i++) {
-            const unsigned b = bankOf(queue_[i].line_addr);
-            if (banks_[b].ready_at <= now) {
+            if (banks_[queue_[i].bank].ready_at <= now) {
                 pick = i;
                 break;
             }
@@ -72,18 +74,17 @@ DramChannel::cycle(cycle_t now)
     if (pick == SIZE_MAX)
         return;
 
-    MemFetch mf = std::move(queue_[pick]);
+    Request req = std::move(queue_[pick]);
     queue_.erase(queue_.begin() + long(pick));
 
-    const unsigned b = bankOf(mf.line_addr);
-    const uint64_t row = rowOf(mf.line_addr);
+    const unsigned b = req.bank;
     Bank &bank = banks_[b];
     pending_per_bank_[b]--;
 
     cycle_t latency = cfg_->dram_cas;
-    if (bank.open_row != row) {
+    if (bank.open_row != req.row) {
         latency += cfg_->dram_row_cycle;
-        bank.open_row = row;
+        bank.open_row = req.row;
         row_misses_++;
         bank_row_misses_[b]++;
     } else {
@@ -97,8 +98,11 @@ DramChannel::cycle(cycle_t now)
     bank.ready_at = completion;
     bank.transfer_start = transfer_start;
     bank.transfer_until = completion;
+    earliest_ready_ = completion;
+    for (const Bank &other : banks_)
+        earliest_ready_ = std::min(earliest_ready_, other.ready_at);
 
-    done_.push(std::move(mf), completion);
+    done_.push(std::move(req.mf), completion);
     inflight_++;
 }
 

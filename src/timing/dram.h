@@ -69,13 +69,22 @@ class DramChannel
         cycle_t transfer_until = 0;
     };
 
+    /** A queued request with its bank and row, mapped once at push. */
+    struct Request
+    {
+        MemFetch mf;
+        unsigned bank = 0;
+        uint64_t row = 0;
+    };
+
     const GpuConfig *cfg_;
     unsigned partition_id_;
     std::vector<Bank> banks_;
     std::vector<unsigned> pending_per_bank_;
-    std::deque<MemFetch> queue_;
+    std::deque<Request> queue_;
     DelayQueue<MemFetch> done_;
     cycle_t bus_free_ = 0;
+    cycle_t earliest_ready_ = 0; ///< min over banks of ready_at
     unsigned inflight_ = 0;
 
     uint64_t row_hits_ = 0;

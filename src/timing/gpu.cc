@@ -42,7 +42,9 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             live_.core_active_cycles++;
         else
             live_.core_idle_cycles++;
-        core->cycle(now, sampler);
+        // An idle core's cycle is a no-op, apart from the sampler's stalls.
+        if (sampler || core->busy())
+            core->cycle(now, sampler);
     }
 
     // 2. Core -> interconnect (all outgoing requests enter the crossbar;
@@ -68,7 +70,8 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
     // 4. Partitions (L2 + DRAM), response collection, bank sampling.
     for (unsigned p = 0; p < partitions_.size(); p++) {
         MemPartition &part = *partitions_[p];
-        part.cycle(now);
+        if (part.busy())
+            part.cycle(now);
         unsigned moved = 0;
         while (part.hasResponse() && moved < 2) {
             MemFetch mf = part.popResponse();
@@ -93,6 +96,16 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 
     if (sampler)
         sampler->endCycle();
+}
+
+void
+GpuModel::assertDrained() const
+{
+    for (const auto &core : cores_)
+        core->assertDrained();
+    for (const auto &part : partitions_)
+        MLGS_ASSERT(part->l2().mshrInUse() == 0, part->l2().mshrInUse(),
+                    " L2 MSHRs in use on a drained device");
 }
 
 std::vector<uint64_t>
@@ -227,32 +240,34 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
         // one-kernel-at-a-time cycle accounting exactly.
         for (size_t i = 0; i < active_.size(); i++) {
             ActiveKernel &ak = *active_[i];
-            if (ak.started && ak.disp.allDone() &&
-                (active_.size() > 1 || !anythingInFlight()))
+            if (!ak.started || !ak.disp.allDone())
+                continue;
+            const bool drained = !anythingInFlight();
+            if (drained)
+                assertDrained();
+            if (drained || active_.size() > 1)
                 return finishActive(i);
         }
 
         // Fully idle gap: every resident kernel is still waiting for its
         // start time — jump the clock instead of simulating empty cycles.
-        if (!anythingInFlight()) {
-            bool any_started = false;
-            cycle_t next_start = kNoDeadline;
-            for (const auto &ak : active_) {
-                if (ak->started)
-                    any_started = true;
-                else
-                    next_start = std::min(next_start, ak->not_before);
-            }
-            if (!any_started && next_start > clock_) {
-                if (next_start > limit) {
-                    clock_ = limit;
-                    last_progress_clock_ = clock_;
-                    return std::nullopt;
-                }
-                clock_ = next_start;
+        bool any_started = false;
+        cycle_t next_start = kNoDeadline;
+        for (const auto &ak : active_) {
+            if (ak->started)
+                any_started = true;
+            else
+                next_start = std::min(next_start, ak->not_before);
+        }
+        if (!any_started && next_start > clock_ && !anythingInFlight()) {
+            if (next_start > limit) {
+                clock_ = limit;
                 last_progress_clock_ = clock_;
-                continue;
+                return std::nullopt;
             }
+            clock_ = next_start;
+            last_progress_clock_ = clock_;
+            continue;
         }
 
         if (clock_ >= limit)

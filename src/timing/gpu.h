@@ -162,6 +162,8 @@ class GpuModel
 
     void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
     bool anythingInFlight() const;
+    /** Panics if a drained device still holds per-request state. */
+    void assertDrained() const;
     TimingTotals snapshot() const;
     KernelCompletion finishActive(size_t idx);
 

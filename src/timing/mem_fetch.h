@@ -7,7 +7,6 @@
 #define MLGS_TIMING_MEM_FETCH_H
 
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
@@ -59,54 +58,6 @@ class DelayQueue
 
   private:
     std::deque<std::pair<cycle_t, T>> q_;
-};
-
-/**
- * Delay queue for entries with heterogeneous latencies (priority ordered by
- * ready time; FIFO among equal times is not guaranteed).
- */
-template <typename T>
-class PqDelayQueue
-{
-  public:
-    void
-    push(T v, cycle_t ready_at)
-    {
-        q_.push({ready_at, seq_++, std::move(v)});
-    }
-
-    bool
-    ready(cycle_t now) const
-    {
-        return !q_.empty() && q_.top().ready_at <= now;
-    }
-
-    T
-    pop()
-    {
-        T v = std::move(const_cast<Entry &>(q_.top()).value);
-        q_.pop();
-        return v;
-    }
-
-    bool empty() const { return q_.empty(); }
-
-  private:
-    struct Entry
-    {
-        cycle_t ready_at;
-        uint64_t seq;
-        T value;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return ready_at != o.ready_at ? ready_at > o.ready_at : seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> q_;
-    uint64_t seq_ = 0;
 };
 
 } // namespace mlgs::timing

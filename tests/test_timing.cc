@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bench/trace_workloads.h"
 #include "power/power_model.h"
 #include "ptx/uop.h"
 #include "sim_test_util.h"
@@ -154,6 +155,104 @@ TEST(Timing, AerialSamplerSeries)
     EXPECT_NE(sampler.renderBankHeatmap().find("DRAM"), std::string::npos);
     EXPECT_NE(sampler.renderIpcStrip().find("IPC"), std::string::npos);
     EXPECT_NE(sampler.renderWarpBreakdown().find("warp"), std::string::npos);
+}
+
+/**
+ * Four independent loads per thread at a 128-byte lane stride: every warp
+ * load splits into 32 line requests. One CTA of four warps on one core
+ * gives each scheduler a single warp, so nothing but the memory-structural
+ * wake-ups can restart a scheduler that the out-queue limit or the
+ * pending-load cap stopped.
+ */
+const char *kScatter = R"(
+.visible .entry scatter(.param .u64 A, .param .u64 C)
+{
+    .reg .u64 %rd<8>;
+    .reg .u32 %r<2>;
+    .reg .f32 %f<8>;
+    ld.param.u64 %rd1, [A];
+    ld.param.u64 %rd2, [C];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 128;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.f32 %f1, [%rd4];
+    ld.global.f32 %f2, [%rd4+16384];
+    ld.global.f32 %f3, [%rd4+32768];
+    ld.global.f32 %f4, [%rd4+49152];
+    add.f32 %f5, %f1, %f2;
+    add.f32 %f6, %f3, %f4;
+    add.f32 %f7, %f5, %f6;
+    mul.wide.u32 %rd5, %r1, 4;
+    add.u64 %rd6, %rd2, %rd5;
+    st.global.f32 [%rd6], %f7;
+    ret;
+}
+)";
+
+/**
+ * An attached sampler makes every scheduler scan every cycle, for its
+ * per-scheduler stall reason; without one, a scheduler whose scan found
+ * nothing sleeps until an event wakes it. Both must simulate the same
+ * machine: a wake-up the core misses shows here as a counter difference or
+ * as a stall the watchdog ends.
+ */
+TEST(Timing, AttachedSamplerLeavesTotalsUnchanged)
+{
+    for (const auto pol : {timing::SchedPolicy::GTO, timing::SchedPolicy::LRR}) {
+        SCOPED_TRACE(pol == timing::SchedPolicy::GTO ? "GTO" : "LRR");
+        // A stall-heavy conv on the full GTX 1080 Ti.
+        bench::ConvTraceSpec spec;
+        spec.sched = pol;
+        const auto conv = [&](bool attach) {
+            const auto opts = bench::convTraceOptions(spec);
+            cuda::Context ctx(opts);
+            stats::AerialSampler sampler(256, opts.gpu.num_cores,
+                                         opts.gpu.totalDramBanks());
+            if (attach)
+                ctx.attachSampler(&sampler);
+            bench::runConvFrontend(ctx, spec);
+            return ctx.gpuModel().totals();
+        };
+        const timing::TimingTotals quiet = conv(false);
+        EXPECT_GT(quiet.warp_instructions, 0u);
+        expectTotalsEq(quiet, conv(true));
+
+        // The scatter kernel: the default cap of 64 load parts stops each
+        // warp after two loads; a cap of 1024 lets all four go, so the
+        // out-queue passes its limit instead.
+        for (const unsigned cap : {64u, 1024u}) {
+            SCOPED_TRACE("scatter, pending-load cap " + std::to_string(cap));
+            const auto scatter = [&](bool attach) {
+                MiniGpu gpu;
+                const ptx::Module m = ptx::parseModule(kScatter, "scatter.ptx");
+                const addr_t a =
+                    gpu.uploadVec(std::vector<float>(4 * 128 * 32, 1.0f));
+                const addr_t c = gpu.alloc.alloc(128 * 4);
+                ParamPack p;
+                p.add<uint64_t>(a).add<uint64_t>(c);
+                func::LaunchEnv env;
+                env.kernel = m.findKernel("scatter");
+                env.params = p.bytes();
+                env.symbols = &gpu.symbols;
+                timing::GpuConfig cfg;
+                cfg.num_cores = 1;
+                cfg.schedulers_per_core = 4;
+                cfg.sched_policy = pol;
+                cfg.max_pending_loads_per_warp = cap;
+                timing::GpuModel model(cfg, gpu.exec);
+                stats::AerialSampler sampler(64, cfg.num_cores,
+                                             cfg.totalDramBanks());
+                model.runKernel(env, Dim3(1), Dim3(128),
+                                attach ? &sampler : nullptr);
+                EXPECT_EQ(gpu.download<float>(c, 128),
+                          std::vector<float>(128, 4.0f));
+                return model.totals();
+            };
+            const timing::TimingTotals quiet_scatter = scatter(false);
+            EXPECT_EQ(quiet_scatter.warp_instructions, 4u * 16u);
+            expectTotalsEq(quiet_scatter, scatter(true));
+        }
+    }
 }
 
 TEST(Timing, PowerBreakdownPositiveAndDominatedSensibly)

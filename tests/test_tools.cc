@@ -673,6 +673,65 @@ TEST(Checkpoint, CorruptFileIsFatalError)
     }
 }
 
+/**
+ * Both CTAs restored with every warp parked at the bar.sync they just
+ * executed: the barrier is complete but not yet released, the state the
+ * timing model holds between the last arrival and the next cycle. The
+ * timing model must release it when it installs the CTA; if it waited for
+ * an arrival or exit that never comes, the run would stall until the
+ * watchdog panics.
+ */
+TEST(Checkpoint, TimingResumeOfParkedWarpsMatchesStraightRun)
+{
+    mlgs::test::ScopedTmpDir tmp;
+    const std::string path = tmp.file("parked.ckpt");
+
+    std::vector<uint32_t> want;
+    {
+        auto ctx = partialWarpContext(cuda::SimMode::Functional);
+        want = runPartialWarp(*ctx);
+    }
+    // Nine instructions per warp end at the bar.sync.
+    {
+        auto ctx = partialWarpContext(cuda::SimMode::Functional);
+        chkpt::CheckpointConfig cfg;
+        cfg.kernel_x = 0;
+        cfg.cta_m = 0;
+        cfg.cta_t = 1;
+        cfg.instr_y = 9;
+        cfg.path = path;
+        chkpt::CheckpointWriter writer(*ctx, cfg);
+        runPartialWarp(*ctx);
+        ASSERT_TRUE(writer.reached());
+    }
+    std::vector<uint8_t> file;
+    {
+        std::ifstream f(path, std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
+    }
+    // The functional writer releases a completed barrier before it stops,
+    // so the file holds the warps just past it; park them again.
+    for (const uint32_t cta_x : {0u, 1u}) {
+        const size_t cta = ctaRecordOffset(file, cta_x);
+        for (unsigned w = 0; w < 2; w++) {
+            const size_t rec = warpRecordOffset(file, cta, w);
+            ASSERT_EQ(readLe(file, rec, 8), 1u) << "one SIMT entry";
+            const size_t flag = rec + 8 + 12;
+            ASSERT_EQ(file[flag], 0u) << "the writer left the barrier set";
+            file[flag] = 1;
+        }
+    }
+    writeFile(path, file);
+
+    for (const auto mode :
+         {cuda::SimMode::Functional, cuda::SimMode::Performance}) {
+        auto ctx = partialWarpContext(mode);
+        chkpt::CheckpointLoader loader(*ctx, path);
+        EXPECT_EQ(runPartialWarp(*ctx), want) << "mode " << int(mode);
+    }
+}
+
 // ---- oracle ----
 
 TEST(Oracle, CorrelationTableIsSane)
