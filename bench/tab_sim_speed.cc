@@ -4,11 +4,12 @@
  * ~7-8x slower (wall clock) than Functional mode, and checkpointing lets a
  * user fast-forward functionally and pay the detailed-model cost only for
  * the region of interest. Also emits BENCH_sim_speed.json — a
- * machine-readable record of simulator throughput (kernels/sec,
- * warp-instrs/sec, wall-clock) per mode and sim_threads setting, plus
- * detailed-timing replays of the recorded LeNet train step and the
- * fused-WINOGRAD forward conv (sim cycles/s, warp-instrs/s, CPU seconds),
- * so the perf trajectory is tracked across PRs.
+ * machine-readable record of simulator throughput, so the perf trajectory
+ * is tracked across changes: the recorded LeNet train step and the
+ * fused-WINOGRAD forward conv replayed functionally at sim_threads 1/2/4
+ * (CPU and wall seconds, warp-instrs/s; speedup_functional_4t) and in
+ * detailed timing at sim_threads 1 (sim cycles/s, warp-instrs/s, CPU
+ * seconds), plus the small conv workload's performance-mode run.
  */
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <ctime>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/trace_workloads.h"
@@ -222,15 +224,11 @@ measure(SweepPoint &pt)
     pt.wall_seconds = best;
 }
 
-/** One detailed-timing replay of a recorded trace (best of 3 by CPU time). */
-struct DetailedPoint
+/** A recorded trace, replayed by the functional and detailed rows. */
+struct RecordedTrace
 {
     const char *workload;
     trace::TraceFile trace;
-    double cpu_seconds = 0.0;
-    double wall_seconds = 0.0;
-    uint64_t cycles = 0;
-    uint64_t warp_instructions = 0;
 };
 
 /**
@@ -252,13 +250,25 @@ recordForDetailedReplay(cuda::ContextOptions opts, Frontend &&frontend)
     return trace;
 }
 
-void
-measureDetailed(DetailedPoint &pt)
+/** One replay configuration: best of 3, CPU and wall time each on its own. */
+struct ReplayPoint
 {
-    const trace::TraceReplayer rep(pt.trace);
+    const RecordedTrace *rec;
+    cuda::SimMode mode;
+    unsigned sim_threads;
+    double cpu_seconds = 1e300;
+    double wall_seconds = 1e300;
+    uint64_t cycles = 0;
+    uint64_t warp_instructions = 0;
+};
+
+void
+measureReplay(ReplayPoint &pt)
+{
+    const trace::TraceReplayer rep(pt.rec->trace);
     cuda::ContextOptions opts = rep.options();
-    opts.sim_threads = 1;
-    pt.cpu_seconds = 1e300;
+    opts.mode = pt.mode;
+    opts.sim_threads = pt.sim_threads;
     for (int rep_i = 0; rep_i < 3; rep_i++) {
         const std::clock_t c0 = std::clock();
         const auto t0 = std::chrono::steady_clock::now();
@@ -268,30 +278,26 @@ measureDetailed(DetailedPoint &pt)
         const double wall = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
-        if (cpu < pt.cpu_seconds) {
-            pt.cpu_seconds = cpu;
-            pt.wall_seconds = wall;
+        pt.cpu_seconds = std::min(pt.cpu_seconds, cpu);
+        pt.wall_seconds = std::min(pt.wall_seconds, wall);
+        if (pt.mode == cuda::SimMode::Performance) {
+            pt.cycles = ctx.gpuModel().totals().cycles;
+            pt.warp_instructions = ctx.gpuModel().totals().warp_instructions;
+        } else {
+            pt.warp_instructions = ctx.totalWarpInstructions();
         }
-        pt.cycles = ctx.gpuModel().totals().cycles;
-        pt.warp_instructions = ctx.gpuModel().totals().warp_instructions;
     }
 }
 
 void
 writeSimSpeedJson(const char *path)
 {
-    SweepPoint pts[] = {
-        {"functional", cuda::SimMode::Functional, 1, 0.0, {}},
-        {"functional", cuda::SimMode::Functional, 2, 0.0, {}},
-        {"functional", cuda::SimMode::Functional, 4, 0.0, {}},
-        {"performance", cuda::SimMode::Performance, 1, 0.0, {}},
-    };
-    for (auto &pt : pts)
-        measure(pt);
+    SweepPoint perf{"performance", cuda::SimMode::Performance, 1, 0.0, {}};
+    measure(perf);
 
     ConvTraceSpec wino;
     wino.algo = int(cudnn::ConvFwdAlgo::Winograd);
-    DetailedPoint detailed[] = {
+    const RecordedTrace traces[] = {
         {"lenet_step",
          recordForDetailedReplay(lenetTraceOptions(),
                                  [](cuda::Context &ctx) {
@@ -303,8 +309,25 @@ writeSimSpeedJson(const char *path)
                                      runConvFrontend(ctx, wino);
                                  })},
     };
+    std::vector<ReplayPoint> functional, detailed;
+    for (const RecordedTrace &t : traces) {
+        for (const unsigned threads : {1u, 2u, 4u})
+            functional.push_back({&t, cuda::SimMode::Functional, threads});
+        detailed.push_back({&t, cuda::SimMode::Performance, 1});
+    }
+    for (auto &pt : functional)
+        measureReplay(pt);
     for (auto &pt : detailed)
-        measureDetailed(pt);
+        measureReplay(pt);
+    // Wall time of both functional replays at 1 thread over 4 threads.
+    double wall_1t = 0.0, wall_4t = 0.0;
+    for (const ReplayPoint &pt : functional) {
+        if (pt.sim_threads == 1)
+            wall_1t += pt.wall_seconds;
+        if (pt.sim_threads == 4)
+            wall_4t += pt.wall_seconds;
+    }
+    const double speedup_4t = wall_1t / wall_4t;
 
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -318,49 +341,57 @@ writeSimSpeedJson(const char *path)
     std::fprintf(f, "  \"host_threads_available\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"runs\": [\n");
-    const size_t n = sizeof(pts) / sizeof(pts[0]);
-    for (size_t i = 0; i < n; i++) {
-        const SweepPoint &pt = pts[i];
-        const double ks = double(pt.counts.kernels) / pt.wall_seconds;
-        const double ws = double(pt.counts.warp_instructions) / pt.wall_seconds;
+    std::fprintf(f,
+                 "    {\"mode\": \"%s\", \"sim_threads\": %u, "
+                 "\"wall_seconds\": %.6f, \"kernels\": %llu, "
+                 "\"kernels_per_sec\": %.2f, "
+                 "\"warp_instructions\": %llu, "
+                 "\"warp_instrs_per_sec\": %.2f}\n",
+                 perf.mode_name, perf.sim_threads, perf.wall_seconds,
+                 (unsigned long long)perf.counts.kernels,
+                 double(perf.counts.kernels) / perf.wall_seconds,
+                 (unsigned long long)perf.counts.warp_instructions,
+                 double(perf.counts.warp_instructions) / perf.wall_seconds);
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"functional_replays\": [\n");
+    for (size_t i = 0; i < functional.size(); i++) {
+        const ReplayPoint &pt = functional[i];
         std::fprintf(f,
-                     "    {\"mode\": \"%s\", \"sim_threads\": %u, "
-                     "\"wall_seconds\": %.6f, \"kernels\": %llu, "
-                     "\"kernels_per_sec\": %.2f, "
+                     "    {\"workload\": \"%s\", \"sim_threads\": %u, "
+                     "\"cpu_seconds\": %.3f, \"wall_seconds\": %.3f, "
                      "\"warp_instructions\": %llu, "
-                     "\"warp_instrs_per_sec\": %.2f}%s\n",
-                     pt.mode_name, pt.sim_threads, pt.wall_seconds,
-                     (unsigned long long)pt.counts.kernels, ks,
-                     (unsigned long long)pt.counts.warp_instructions, ws,
-                     i + 1 < n ? "," : "");
+                     "\"warp_instrs_per_wall_s\": %.0f}%s\n",
+                     pt.rec->workload, pt.sim_threads, pt.cpu_seconds,
+                     pt.wall_seconds,
+                     (unsigned long long)pt.warp_instructions,
+                     double(pt.warp_instructions) / pt.wall_seconds,
+                     i + 1 < functional.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"detailed_replays\": [\n");
-    const size_t nd = sizeof(detailed) / sizeof(detailed[0]);
-    for (size_t i = 0; i < nd; i++) {
-        const DetailedPoint &pt = detailed[i];
+    for (size_t i = 0; i < detailed.size(); i++) {
+        const ReplayPoint &pt = detailed[i];
         std::fprintf(f,
                      "    {\"workload\": \"%s\", \"sim_threads\": 1, "
                      "\"cpu_seconds\": %.3f, \"wall_seconds\": %.3f, "
                      "\"cycles\": %llu, \"sim_cycles_per_cpu_s\": %.0f, "
                      "\"warp_instructions\": %llu, "
                      "\"warp_instrs_per_cpu_s\": %.0f}%s\n",
-                     pt.workload, pt.cpu_seconds, pt.wall_seconds,
+                     pt.rec->workload, pt.cpu_seconds, pt.wall_seconds,
                      (unsigned long long)pt.cycles,
                      double(pt.cycles) / pt.cpu_seconds,
                      (unsigned long long)pt.warp_instructions,
                      double(pt.warp_instructions) / pt.cpu_seconds,
-                     i + 1 < nd ? "," : "");
+                     i + 1 < detailed.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"speedup_functional_4t\": %.3f\n",
-                 pts[0].wall_seconds / pts[2].wall_seconds);
+    std::fprintf(f, "  \"speedup_functional_4t\": %.3f\n", speedup_4t);
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::printf("wrote %s (functional 4t speedup %.2fx; detailed lenet_step "
-                "%.2f CPU s, winograd_fwd %.2f CPU s)\n",
-                path, pts[0].wall_seconds / pts[2].wall_seconds,
-                detailed[0].cpu_seconds, detailed[1].cpu_seconds);
+    std::printf("wrote %s (functional replays 4t speedup %.2fx; detailed "
+                "lenet_step %.2f CPU s, winograd_fwd %.2f CPU s)\n",
+                path, speedup_4t, detailed[0].cpu_seconds,
+                detailed[1].cpu_seconds);
 }
 
 } // namespace

@@ -29,11 +29,14 @@ saveCta(BinaryWriter &w, const func::CtaExec &cta)
     w.put<uint32_t>(cta.numThreads());
     // Per-thread registers + local memory.
     for (unsigned t = 0; t < cta.numThreads(); t++) {
-        const auto &th = cta.thread(t);
-        w.put<uint64_t>(th.regs.size());
-        for (const auto &r : th.regs)
+        const auto regs = cta.regs(t);
+        w.put<uint64_t>(regs.size());
+        for (const auto &r : regs)
             w.put<uint64_t>(r.u64);
-        w.putVector(th.local);
+        const auto local = cta.local(t);
+        w.put<uint64_t>(local.size());
+        if (!local.empty()) // an empty span has no storage to copy from
+            w.putBytes(local.data(), local.size());
     }
     // Per-warp SIMT stacks + barrier flags + instruction counters.
     w.put<uint32_t>(cta.numWarps());
@@ -71,17 +74,22 @@ loadCta(BinaryReader &r, const ptx::KernelDef &kernel, const Dim3 &grid,
     MLGS_REQUIRE(nthreads == cta->numThreads(),
                  "checkpoint CTA shape mismatch in ", ckpt);
     for (unsigned t = 0; t < nthreads; t++) {
-        auto &th = cta->thread(t);
+        // Sizes are checked before anything is copied into the CTA's flat
+        // register and local files.
+        const auto regs = cta->regs(t);
         const auto nregs = r.get<uint64_t>();
-        MLGS_REQUIRE(nregs == th.regs.size(),
+        MLGS_REQUIRE(nregs == regs.size(),
                      "checkpoint register-file layout mismatch in ", ckpt);
-        for (auto &reg : th.regs)
+        for (auto &reg : regs)
             reg.u64 = r.get<uint64_t>();
-        th.local = r.getVector<uint8_t>();
-        MLGS_REQUIRE(th.local.size() == kernel.local_bytes,
-                     "corrupt checkpoint ", ckpt, ": thread ", t, " has ",
-                     th.local.size(), " bytes of local memory, kernel ",
-                     kernel.name, " declares ", kernel.local_bytes);
+        const auto local = cta->local(t);
+        const auto nlocal = r.get<uint64_t>();
+        MLGS_REQUIRE(nlocal == local.size(), "corrupt checkpoint ", ckpt,
+                     ": thread ", t, " has ", nlocal,
+                     " bytes of local memory, kernel ", kernel.name,
+                     " declares ", kernel.local_bytes);
+        if (!local.empty())
+            r.getBytes(local.data(), local.size());
     }
     const auto nwarps = r.get<uint32_t>();
     MLGS_REQUIRE(nwarps == cta->numWarps(),

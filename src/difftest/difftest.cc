@@ -157,7 +157,7 @@ runEngine(const ptx::KernelDef &k, const LaunchSpec &spec,
                 cta->enableRaceCheck();
             engine.runCta(*cta, env, UINT64_MAX, &stats);
             for (unsigned t = 0; t < tpc; t++) {
-                const auto &regs = cta->thread(t).regs;
+                const auto regs = cta->regs(t);
                 std::vector<uint64_t> cells(regs.size());
                 static_assert(sizeof(ptx::RegVal) == 8,
                               "RegVal must be a 64-bit cell");

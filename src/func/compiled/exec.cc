@@ -16,6 +16,8 @@
  */
 #include "func/compiled/exec.h"
 
+#include <functional>
+
 #include "func/engine.h"
 #include "func/exec_semantics.h"
 #include "func/executor.h"
@@ -49,7 +51,9 @@ struct ExecCtx
     const UopProgram *prog = nullptr;
     unsigned warp = 0;
     unsigned tid0 = 0;                 ///< first thread id of the warp
-    RegVal *lanes[kWarpSize] = {};     ///< per-lane register files
+    RegVal *regs = nullptr;            ///< lane 0's registers in the CTA file
+    size_t stride = 0;                 ///< cells from one lane to the next
+    PageHint page;                     ///< last device-memory page touched
     WarpStepResult *res = nullptr;     ///< single-step mode: access sink
     FuncStats *stats = nullptr;        ///< batch mode: direct accumulation
     SiteProfiler *profiler = nullptr;  ///< single-step mode: shared lanes
@@ -66,12 +70,18 @@ makeCtx(Executor &executor, CtaExec &cta, const LaunchEnv &env,
     ctx.prog = &prog;
     ctx.warp = warp;
     ctx.tid0 = warp * kWarpSize;
-    const unsigned n = cta.numThreads();
-    for (unsigned lane = 0; lane < kWarpSize; lane++) {
-        const unsigned tid = ctx.tid0 + lane;
-        ctx.lanes[lane] = tid < n ? cta.thread(tid).regs.data() : nullptr;
-    }
+    // Lane l's registers are regs + l * stride; lanes past a partial last
+    // warp are never in an execution mask, so never addressed.
+    ctx.regs = cta.regs(ctx.tid0).data();
+    ctx.stride = cta.regsPerThread();
     return ctx;
+}
+
+/** Lane `lane`'s register file. */
+inline RegVal *
+laneRegs(const ExecCtx &ctx, unsigned lane)
+{
+    return ctx.regs + size_t(lane) * ctx.stride;
 }
 
 /** Guard-predicate evaluation over the warp's active lanes. */
@@ -85,7 +95,7 @@ predMask(const Uop &u, warp_mask_t mask, const ExecCtx &ctx)
     while (m) {
         const unsigned lane = unsigned(__builtin_ctz(m));
         m &= m - 1;
-        const bool p = ctx.lanes[lane][size_t(u.pred)].pred;
+        const bool p = laneRegs(ctx, lane)[size_t(u.pred)].pred;
         if (p != u.pred_neg)
             exec |= warp_mask_t(1) << lane;
     }
@@ -203,7 +213,7 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
     do {                                                                      \
         if (exec == kFullWarpMask) {                                          \
             for (unsigned lane = 0; lane < kWarpSize; lane++) {               \
-                RegVal *const r = ctx.lanes[lane];                            \
+                RegVal *const r = laneRegs(ctx, lane);                        \
                 body;                                                         \
             }                                                                 \
         } else {                                                              \
@@ -211,7 +221,7 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
             while (m_) {                                                      \
                 const unsigned lane = unsigned(__builtin_ctz(m_));            \
                 m_ &= m_ - 1;                                                 \
-                RegVal *const r = ctx.lanes[lane];                            \
+                RegVal *const r = laneRegs(ctx, lane);                        \
                 body;                                                         \
             }                                                                 \
         }                                                                     \
@@ -278,7 +288,7 @@ hLd(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         const Ea ea = uopAddr(ctx, u.mem, r);
         RegVal vals[4];
         loadTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid,
-                  *ctx.env);
+                  *ctx.env, &ctx.page);
         if (u.vec_width == 1)
             writeTyped(r[size_t(u.dst)], u.type, vals[0]);
         else
@@ -301,7 +311,8 @@ hSt(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         else
             for (unsigned i = 0; i < u.svec_n; i++)
                 vals[i] = r[size_t(u.svec[i])];
-        storeTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid);
+        storeTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid,
+                   &ctx.page);
         recordLdSt(ctx, u, ea, bytes, true, tid);
     });
 }
@@ -313,13 +324,14 @@ hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         const unsigned tid = ctx.tid0 + lane;
         const Ea ea = uopAddr(ctx, u.mem, r);
         RegVal old;
-        loadTyped(*ctx.mem, ea, u.type, 1, &old, *ctx.cta, tid, *ctx.env);
+        loadTyped(*ctx.mem, ea, u.type, 1, &old, *ctx.cta, tid, *ctx.env,
+                  &ctx.page);
         const RegVal b = srcVal(ctx, u.a, lane, r);
         RegVal swap{};
         if (u.atom_op == AtomOp::Cas)
             swap = srcVal(ctx, u.b, lane, r);
         const RegVal next = atomNext(u.atom_op, u.type, old, b, swap);
-        storeTyped(*ctx.mem, ea, u.type, 1, &next, *ctx.cta, tid);
+        storeTyped(*ctx.mem, ea, u.type, 1, &next, *ctx.cta, tid, &ctx.page);
         if (u.dst >= 0)
             writeTyped(r[size_t(u.dst)], u.type, old);
         if (ea.space == Space::Shared) {
@@ -358,7 +370,8 @@ hTex(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         const int64_t yi = (u.tex_dim >= 2 && u.svec_n >= 2)
                                ? texCoordToInt(u.stype, r[size_t(u.svec[1])])
                                : 0;
-        const TexFetch f = texFetch(*ctx.mem, *bind, u.tex_dim, xi, yi);
+        const TexFetch f =
+            texFetch(*ctx.mem, *bind, u.tex_dim, xi, yi, &ctx.page);
         if (f.hit) {
             if (ctx.res)
                 ctx.res->accesses.push_back(
@@ -609,14 +622,44 @@ hFMax32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
                                  double(srcRI(u.b, r).f32)))));
 }
 
+/**
+ * setp over the active lanes on u32 views XORed with `bias`, comparing with
+ * `cmp` (chosen by the caller once per uop).
+ */
+template <typename Cmp>
+inline void
+setpLanes(const Uop &u, warp_mask_t exec, ExecCtx &ctx, uint32_t bias,
+          Cmp cmp)
+{
+    MLGS_LANE_LOOP(r[size_t(u.dst)].pred = cmp(srcRI(u.a, r).u32 ^ bias,
+                                               srcRI(u.b, r).u32 ^ bias));
+}
+
 void
 hSetp32(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
-    // setpCompare never takes the float-fatal path for 32-bit int types.
-    static const std::string kNoText;
-    MLGS_LANE_LOOP(r[size_t(u.dst)].pred =
-                       setpCompare(u.type, u.cmp, srcRI(u.a, r),
-                                   srcRI(u.b, r), kNoText));
+    // setpCompare for 32-bit integer types with the comparison picked once
+    // per uop. Flipping the sign bit maps s32 order onto u32 order, so a
+    // signed type's Lt..Ge compare biased values; Lo/Ls/Hi/Hs and unsigned
+    // or bit types compare plain u32. Equality is the same either way.
+    const bool as_unsigned = u.cmp == CmpOp::Lo || u.cmp == CmpOp::Ls ||
+                             u.cmp == CmpOp::Hi || u.cmp == CmpOp::Hs ||
+                             !ptx::isSigned(u.type);
+    const uint32_t bias = as_unsigned ? 0 : 0x80000000u;
+    switch (u.cmp) {
+      case CmpOp::Eq:
+        return setpLanes(u, exec, ctx, bias, std::equal_to<uint32_t>());
+      case CmpOp::Ne:
+        return setpLanes(u, exec, ctx, bias, std::not_equal_to<uint32_t>());
+      case CmpOp::Lt: case CmpOp::Lo:
+        return setpLanes(u, exec, ctx, bias, std::less<uint32_t>());
+      case CmpOp::Le: case CmpOp::Ls:
+        return setpLanes(u, exec, ctx, bias, std::less_equal<uint32_t>());
+      case CmpOp::Gt: case CmpOp::Hi:
+        return setpLanes(u, exec, ctx, bias, std::greater<uint32_t>());
+      case CmpOp::Ge: case CmpOp::Hs:
+        return setpLanes(u, exec, ctx, bias, std::greater_equal<uint32_t>());
+    }
 }
 
 void
@@ -694,9 +737,9 @@ programFor(Executor &executor, CtaExec &cta)
 
 } // namespace
 
-WarpStepResult
+void
 stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
-         const LaunchEnv &env)
+         const LaunchEnv &env, WarpStepResult &res)
 {
     const UopProgram &prog = programFor(executor, cta);
     SimtStack &st = cta.stack(warp);
@@ -711,10 +754,7 @@ stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
     ExecCtx ctx = makeCtx(executor, cta, env, prog, warp);
     const warp_mask_t exec = predMask(u, mask, ctx);
 
-    WarpStepResult res;
-    res.ins = &env.kernel->instrs[pc];
-    res.pc = pc;
-    res.active = exec;
+    res.reset(&env.kernel->instrs[pc], pc, exec);
     cta.warpInstrCount(warp)++;
     if (CoverageMap *cov = executor.coverage())
         cov->hit(u.variant_id);
@@ -722,13 +762,13 @@ stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
     switch (u.kind) {
       case UopKind::Bra:
         st.branch(exec, u.target_pc, pc + 1, u.reconv_pc);
-        return res;
+        return;
       case UopKind::Exit:
         st.exitLanes(exec);
         if (exec != mask && !st.empty())
             st.advance();
         res.exited = st.empty();
-        return res;
+        return;
       case UopKind::Bar:
         MLGS_REQUIRE(st.entries().size() == 1,
                      "bar.sync inside divergent control flow in ",
@@ -736,10 +776,10 @@ stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
         cta.setWarpAtBarrier(warp);
         st.advance();
         res.barrier = true;
-        return res;
+        return;
       case UopKind::Membar:
         st.advance();
-        return res;
+        return;
       default:
         break;
     }
@@ -748,7 +788,6 @@ stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
     ctx.profiler = executor.siteProfiler();
     kHandlers[size_t(u.kind)](u, exec, ctx);
     st.advance();
-    return res;
 }
 
 void

@@ -5,7 +5,7 @@
  * instructions each step. This is the only functional execution path; two
  * entry points:
  *
- *  - stepWarp(): single-instruction step returning a WarpStepResult — used
+ *  - stepWarp(): single-instruction step into a WarpStepResult — used
  *    by the timing model and whenever a warp-stream cache or a site
  *    profiler is attached (both need per-step granularity).
  *  - runWarp(): the batched fast path for the pure-functional engine — runs
@@ -34,9 +34,12 @@ struct LaunchEnv;
 namespace compiled
 {
 
-/** Execute one warp instruction (timing-model / warp-stream contract). */
-WarpStepResult stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
-                        const LaunchEnv &env);
+/**
+ * Execute one warp instruction into `res` (timing-model / warp-stream
+ * contract): every field is reset, the capacity of `res.accesses` is kept.
+ */
+void stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
+              const LaunchEnv &env, WarpStepResult &res);
 
 /**
  * Run a warp until done, at a barrier, or at the per-warp instruction limit.

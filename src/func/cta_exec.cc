@@ -16,11 +16,8 @@ CtaExec::CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
                  "CTA size out of range: ", num_threads_);
 
     if (alloc_state) {
-        threads_.resize(num_threads_);
-        for (auto &t : threads_) {
-            t.regs.assign(kernel.reg_types.size(), ptx::RegVal());
-            t.local.assign(kernel.local_bytes, 0);
-        }
+        regs_.assign(size_t(num_threads_) * regsPerThread(), ptx::RegVal());
+        local_.assign(size_t(num_threads_) * kernel.local_bytes, 0);
     }
 
     stacks_.resize(num_warps_);

@@ -3,11 +3,18 @@
  * Functional state of one in-flight CTA: per-thread registers and local
  * memory, per-warp SIMT stacks and barrier status, and the CTA's shared
  * memory segment. This is exactly the "Data1" set the paper checkpoints.
+ *
+ * Registers live in one flat file per CTA, thread-major: thread `tid`'s
+ * cells are [tid * regsPerThread(), (tid + 1) * regsPerThread()), so a
+ * warp's lanes sit at a fixed stride from its first thread. `.local`
+ * scratch is one flat buffer laid out the same way with local_bytes per
+ * thread. Per-thread views are spans computed on demand, never stored.
  */
 #ifndef MLGS_FUNC_CTA_EXEC_H
 #define MLGS_FUNC_CTA_EXEC_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -23,22 +30,15 @@ struct UopProgram;
 namespace mlgs::func
 {
 
-/** Per-thread architectural state. */
-struct ThreadState
-{
-    std::vector<ptx::RegVal> regs;
-    std::vector<uint8_t> local; ///< .local scratch
-};
-
 /** Functional state of one CTA. */
 class CtaExec
 {
   public:
     /**
-     * @param alloc_state allocate per-thread registers/local and shared
+     * @param alloc_state allocate the register file, local and shared
      * memory. Warp-stream replay (trace-driven timing) passes false: it
      * never reads or writes functional state, only the SIMT stacks, barrier
-     * flags, and instruction counters.
+     * flags, and instruction counters; regs()/local() are then empty.
      */
     CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
             const Dim3 &block_dim, const Dim3 &cta_id,
@@ -52,8 +52,32 @@ class CtaExec
     unsigned numThreads() const { return num_threads_; }
     unsigned numWarps() const { return num_warps_; }
 
-    ThreadState &thread(unsigned tid) { return threads_[tid]; }
-    const ThreadState &thread(unsigned tid) const { return threads_[tid]; }
+    /** Register cells per thread (the kernel's reg_types.size()). */
+    size_t regsPerThread() const { return kernel_->reg_types.size(); }
+
+    /** Thread `tid`'s registers (empty without functional state). */
+    std::span<ptx::RegVal>
+    regs(unsigned tid)
+    {
+        return slice(regs_, tid, regsPerThread());
+    }
+    std::span<const ptx::RegVal>
+    regs(unsigned tid) const
+    {
+        return slice(regs_, tid, regsPerThread());
+    }
+
+    /** Thread `tid`'s .local scratch (empty without functional state). */
+    std::span<uint8_t>
+    local(unsigned tid)
+    {
+        return slice(local_, tid, kernel_->local_bytes);
+    }
+    std::span<const uint8_t>
+    local(unsigned tid) const
+    {
+        return slice(local_, tid, kernel_->local_bytes);
+    }
 
     SimtStack &stack(unsigned warp) { return stacks_[warp]; }
     const SimtStack &stack(unsigned warp) const { return stacks_[warp]; }
@@ -147,6 +171,18 @@ class CtaExec
     void setUopProgram(const ptx::UopProgram *p) { uops_ = p; }
 
   private:
+    /** Thread `tid`'s `per` cells of a flat thread-major buffer. */
+    template <typename Vec>
+    static auto
+    slice(Vec &v, unsigned tid, size_t per) -> decltype(std::span(v))
+    {
+        using Span = decltype(std::span(v));
+        // An unallocated buffer has no storage to offset into.
+        if (v.empty())
+            return Span{};
+        return Span{v.data() + size_t(tid) * per, per};
+    }
+
     const ptx::KernelDef *kernel_;
     Dim3 grid_dim_;
     Dim3 block_dim_;
@@ -154,7 +190,8 @@ class CtaExec
     unsigned num_threads_;
     unsigned num_warps_;
 
-    std::vector<ThreadState> threads_;
+    std::vector<ptx::RegVal> regs_; ///< threads x regsPerThread()
+    std::vector<uint8_t> local_;    ///< threads x kernel local_bytes
     std::vector<SimtStack> stacks_;
     std::vector<uint8_t> shared_;
     std::vector<uint8_t> at_barrier_;

@@ -54,6 +54,7 @@ FunctionalEngine::runCtaWith(Executor &exec, CtaExec &cta,
         stats && !batch
             ? ptx::compiledProgram(*env.kernel, ptx::LowerBugs{}).uops.data()
             : nullptr;
+    WarpStepResult res; // per-step path: one record for the whole CTA run
     while (true) {
         if (cta.allDone()) {
             if (const RaceShadow *rs = cta.raceShadow()) {
@@ -83,7 +84,7 @@ FunctionalEngine::runCtaWith(Executor &exec, CtaExec &cta,
             }
             while (!cta.warpDone(w) && !cta.warpAtBarrier(w) &&
                    cta.warpInstrCount(w) < max_instr_per_warp) {
-                const WarpStepResult res = exec.stepWarp(cta, w, env);
+                exec.stepWarp(cta, w, env, res);
                 if (stats)
                     stats->accumulate(res, uops[res.pc]);
                 progressed = true;

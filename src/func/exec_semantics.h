@@ -253,10 +253,14 @@ resolveSpace(ptx::Space sp, addr_t ea)
     return Space::Global;
 }
 
-/** Typed load of `vec` elements from any state space. */
+/**
+ * Typed load of `vec` elements from any state space. `hint` (may be null)
+ * speeds up global/const reads that stay on one page.
+ */
 inline void
 loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
-          ptx::RegVal *out, CtaExec &cta, unsigned tid, const LaunchEnv &env)
+          ptx::RegVal *out, CtaExec &cta, unsigned tid, const LaunchEnv &env,
+          PageHint *hint)
 {
     using ptx::Space;
     using ptx::Type;
@@ -283,13 +287,13 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        auto &local = cta.thread(tid).local;
+        const auto local = cta.local(tid);
         MLGS_REQUIRE(off + total <= local.size(), "local read out of bounds");
         std::memcpy(bytes, local.data() + off, total);
         break;
       }
       default:
-        mem.read(ea.addr, bytes, total);
+        mem.read(ea.addr, bytes, total, hint);
         break;
     }
 
@@ -337,10 +341,11 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
     }
 }
 
-/** Typed store of `vec` elements into any state space. */
+/** Typed store of `vec` elements into any state space (`hint` may be null). */
 inline void
 storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
-           const ptx::RegVal *vals, CtaExec &cta, unsigned tid)
+           const ptx::RegVal *vals, CtaExec &cta, unsigned tid,
+           PageHint *hint)
 {
     using ptx::Space;
     using ptx::Type;
@@ -382,13 +387,13 @@ storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       }
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
-        auto &local = cta.thread(tid).local;
+        const auto local = cta.local(tid);
         MLGS_REQUIRE(off + total <= local.size(), "local write out of bounds");
         std::memcpy(local.data() + off, bytes, total);
         break;
       }
       default:
-        mem.write(ea.addr, bytes, total);
+        mem.write(ea.addr, bytes, total, hint);
         break;
     }
 }
@@ -774,7 +779,7 @@ struct TexFetch
 /** Wrap/clamp/border coordinate handling plus the texel reads. */
 inline TexFetch
 texFetch(GpuMemory &mem, const TexBinding &bind, unsigned tex_dim, int64_t xi,
-         int64_t yi)
+         int64_t yi, PageHint *hint)
 {
     auto wrap = [&](int64_t v, int64_t n) -> int64_t {
         if (n <= 0)
@@ -797,7 +802,7 @@ texFetch(GpuMemory &mem, const TexBinding &bind, unsigned tex_dim, int64_t xi,
         f.base = bind.base +
                  (addr_t(y) * bind.width + addr_t(x)) * bind.channels * 4;
         for (unsigned ch = 0; ch < bind.channels && ch < 4; ch++)
-            f.texel[ch] = mem.load<float>(f.base + ch * 4);
+            f.texel[ch] = mem.load<float>(f.base + ch * 4, hint);
         f.bytes = bind.channels * 4;
         f.hit = true;
     }

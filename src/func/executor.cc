@@ -6,23 +6,26 @@
 namespace mlgs::func
 {
 
-WarpStepResult
-Executor::stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+Executor::stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                   WarpStepResult &res)
 {
-    if (replay_streams_)
-        return replayStep(cta, warp, env);
+    if (replay_streams_) {
+        replayStep(cta, warp, env, res);
+        return;
+    }
     if (profiler_)
         profiler_->beginStep();
-    WarpStepResult res = compiled::stepWarp(*this, cta, warp, env);
+    compiled::stepWarp(*this, cta, warp, env, res);
     if (profiler_)
         profiler_->finishStep(env.kernel->name, cta.blockDim(), res);
     if (record_streams_)
         record_streams_->append(env.launch_seq, cta, warp, res);
-    return res;
 }
 
-WarpStepResult
-Executor::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
+void
+Executor::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                     WarpStepResult &res)
 {
     const WarpStream &ws = replay_streams_->stream(env.launch_seq, cta, warp);
     const uint64_t idx = cta.warpInstrCount(warp);
@@ -35,10 +38,7 @@ Executor::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
     MLGS_ASSERT(st.pc() == s.pc, "warp stream replay diverged: at pc ",
                 st.pc(), ", recorded pc ", s.pc, " in ", env.kernel->name);
 
-    WarpStepResult res;
-    res.ins = &env.kernel->instrs[s.pc];
-    res.pc = s.pc;
-    res.active = s.active;
+    res.reset(&env.kernel->instrs[s.pc], s.pc, s.active);
     res.shared_accesses = s.shared_accesses;
     res.barrier = s.barrier;
     res.exited = s.exited;
@@ -62,7 +62,6 @@ Executor::replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env)
         if (s.barrier)
             cta.setWarpAtBarrier(warp);
     }
-    return res;
 }
 
 } // namespace mlgs::func

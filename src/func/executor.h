@@ -90,14 +90,16 @@ class Executor
     SiteProfiler *siteProfiler() const { return profiler_; }
 
     /**
-     * Execute the next instruction of a warp. The warp must not be done and
+     * Execute the next instruction of a warp into `res` (every field reset,
+     * the capacity of `res.accesses` kept). The warp must not be done and
      * must not be waiting at a barrier.
      */
-    WarpStepResult stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env);
+    void stepWarp(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                  WarpStepResult &res);
 
   private:
-    WarpStepResult replayStep(CtaExec &cta, unsigned warp,
-                              const LaunchEnv &env);
+    void replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
+                    WarpStepResult &res);
 
     GpuMemory *mem_;
     BugModel bugs_;

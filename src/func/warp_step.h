@@ -24,7 +24,12 @@ struct MemAccess
     ptx::Space space = ptx::Space::Global;
 };
 
-/** Outcome of stepping a warp by one instruction. */
+/**
+ * Outcome of stepping a warp by one instruction. Callers own one record and
+ * pass it to every step: the step resets every field, so the record
+ * describes that step only, and `accesses` keeps its capacity (at most one
+ * entry per lane), so a warm record makes a step allocation-free.
+ */
 struct WarpStepResult
 {
     const ptx::Instr *ins = nullptr; ///< instruction that executed
@@ -34,6 +39,19 @@ struct WarpStepResult
     unsigned shared_accesses = 0;    ///< lane count touching shared memory
     bool barrier = false;            ///< warp arrived at bar.sync
     bool exited = false;             ///< warp fully exited
+
+    /** Start a new step: every field is overwritten, capacity is kept. */
+    void
+    reset(const ptx::Instr *instr, uint32_t at_pc, warp_mask_t lanes)
+    {
+        ins = instr;
+        pc = at_pc;
+        active = lanes;
+        accesses.clear();
+        shared_accesses = 0;
+        barrier = false;
+        exited = false;
+    }
 };
 
 } // namespace mlgs::func

@@ -6,45 +6,57 @@
 namespace mlgs
 {
 
-// Page storage is stable once materialized: std::unordered_map never moves
-// its nodes and each vector is sized exactly once under the writer lock, so
-// returned Page references stay valid after the lock is released.
+// Page storage is stable once materialized: each page is one heap array
+// allocated exactly once under the writer lock, so returned pointers (and
+// the ones PageHints remember) stay valid after the lock is released, until
+// clear() or restore() drops the page.
 
-const GpuMemory::Page *
-GpuMemory::findPage(addr_t page_idx) const
+uint8_t *
+GpuMemory::findPage(addr_t page_idx, PageHint *hint) const
 {
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    const auto it = pages_.find(page_idx);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
-GpuMemory::Page &
-GpuMemory::touchPage(addr_t page_idx)
-{
+    if (hint && hint->page == page_idx)
+        return hint->bytes;
+    uint8_t *bytes = nullptr;
     {
         std::shared_lock<std::shared_mutex> lk(mu_);
         const auto it = pages_.find(page_idx);
-        if (it != pages_.end())
-            return it->second;
+        if (it == pages_.end())
+            return nullptr;
+        bytes = it->second.get();
     }
-    std::unique_lock<std::shared_mutex> lk(mu_);
-    auto &page = pages_[page_idx];
-    if (page.empty())
-        page.assign(kPageSize, 0);
-    return page;
+    if (hint)
+        *hint = PageHint{page_idx, bytes};
+    return bytes;
+}
+
+uint8_t *
+GpuMemory::touchPage(addr_t page_idx, PageHint *hint)
+{
+    if (uint8_t *bytes = findPage(page_idx, hint))
+        return bytes;
+    uint8_t *bytes = nullptr;
+    {
+        std::unique_lock<std::shared_mutex> lk(mu_);
+        Page &page = pages_[page_idx];
+        if (!page)
+            page = std::make_unique<uint8_t[]>(kPageSize); // zero-filled
+        bytes = page.get();
+    }
+    if (hint)
+        *hint = PageHint{page_idx, bytes};
+    return bytes;
 }
 
 void
-GpuMemory::read(addr_t addr, void *out, size_t n) const
+GpuMemory::read(addr_t addr, void *out, size_t n, PageHint *hint) const
 {
     auto *dst = static_cast<uint8_t *>(out);
     while (n > 0) {
         const addr_t page_idx = addr >> kPageBits;
         const size_t off = size_t(addr & (kPageSize - 1));
         const size_t chunk = std::min(n, kPageSize - off);
-        const Page *page = findPage(page_idx);
-        if (page)
-            std::memcpy(dst, page->data() + off, chunk);
+        if (const uint8_t *page = findPage(page_idx, hint))
+            std::memcpy(dst, page + off, chunk);
         else
             std::memset(dst, 0, chunk);
         dst += chunk;
@@ -54,15 +66,14 @@ GpuMemory::read(addr_t addr, void *out, size_t n) const
 }
 
 void
-GpuMemory::write(addr_t addr, const void *src, size_t n)
+GpuMemory::write(addr_t addr, const void *src, size_t n, PageHint *hint)
 {
     const auto *p = static_cast<const uint8_t *>(src);
     while (n > 0) {
         const addr_t page_idx = addr >> kPageBits;
         const size_t off = size_t(addr & (kPageSize - 1));
         const size_t chunk = std::min(n, kPageSize - off);
-        Page &page = touchPage(page_idx);
-        std::memcpy(page.data() + off, p, chunk);
+        std::memcpy(touchPage(page_idx, hint) + off, p, chunk);
         p += chunk;
         addr += chunk;
         n -= chunk;
@@ -76,8 +87,7 @@ GpuMemory::memset(addr_t addr, uint8_t value, size_t n)
         const addr_t page_idx = addr >> kPageBits;
         const size_t off = size_t(addr & (kPageSize - 1));
         const size_t chunk = std::min(n, kPageSize - off);
-        Page &page = touchPage(page_idx);
-        std::memset(page.data() + off, value, chunk);
+        std::memset(touchPage(page_idx, nullptr) + off, value, chunk);
         addr += chunk;
         n -= chunk;
     }
@@ -87,13 +97,13 @@ void
 GpuMemory::save(BinaryWriter &w) const
 {
     // Deterministic order for reproducible checkpoint files.
-    std::map<addr_t, const Page *> ordered;
+    std::map<addr_t, const uint8_t *> ordered;
     for (const auto &[idx, page] : pages_)
-        ordered.emplace(idx, &page);
+        ordered.emplace(idx, page.get());
     w.put<uint64_t>(ordered.size());
-    for (const auto &[idx, page] : ordered) {
+    for (const auto &[idx, bytes] : ordered) {
         w.put<addr_t>(idx);
-        w.putBytes(page->data(), kPageSize);
+        w.putBytes(bytes, kPageSize);
     }
 }
 
@@ -104,8 +114,8 @@ GpuMemory::restore(BinaryReader &r)
     const auto count = r.get<uint64_t>();
     for (uint64_t i = 0; i < count; i++) {
         const auto idx = r.get<addr_t>();
-        Page page(kPageSize);
-        r.getBytes(page.data(), kPageSize);
+        Page page = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+        r.getBytes(page.get(), kPageSize);
         pages_.emplace(idx, std::move(page));
     }
 }

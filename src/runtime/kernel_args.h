@@ -7,6 +7,7 @@
 #define MLGS_RUNTIME_KERNEL_ARGS_H
 
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -24,10 +25,9 @@ class KernelArgs
     {
         static_assert(std::is_trivially_copyable_v<T>);
         const size_t align = sizeof(T);
-        while (bytes_.size() % align)
-            bytes_.push_back(0);
-        const auto *p = reinterpret_cast<const uint8_t *>(&v);
-        bytes_.insert(bytes_.end(), p, p + sizeof(T));
+        const size_t off = (bytes_.size() + align - 1) / align * align;
+        bytes_.resize(off + sizeof(T)); // zero-fills the alignment padding
+        std::memcpy(bytes_.data() + off, &v, sizeof(T));
         return *this;
     }
 

@@ -314,8 +314,12 @@ AerialSampler::renderWarpBreakdown(unsigned max_cols) const
     const std::pair<unsigned, unsigned> ranges[] = {
         {1, 8}, {9, 16}, {17, 24}, {25, 31}, {32, 32}};
     for (const auto &[lo, hi] : ranges) {
-        std::string name = "W" + std::to_string(lo) +
-                           (lo == hi ? "" : "-" + std::to_string(hi));
+        std::string name = "W";
+        name += std::to_string(lo);
+        if (lo != hi) {
+            name += "-";
+            name += std::to_string(hi);
+        }
         rows.push_back({name, [lo = lo, hi = hi, &slotTotal](
                                   const AerialBucket &b) {
                             uint64_t n = 0;

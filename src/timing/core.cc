@@ -282,7 +282,8 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
     const func::LaunchEnv &env = *cs.disp->env;
 
-    const WarpStepResult res = exec_->stepWarp(*cs.cta, w.warp_in_cta, env);
+    exec_->stepWarp(*cs.cta, w.warp_in_cta, env, step_);
+    const WarpStepResult &res = step_;
     w.last_issue = now;
     markStale(slot);
 

@@ -280,6 +280,7 @@ class ShaderCore
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;
     std::vector<addr_t> load_lines_, store_lines_; ///< issueWarp scratch
+    func::WarpStepResult step_; ///< issueWarp's step record, reused
 
     TimingTotals counters_;
 };

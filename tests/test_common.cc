@@ -428,4 +428,76 @@ TEST(GpuMemory, MemsetRange)
     EXPECT_EQ(mem.load<uint8_t>(0x40000100 + 9000), 0u);
 }
 
+TEST(GpuMemory, PageHintStraddlingAccessesMatchUnhinted)
+{
+    GpuMemory mem;
+    PageHint hint;
+    const addr_t base = 0x50000ffa; // 6 bytes on one page, 10 on the next
+    std::vector<uint8_t> back(16, 0xee);
+    // The pages are absent: zeros, and the hint stays empty.
+    mem.read(base, back.data(), back.size(), &hint);
+    EXPECT_EQ(back, std::vector<uint8_t>(16, 0));
+    EXPECT_EQ(hint.page, PageHint::kNoPage);
+
+    std::vector<uint8_t> data(16);
+    for (size_t i = 0; i < data.size(); i++)
+        data[i] = uint8_t(0x30 + i);
+    mem.write(base, data.data(), data.size(), &hint);
+    EXPECT_EQ(hint.page, (base + 15) >> GpuMemory::kPageBits);
+    std::vector<uint8_t> plain(16), hinted(16);
+    mem.read(base, plain.data(), plain.size());
+    mem.read(base, hinted.data(), hinted.size(), &hint);
+    EXPECT_EQ(plain, data);
+    EXPECT_EQ(hinted, data);
+
+    // Rewrite through the hint, one 4-byte word at a time across the seam.
+    for (size_t i = 0; i < data.size(); i += 4) {
+        data[i] ^= 0xff;
+        mem.write(base + i, data.data() + i, 4, &hint);
+    }
+    mem.read(base, plain.data(), plain.size());
+    mem.read(base, hinted.data(), hinted.size(), &hint);
+    EXPECT_EQ(plain, data);
+    EXPECT_EQ(hinted, data);
+    EXPECT_EQ(mem.pageCount(), 2u);
+}
+
+TEST(GpuMemory, PageHintNeverRemembersAbsentPage)
+{
+    GpuMemory mem;
+    mem.store<uint32_t>(0x60000000, 0x11223344);
+    PageHint hint;
+    EXPECT_EQ(mem.load<uint32_t>(0x60000000, &hint), 0x11223344u);
+    const PageHint present = hint;
+    EXPECT_EQ(present.page, addr_t(0x60000000) >> GpuMemory::kPageBits);
+
+    // An unmaterialized page reads as zeros through the hint, is not
+    // materialized, and leaves the hint on the last present page.
+    uint64_t v = ~uint64_t(0);
+    mem.read(0x60005000, &v, sizeof(v), &hint);
+    EXPECT_EQ(v, 0u);
+    EXPECT_EQ(mem.pageCount(), 1u);
+    EXPECT_EQ(hint.page, present.page);
+    EXPECT_EQ(hint.bytes, present.bytes);
+    EXPECT_EQ(mem.load<uint32_t>(0x60000000, &hint), 0x11223344u);
+}
+
+TEST(GpuMemory, PageHintSeesWritesFromOtherPaths)
+{
+    GpuMemory mem;
+    PageHint hint;
+    // Read an absent page through the hint, then materialize it elsewhere.
+    EXPECT_EQ(mem.load<uint32_t>(0x70000010, &hint), 0u);
+    mem.store<uint32_t>(0x70000010, 0xcafef00d);
+    EXPECT_EQ(mem.load<uint32_t>(0x70000010, &hint), 0xcafef00du);
+    EXPECT_EQ(hint.page, addr_t(0x70000010) >> GpuMemory::kPageBits);
+
+    // Now the hint holds the page; writes without it and memset land in the
+    // same storage the hint reads.
+    mem.store<uint32_t>(0x70000010, 0x0badbeef);
+    EXPECT_EQ(mem.load<uint32_t>(0x70000010, &hint), 0x0badbeefu);
+    mem.memset(0x70000010, 0x5a, 4);
+    EXPECT_EQ(mem.load<uint32_t>(0x70000010, &hint), 0x5a5a5a5au);
+}
+
 } // namespace

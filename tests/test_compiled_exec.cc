@@ -92,7 +92,7 @@ runOne(bool step, const char *src, const std::string &kernel, Dim3 grid,
             gpu.engine.runCta(*cta, env, UINT64_MAX, &img.stats);
         EXPECT_TRUE(done);
         for (unsigned t = 0; t < tpc; t++) {
-            const auto &regs = cta->thread(t).regs;
+            const auto regs = cta->regs(t);
             std::vector<uint64_t> cells(regs.size());
             static_assert(sizeof(ptx::RegVal) == 8, "RegVal is a 64-bit cell");
             std::memcpy(cells.data(), regs.data(), regs.size() * 8);
@@ -703,6 +703,148 @@ TEST(CompiledExec, SetpSelpMatchesInterp)
         in.push_back(vals[(t / 2 + 1) % 8]);
     }
     expectAllMatch(src, "selects", Dim3(1), Dim3(32), asBytes(in), 32 * 4);
+}
+
+TEST(CompiledExec, Setp32EveryComparisonMatchesInterp)
+{
+    // Every comparison the 32-bit integer setp lane loop picks per uop:
+    // signed and unsigned orderings, bit-type equality, and the unsigned
+    // Lo/Ls/Hi/Hs forms on a signed type. Bit i of the output word is the
+    // i-th predicate.
+    struct Cmp
+    {
+        const char *op, *a, *b;
+    };
+    const Cmp cmps[] = {
+        {"eq.s32", "%s1", "%s2"}, {"ne.s32", "%s1", "%s2"},
+        {"lt.s32", "%s1", "%s2"}, {"le.s32", "%s1", "%s2"},
+        {"gt.s32", "%s1", "%s2"}, {"ge.s32", "%s1", "%s2"},
+        {"lt.u32", "%r2", "%r3"}, {"le.u32", "%r2", "%r3"},
+        {"gt.u32", "%r2", "%r3"}, {"ge.u32", "%r2", "%r3"},
+        {"lo.u32", "%r2", "%r3"}, {"ls.u32", "%r2", "%r3"},
+        {"hi.u32", "%r2", "%r3"}, {"hs.u32", "%r2", "%r3"},
+        {"lo.s32", "%s1", "%s2"}, {"hi.s32", "%s1", "%s2"},
+        {"eq.b32", "%b1", "%b2"}, {"ne.b32", "%b1", "%b2"},
+        {"lt.s32", "%s1", "-1"},  {"hs.u32", "%r2", "7"},
+    };
+    std::string src = R"(
+.visible .entry cmps(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<8>;
+    .reg .s32 %s<4>;
+    .reg .b32 %b<4>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 8;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.u32 %r2, [%rd4];
+    ld.global.u32 %r3, [%rd4+4];
+    ld.global.s32 %s1, [%rd4];
+    ld.global.s32 %s2, [%rd4+4];
+    ld.global.b32 %b1, [%rd4];
+    ld.global.b32 %b2, [%rd4+4];
+    mov.u32 %r4, 0;
+)";
+    unsigned bit = 0;
+    for (const Cmp &c : cmps) {
+        src += std::string("    setp.") + c.op + " %p1, " + c.a + ", " + c.b +
+               ";\n    selp.u32 %r5, " + std::to_string(1u << bit++) +
+               ", 0, %p1;\n    or.b32 %r4, %r4, %r5;\n";
+    }
+    src += R"(
+    mul.wide.u32 %rd3, %r1, 4;
+    add.u64 %rd5, %rd2, %rd3;
+    st.global.u32 [%rd5], %r4;
+    ret;
+}
+)";
+    const int32_t vals[] = {0, 1, -1, 7, INT32_MIN, INT32_MAX, -7, 1 << 16};
+    std::vector<int32_t> in;
+    for (unsigned t = 0; t < 32; t++) {
+        in.push_back(vals[t % 8]);
+        in.push_back(vals[(t / 4 + t) % 8]);
+    }
+    expectAllMatch(src.c_str(), "cmps", Dim3(1), Dim3(32), asBytes(in),
+                   32 * 4);
+}
+
+TEST(CompiledExec, StepResultResetBetweenSteps)
+{
+    // One caller-owned record passes through every kind of step; after each
+    // step it must describe that step only.
+    const char *src = R"(
+.visible .entry steps(.param .u64 out)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<4>;
+    .shared .align 4 .b8 sbuf[128];
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r2, [%rd3];
+    mov.u64 %rd2, sbuf;
+    st.shared.u32 [%rd2], %r2;
+    add.u32 %r3, %r2, 1;
+    bar.sync 0;
+    ret;
+}
+)";
+    MiniGpu gpu;
+    const ptx::Module m = ptx::parseModule(src, "compiled_exec.ptx");
+    const ptx::KernelDef &k = findKernel(m, "steps");
+    Image img;
+    img.out_addr = gpu.alloc.alloc(32 * 4);
+    func::LaunchEnv env;
+    env.kernel = &k;
+    env.params = kernelParams(k, img).bytes();
+    env.symbols = &gpu.symbols;
+    auto cta = gpu.engine.makeCta(env, Dim3(1), Dim3(32), 0);
+
+    func::WarpStepResult res;
+    const auto step = [&](const char *what) {
+        gpu.exec.stepWarp(*cta, 0, env, res);
+        SCOPED_TRACE(what);
+        return res.pc;
+    };
+    for (const char *what : {"ld.param", "mov", "mul.wide", "add.u64"}) {
+        step(what);
+        EXPECT_TRUE(res.accesses.empty()) << what;
+        EXPECT_EQ(res.shared_accesses, 0u) << what;
+        EXPECT_FALSE(res.barrier || res.exited) << what;
+    }
+
+    EXPECT_EQ(step("ld.global"), 4u);
+    EXPECT_EQ(res.active, kFullWarpMask);
+    ASSERT_EQ(res.accesses.size(), 32u);
+    for (unsigned lane = 0; lane < 32; lane++) {
+        EXPECT_EQ(res.accesses[lane].addr, img.out_addr + 4 * lane);
+        EXPECT_FALSE(res.accesses[lane].is_store);
+    }
+    const size_t capacity = res.accesses.capacity();
+
+    for (const char *what : {"mov sbuf", "st.shared", "add.u32", "bar.sync"}) {
+        step(what);
+        EXPECT_TRUE(res.accesses.empty()) << what;
+        EXPECT_EQ(res.accesses.capacity(), capacity) << what;
+        EXPECT_EQ(res.shared_accesses,
+                  std::string(what) == "st.shared" ? 32u : 0u)
+            << what;
+        EXPECT_EQ(res.barrier, std::string(what) == "bar.sync") << what;
+        EXPECT_FALSE(res.exited) << what;
+    }
+
+    ASSERT_TRUE(cta->barrierComplete());
+    cta->releaseBarrier();
+    EXPECT_EQ(step("ret"), 9u);
+    EXPECT_TRUE(res.exited);
+    EXPECT_FALSE(res.barrier);
+    EXPECT_TRUE(res.accesses.empty());
+    EXPECT_EQ(res.shared_accesses, 0u);
+    EXPECT_TRUE(cta->warpDone(0));
 }
 
 } // namespace

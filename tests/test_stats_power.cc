@@ -169,9 +169,11 @@ TEST(Oracle, RooflineLimbs)
 TEST(Oracle, PearsonOnPerfectLine)
 {
     std::vector<oracle::CorrelationRow> rows;
-    for (int i = 1; i <= 5; i++)
-        rows.push_back({"k" + std::to_string(i), double(i * 100),
-                        double(i * 150)});
+    for (int i = 1; i <= 5; i++) {
+        std::string name = "k";
+        name += std::to_string(i);
+        rows.push_back({name, double(i * 100), double(i * 150)});
+    }
     EXPECT_NEAR(oracle::HwOracle::pearson(rows), 1.0, 1e-9);
     EXPECT_NEAR(oracle::HwOracle::overallRelative(rows), 150.0, 1e-9);
 }

@@ -393,8 +393,8 @@ TEST(Checkpoint, CtaStateRoundTrips)
 
     ASSERT_EQ(restored->numThreads(), cta->numThreads());
     for (unsigned t = 0; t < cta->numThreads(); t++) {
-        const auto &a = cta->thread(t).regs;
-        const auto &b = restored->thread(t).regs;
+        const auto a = cta->regs(t);
+        const auto b = restored->regs(t);
         ASSERT_EQ(a.size(), b.size());
         for (size_t i = 0; i < a.size(); i++)
             ASSERT_EQ(a[i].u64, b[i].u64);
