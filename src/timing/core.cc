@@ -123,8 +123,37 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
     sched_last_.assign(cfg.schedulers_per_core, -1);
     sched_owned_.resize(cfg.schedulers_per_core);
     sched_quiet_.assign(cfg.schedulers_per_core, 0);
-    for (unsigned slot = 0; slot < warps_.size(); slot++)
+    age_head_.assign(cfg.schedulers_per_core, kNoSlot);
+    age_tail_.assign(cfg.schedulers_per_core, kNoSlot);
+    for (unsigned slot = 0; slot < warps_.size(); slot++) {
         sched_owned_[slot % cfg.schedulers_per_core].push_back(slot);
+        ageLinkBefore(slot, kNoSlot);
+    }
+}
+
+void
+ShaderCore::ageUnlink(unsigned slot)
+{
+    WarpSlot &w = warps_[slot];
+    const unsigned s = slot % cfg_->schedulers_per_core;
+    (w.age_prev == kNoSlot ? age_head_[s] : warps_[w.age_prev].age_next) =
+        w.age_next;
+    (w.age_next == kNoSlot ? age_tail_[s] : warps_[w.age_next].age_prev) =
+        w.age_prev;
+    w.age_prev = w.age_next = kNoSlot;
+}
+
+void
+ShaderCore::ageLinkBefore(unsigned slot, unsigned next)
+{
+    WarpSlot &w = warps_[slot];
+    const unsigned s = slot % cfg_->schedulers_per_core;
+    const unsigned prev =
+        next == kNoSlot ? age_tail_[s] : warps_[next].age_prev;
+    w.age_prev = prev;
+    w.age_next = next;
+    (prev == kNoSlot ? age_head_[s] : warps_[prev].age_next) = slot;
+    (next == kNoSlot ? age_tail_[s] : warps_[next].age_prev) = slot;
 }
 
 bool
@@ -189,6 +218,12 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
         }
         w.pending_loads = 0;
         w.last_issue = 0;
+        // Back into the age-0 prefix, in slot order.
+        ageUnlink(slot);
+        unsigned next = age_head_[slot % cfg_->schedulers_per_core];
+        while (next != kNoSlot && warps_[next].last_issue == 0 && next < slot)
+            next = warps_[next].age_next;
+        ageLinkBefore(slot, next);
         markStale(slot);
     }
 
@@ -285,6 +320,12 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     exec_->stepWarp(*cs.cta, w.warp_in_cta, env, step_);
     const WarpStepResult &res = step_;
     w.last_issue = now;
+    // The youngest age goes to the tail. At cycle 0 every age is still 0,
+    // so slot order already sorts the list.
+    if (now > 0 && age_tail_[slot % cfg_->schedulers_per_core] != slot) {
+        ageUnlink(slot);
+        ageLinkBefore(slot, kNoSlot);
+    }
     markStale(slot);
 
     const InstrTiming &t = (*cs.disp->timing)[res.pc];
@@ -385,7 +426,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     holdWrites(slot, t, now, now + lat);
 }
 
-void
+bool
 ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
 {
     // Fast path: nothing resident and nothing in flight.
@@ -393,8 +434,9 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
         if (sampler)
             for (unsigned s = 0; s < cfg_->schedulers_per_core; s++)
                 sampler->recordStall(id_, stats::StallKind::Idle);
-        return;
+        return false;
     }
+    const unsigned live_before = live_warps_total_;
 
     // 1. Retire matured writebacks.
     wb_wheel_.drain(now, [&](const Writeback &wb) {
@@ -458,16 +500,18 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
             // Greedy: stay on the last-issued warp while it is ready...
             if (sched_last_[s] >= 0 && ready(unsigned(sched_last_[s])))
                 chosen = sched_last_[s];
-            // ...then fall back to the oldest (smallest last-issue) ready warp.
-            if (chosen < 0) {
-                cycle_t best = ~cycle_t(0);
-                for (const unsigned slot : owned) {
-                    if (warps_[slot].valid && warps_[slot].last_issue < best &&
-                        ready(slot)) {
-                        best = warps_[slot].last_issue;
-                        chosen = int(slot);
-                    }
-                }
+            // ...then fall back to the oldest ready warp: the first ready
+            // one in age order, where ties go to the lower slot.
+            for (unsigned slot = age_head_[s]; chosen < 0 && slot != kNoSlot;
+                 slot = warps_[slot].age_next)
+                if (ready(slot))
+                    chosen = int(slot);
+            // A fruitless walk visited every valid warp in age order; the
+            // sampler's stall reason is the last one in slot order.
+            if (chosen < 0 && sampler) {
+                why = stats::StallKind::DataHazard;
+                for (const unsigned slot : owned)
+                    ready(slot);
             }
         } else if (!owned.empty()) {
             const unsigned start = sched_rr_[s] % unsigned(owned.size());
@@ -496,6 +540,7 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
                 sampler->recordStall(id_, why);
         }
     }
+    return live_warps_total_ < live_before;
 }
 
 void
@@ -516,8 +561,7 @@ ShaderCore::pushResponse(const MemFetch &mf, cycle_t now)
 MemFetch
 ShaderCore::popOutgoing()
 {
-    MemFetch mf = std::move(out_queue_.front());
-    out_queue_.pop_front();
+    MemFetch mf = out_queue_.pop_front();
     if (out_queue_.size() + 1 == kOutQueueLimit) // dropped below the limit
         std::fill(sched_quiet_.begin(), sched_quiet_.end(), 0);
     return mf;
@@ -538,6 +582,37 @@ ShaderCore::assertDrained() const
                 ": L1 waiters left on a drained device");
     MLGS_ASSERT(l1_.mshrInUse() == 0, "core ", id_, ": ", l1_.mshrInUse(),
                 " L1 MSHRs in use on a drained device");
+}
+
+void
+ShaderCore::assertAgeOrder() const
+{
+    for (unsigned s = 0; s < age_head_.size(); s++) {
+        size_t n = 0;
+        unsigned prev = kNoSlot;
+        for (unsigned slot = age_head_[s]; slot != kNoSlot;
+             slot = warps_[slot].age_next) {
+            MLGS_ASSERT(slot < warps_.size() && slot % age_head_.size() == s,
+                        "core ", id_, " scheduler ", s,
+                        ": age list holds slot ", slot, " it does not own");
+            MLGS_ASSERT(n < sched_owned_[s].size(), "core ", id_,
+                        " scheduler ", s, ": age list is longer than its ",
+                        sched_owned_[s].size(), " owned slots");
+            MLGS_ASSERT(warps_[slot].age_prev == prev, "core ", id_,
+                        " scheduler ", s, ": age list links broken at slot ",
+                        slot);
+            MLGS_ASSERT(prev == kNoSlot ||
+                            std::pair(warps_[prev].last_issue, prev) <
+                                std::pair(warps_[slot].last_issue, slot),
+                        "core ", id_, " scheduler ", s, ": slot ", slot,
+                        " is out of (last_issue, slot) order");
+            prev = slot;
+            n++;
+        }
+        MLGS_ASSERT(age_tail_[s] == prev && n == sched_owned_[s].size(),
+                    "core ", id_, " scheduler ", s, ": age list holds ", n,
+                    " of ", sched_owned_[s].size(), " owned slots");
+    }
 }
 
 } // namespace mlgs::timing

@@ -119,8 +119,12 @@ class ShaderCore
     /** Try to claim and install the dispatch's next CTA; true on success. */
     bool tryIssueCta(KernelDispatch &disp);
 
-    /** One core cycle: barrier release, scheduling, issue. */
-    void cycle(cycle_t now, stats::AerialSampler *sampler);
+    /**
+     * One core cycle: barrier release, scheduling, issue. Returns true when
+     * a warp exited, which frees a warp slot (and perhaps its CTA's slot)
+     * for the next CTA dispatch.
+     */
+    bool cycle(cycle_t now, stats::AerialSampler *sampler);
 
     /** Memory response delivered from the interconnect. */
     void pushResponse(const MemFetch &mf, cycle_t now);
@@ -145,7 +149,15 @@ class ShaderCore
      */
     void assertDrained() const;
 
+    /**
+     * Panics unless each scheduler's GTO age list holds exactly its owned
+     * warp slots, sorted by (last issue cycle, slot).
+     */
+    void assertAgeOrder() const;
+
   private:
+    static constexpr unsigned kNoSlot = ~0u;
+
     struct CtaSlot
     {
         std::unique_ptr<func::CtaExec> cta;
@@ -170,6 +182,9 @@ class ShaderCore
         unsigned warp_in_cta = 0;
         unsigned pending_loads = 0;
         cycle_t last_issue = 0;
+        /** Neighbours in the scheduler's age list (kNoSlot at the ends). */
+        unsigned age_prev = kNoSlot;
+        unsigned age_next = kNoSlot;
         /** verdict/mem_next are recomputed by refresh() only while stale. */
         bool stale = true;
         Verdict verdict = Verdict::Barrier;
@@ -237,6 +252,9 @@ class ShaderCore
         warps_[slot].stale = true;
         sched_quiet_[slot % sched_quiet_.size()] = 0;
     }
+    void ageUnlink(unsigned slot);
+    /** Link `slot` in front of `next` (at the tail for kNoSlot). */
+    void ageLinkBefore(unsigned slot, unsigned next);
     void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
     void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t now,
                     cycle_t at);
@@ -263,6 +281,15 @@ class ShaderCore
     std::vector<int> sched_last_;    ///< GTO sticky warp per scheduler
     std::vector<std::vector<unsigned>> sched_owned_; ///< warp slots per sched
     /**
+     * GTO age list per scheduler: every owned slot, valid or not, linked
+     * through WarpSlot::age_prev/age_next in (last_issue, slot) order, so
+     * the oldest ready warp is the first ready one from the head. An issue
+     * moves its warp to the tail (at cycle 0 every age is 0 and it stays
+     * put); a CTA install puts its slots back into the age-0 prefix in slot
+     * order.
+     */
+    std::vector<unsigned> age_head_, age_tail_;
+    /**
      * Scheduler whose last scan found nothing to issue; it skips scans
      * until markStale() or a drop below a memory-structural limit wakes it.
      */
@@ -276,7 +303,7 @@ class ShaderCore
     unsigned live_warps_total_ = 0;
 
     WritebackWheel wb_wheel_;
-    std::deque<MemFetch> out_queue_;
+    FifoRing<MemFetch> out_queue_;
     std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
     uint64_t next_fetch_id_ = 0;
     std::vector<addr_t> load_lines_, store_lines_; ///< issueWarp scratch

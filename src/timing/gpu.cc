@@ -9,6 +9,40 @@ namespace mlgs::timing
 namespace
 {
 constexpr cycle_t kNoDeadline = std::numeric_limits<cycle_t>::max();
+
+void
+setBit(std::vector<uint64_t> &set, unsigned i)
+{
+    set[i / 64] |= uint64_t(1) << (i % 64);
+}
+
+bool
+testBit(const std::vector<uint64_t> &set, unsigned i)
+{
+    return (set[i / 64] >> (i % 64)) & 1;
+}
+
+/** Call f(i) for each set bit i in ascending order. */
+template <typename F>
+void
+forEachBit(const std::vector<uint64_t> &set, F &&f)
+{
+    for (size_t w = 0; w < set.size(); w++)
+        for (uint64_t bits = set[w]; bits; bits &= bits - 1)
+            f(unsigned(w * 64 + unsigned(__builtin_ctzll(bits))));
+}
+
+/** Clear the bit of every component in `set` that is no longer busy. */
+template <typename C>
+void
+sleepIdle(std::vector<uint64_t> &set, const std::vector<std::unique_ptr<C>> &c)
+{
+    forEachBit(set, [&](unsigned i) {
+        if (!c[i]->busy())
+            set[i / 64] &= ~(uint64_t(1) << (i % 64));
+    });
+}
+
 } // namespace
 
 GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec) : cfg_(cfg)
@@ -17,6 +51,8 @@ GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec) : cfg_(cfg)
         cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, exec));
     for (unsigned p = 0; p < cfg_.num_partitions; p++)
         partitions_.push_back(std::make_unique<MemPartition>(cfg_, p));
+    awake_cores_.assign((cfg_.num_cores + 63) / 64, 0);
+    awake_parts_.assign((cfg_.num_partitions + 63) / 64, 0);
 }
 
 GpuModel::~GpuModel() = default;
@@ -24,51 +60,65 @@ GpuModel::~GpuModel() = default;
 bool
 GpuModel::anythingInFlight() const
 {
-    for (const auto &core : cores_)
-        if (core->busy())
-            return true;
-    for (const auto &part : partitions_)
-        if (part->busy())
-            return true;
-    return !to_partition_.empty() || !to_core_.empty();
+    bool busy = !to_partition_.empty() || !to_core_.empty();
+    forEachBit(awake_cores_, [&](unsigned c) { busy |= cores_[c]->busy(); });
+    forEachBit(awake_parts_,
+               [&](unsigned p) { busy |= partitions_[p]->busy(); });
+    return busy;
 }
 
 void
 GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 {
-    // 1. Shader cores (issue + writeback), in ascending core-id order.
-    for (auto &core : cores_) {
-        if (core->liveWarps())
-            live_.core_active_cycles++;
-        else
-            live_.core_idle_cycles++;
-        // An idle core's cycle is a no-op, apart from the sampler's stalls.
-        if (sampler || core->busy())
-            core->cycle(now, sampler);
-    }
+    // Components outside the awake sets are idle, so each step visits only
+    // awake ones, in ascending id order. The sampler records every core's
+    // stalls and every partition's banks, so with one attached each step
+    // visits all of them.
+    const auto forEach = [&](const std::vector<uint64_t> &set, size_t n,
+                             auto &&f) {
+        if (!sampler)
+            return forEachBit(set, f);
+        for (unsigned i = 0; i < n; i++)
+            f(i);
+    };
+
+    // 1. Shader cores (issue + writeback). An idle core's cycle is a no-op,
+    //    apart from the sampler's stalls, and has no live warps.
+    uint64_t active = 0;
+    forEach(awake_cores_, cores_.size(), [&](unsigned c) {
+        ShaderCore &core = *cores_[c];
+        if (core.liveWarps())
+            active++;
+        if ((sampler || core.busy()) && core.cycle(now, sampler))
+            dispatch_pending_ = true;
+    });
+    live_.core_active_cycles += active;
+    live_.core_idle_cycles += cores_.size() - active;
 
     // 2. Core -> interconnect (all outgoing requests enter the crossbar;
     //    per-partition acceptance below models the bandwidth limit).
-    for (auto &core : cores_) {
+    forEachBit(awake_cores_, [&](unsigned c) {
+        ShaderCore &core = *cores_[c];
         unsigned moved = 0;
-        while (core->hasOutgoing() && moved < 2) {
-            MemFetch mf = core->popOutgoing();
+        while (core.hasOutgoing() && moved < 2) {
+            MemFetch mf = core.popOutgoing();
             mf.partition = unsigned((mf.line_addr / cfg_.l2.line_bytes) %
                                     cfg_.num_partitions);
             live_.icnt_flits += (mf.bytes + 31) / 32;
             to_partition_.push(std::move(mf), now + cfg_.icnt_latency);
             moved++;
         }
-    }
+    });
 
     // 3. Interconnect -> partitions.
     while (to_partition_.ready(now)) {
         MemFetch mf = to_partition_.pop();
+        setBit(awake_parts_, mf.partition);
         partitions_[mf.partition]->pushRequest(std::move(mf));
     }
 
     // 4. Partitions (L2 + DRAM), response collection, bank sampling.
-    for (unsigned p = 0; p < partitions_.size(); p++) {
+    forEach(awake_parts_, partitions_.size(), [&](unsigned p) {
         MemPartition &part = *partitions_[p];
         if (part.busy())
             part.cycle(now);
@@ -86,21 +136,55 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
                                     dram.bankTransferring(b, now),
                                     dram.bankPending(b));
         }
-    }
+    });
 
     // 5. Interconnect -> cores.
     while (to_core_.ready(now)) {
         const MemFetch mf = to_core_.pop();
+        setBit(awake_cores_, mf.core_id);
         cores_[mf.core_id]->pushResponse(mf, now);
     }
+
+    sleepIdle(awake_cores_, cores_);
+    sleepIdle(awake_parts_, partitions_);
 
     if (sampler)
         sampler->endCycle();
 }
 
 void
+GpuModel::dispatchCtas()
+{
+    // Leftover-core CTA dispatch: kernels claim free core slots in launch
+    // order, so a later kernel fills whatever an earlier one leaves
+    // unoccupied.
+    for (unsigned c = 0; c < cores_.size(); c++) {
+        for (auto &ak : active_) {
+            if (!ak->started)
+                continue;
+            while (!ak->disp.allIssued() && cores_[c]->tryIssueCta(ak->disp))
+                setBit(awake_cores_, c);
+        }
+    }
+}
+
+void
+GpuModel::assertSchedulingState() const
+{
+    for (unsigned c = 0; c < cores_.size(); c++) {
+        cores_[c]->assertAgeOrder();
+        MLGS_ASSERT(testBit(awake_cores_, c) || !cores_[c]->busy(), "core ",
+                    c, " is busy outside the awake set");
+    }
+    for (unsigned p = 0; p < partitions_.size(); p++)
+        MLGS_ASSERT(testBit(awake_parts_, p) || !partitions_[p]->busy(),
+                    "partition ", p, " is busy outside the awake set");
+}
+
+void
 GpuModel::assertDrained() const
 {
+    assertSchedulingState();
     for (const auto &core : cores_)
         core->assertDrained();
     for (const auto &part : partitions_)
@@ -230,6 +314,7 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
         for (auto &ak : active_) {
             if (!ak->started && clock_ >= ak->not_before) {
                 ak->started = true;
+                dispatch_pending_ = true;
                 ak->start_clock = clock_;
                 ak->base = snapshot();
             }
@@ -273,16 +358,9 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
         if (clock_ >= limit)
             return std::nullopt;
 
-        // Leftover-core CTA dispatch: kernels claim free core slots in
-        // launch order, so a later kernel fills whatever an earlier one
-        // leaves unoccupied.
-        for (auto &core : cores_) {
-            for (auto &ak : active_) {
-                if (!ak->started)
-                    continue;
-                while (!ak->disp.allIssued() && core->tryIssueCta(ak->disp)) {
-                }
-            }
+        if (dispatch_pending_) {
+            dispatch_pending_ = false;
+            dispatchCtas();
         }
 
         cycleOnce(clock_, sampler);

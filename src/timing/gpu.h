@@ -3,8 +3,9 @@
  * Top-level performance model ("Performance simulation mode"): shader cores,
  * a crossbar interconnect, and memory partitions advanced in lock-step, with
  * AerialVision sampling hooks and aggregated counters for the power model.
- * Like GPGPU-Sim's cycle loop, one host thread (the caller) steps every core
- * in ascending core-id order; host threads parallelize only functional CTAs.
+ * Like GPGPU-Sim's cycle loop, one host thread (the caller) steps the cores
+ * in ascending core-id order, skipping idle ones; host threads parallelize
+ * only functional CTAs.
  *
  * The model is event-drivable: kernels are made resident with beginKernel()
  * and the clock advances via advanceUntil(), so up to
@@ -96,6 +97,14 @@ class GpuModel
     unsigned residentKernels() const { return unsigned(active_.size()); }
     cycle_t clock() const { return clock_; }
 
+    /**
+     * Panics unless the event-driven scheduling state is consistent: every
+     * scheduler's GTO age list is sorted by (last issue, slot), and no core
+     * or partition outside its awake set is busy. assertDrained() runs it
+     * as each kernel retires; tests may call it between cycles.
+     */
+    void assertSchedulingState() const;
+
     // ---- synchronous one-grid wrappers ----
     /** Run one grid to completion in the timing model (device must be idle). */
     KernelRunStats runKernel(const func::LaunchEnv &env, const Dim3 &grid,
@@ -161,6 +170,8 @@ class GpuModel
     };
 
     void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
+    /** Install CTAs on free core slots, kernels in launch order. */
+    void dispatchCtas();
     bool anythingInFlight() const;
     /** Panics if a drained device still holds per-request state. */
     void assertDrained() const;
@@ -172,6 +183,18 @@ class GpuModel
     std::vector<std::unique_ptr<MemPartition>> partitions_;
     DelayQueue<MemFetch> to_partition_;
     DelayQueue<MemFetch> to_core_;
+    /**
+     * Awake sets, one bit per core and per partition: a clear bit means the
+     * component is not busy(), so a cycle skips it. A core wakes when a CTA
+     * is installed or a response reaches it, a partition when a request
+     * arrives; cycleOnce() clears the bits of components no longer busy.
+     */
+    std::vector<uint64_t> awake_cores_, awake_parts_;
+    /**
+     * A kernel started or a warp exited since the last CTA dispatch. Core
+     * slots free up only when a warp exits, so dispatch runs only then.
+     */
+    bool dispatch_pending_ = false;
     TimingTotals totals_;
     /**
      * Counters kept only as running sums (cycles, icnt_flits and the core

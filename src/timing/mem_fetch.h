@@ -1,12 +1,12 @@
 /**
  * @file
  * In-flight memory request token passed between core, interconnect, L2 and
- * DRAM (GPGPU-Sim's mem_fetch analogue), plus simple delay-queue plumbing.
+ * DRAM (GPGPU-Sim's mem_fetch analogue), plus the FIFO rings and delay
+ * queues that carry it.
  */
 #ifndef MLGS_TIMING_MEM_FETCH_H
 #define MLGS_TIMING_MEM_FETCH_H
 
-#include <deque>
 #include <vector>
 
 #include "common/types.h"
@@ -28,36 +28,80 @@ struct MemFetch
     cycle_t created = 0;
 };
 
+/**
+ * FIFO on a power-of-two ring that doubles when full and never shrinks, so
+ * a queue stops allocating once it has held its most entries. The element
+ * type must be default-constructible; popped slots keep their old value
+ * until overwritten.
+ */
+template <typename T>
+class FifoRing
+{
+  public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+
+    T &front() { return buf_[head_]; }
+    const T &front() const { return buf_[head_]; }
+
+    void
+    push_back(T v)
+    {
+        if (size_ == buf_.size())
+            grow();
+        buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
+        size_++;
+    }
+
+    T
+    pop_front()
+    {
+        T v = std::move(buf_[head_]);
+        head_ = (head_ + 1) & (buf_.size() - 1);
+        size_--;
+        return v;
+    }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<T> next(buf_.empty() ? 16 : buf_.size() * 2);
+        for (size_t i = 0; i < size_; i++)
+            next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+        buf_ = std::move(next);
+        head_ = 0;
+    }
+
+    std::vector<T> buf_; ///< capacity: zero or a power of two
+    size_t head_ = 0;
+    size_t size_ = 0;
+};
+
 /** FIFO whose entries become visible after a fixed latency. */
 template <typename T>
 class DelayQueue
 {
   public:
-    void
-    push(T v, cycle_t ready_at)
-    {
-        q_.push_back({ready_at, std::move(v)});
-    }
+    void push(T v, cycle_t ready_at) { q_.push_back({ready_at, std::move(v)}); }
 
     bool
     ready(cycle_t now) const
     {
-        return !q_.empty() && q_.front().first <= now;
+        return !q_.empty() && q_.front().ready_at <= now;
     }
 
-    T
-    pop()
-    {
-        T v = std::move(q_.front().second);
-        q_.pop_front();
-        return v;
-    }
+    T pop() { return q_.pop_front().value; }
 
     bool empty() const { return q_.empty(); }
-    size_t size() const { return q_.size(); }
 
   private:
-    std::deque<std::pair<cycle_t, T>> q_;
+    struct Entry
+    {
+        cycle_t ready_at = 0;
+        T value{};
+    };
+    FifoRing<Entry> q_;
 };
 
 } // namespace mlgs::timing

@@ -13,36 +13,38 @@ MemPartition::MemPartition(const GpuConfig &cfg, unsigned id)
 void
 MemPartition::cycle(cycle_t now)
 {
-    // 1. Accept one request per cycle from the interconnect side.
+    // 1. Accept one request per cycle from the interconnect side. A read
+    //    that finds no free L2 MSHR stays at the front to retry next cycle.
     if (!incoming_.empty()) {
-        MemFetch mf = std::move(incoming_.front());
-        incoming_.pop_front();
-
+        const MemFetch mf = incoming_.front();
+        bool accepted = true;
         if (mf.is_write && !mf.is_atomic) {
             // Write-through towards DRAM; no response needed.
             l2_.accessWrite(mf.line_addr, now);
             writes_seen_++;
-            dram_.push(std::move(mf));
+            dram_.push(mf);
         } else {
             switch (l2_.accessRead(mf.line_addr, now)) {
               case CacheOutcome::Hit:
                 inflight_++;
-                l2_hit_pipe_.push(std::move(mf), now + cfg_->l2.hit_latency);
+                l2_hit_pipe_.push(mf, now + cfg_->l2.hit_latency);
                 break;
               case CacheOutcome::Miss:
                 inflight_++;
                 waiters_[mf.line_addr].push_back(mf);
-                dram_.push(std::move(mf));
+                dram_.push(mf);
                 break;
               case CacheOutcome::MissMerged:
                 inflight_++;
-                waiters_[mf.line_addr].push_back(std::move(mf));
+                waiters_[mf.line_addr].push_back(mf);
                 break;
               case CacheOutcome::ReservationFail:
-                incoming_.push_front(std::move(mf)); // retry next cycle
+                accepted = false;
                 break;
             }
         }
+        if (accepted)
+            incoming_.pop_front();
     }
 
     // 2. DRAM.
@@ -67,14 +69,6 @@ MemPartition::cycle(cycle_t now)
         inflight_--;
         responses_.push_back(l2_hit_pipe_.pop());
     }
-}
-
-MemFetch
-MemPartition::popResponse()
-{
-    MemFetch mf = std::move(responses_.front());
-    responses_.pop_front();
-    return mf;
 }
 
 bool

@@ -27,7 +27,7 @@ class MemPartition
     void cycle(cycle_t now);
 
     bool hasResponse() const { return !responses_.empty(); }
-    MemFetch popResponse();
+    MemFetch popResponse() { return responses_.pop_front(); }
 
     bool busy() const;
 
@@ -43,9 +43,9 @@ class MemPartition
     TagCache l2_;
     DramChannel dram_;
 
-    std::deque<MemFetch> incoming_;
+    FifoRing<MemFetch> incoming_;
     DelayQueue<MemFetch> l2_hit_pipe_;
-    std::deque<MemFetch> responses_;
+    FifoRing<MemFetch> responses_;
     std::unordered_map<addr_t, std::vector<MemFetch>> waiters_;
 
     uint64_t writes_seen_ = 0;

@@ -291,6 +291,23 @@ TEST(Timing, CacheBasics)
     EXPECT_EQ(cache.accessRead(0, 9), timing::CacheOutcome::Miss);
 }
 
+TEST(Timing, FifoRingKeepsOrderAcrossGrowth)
+{
+    // Interleave pushes and pops so the ring wraps before each doubling.
+    timing::FifoRing<unsigned> ring;
+    unsigned next_in = 0, next_out = 0;
+    for (unsigned round = 0; round < 40; round++) {
+        for (unsigned i = 0; i < round + 3; i++)
+            ring.push_back(next_in++);
+        for (unsigned i = 0; i < round / 2 + 1; i++)
+            ASSERT_EQ(ring.pop_front(), next_out++);
+        ASSERT_EQ(ring.size(), next_in - next_out);
+    }
+    while (!ring.empty())
+        ASSERT_EQ(ring.pop_front(), next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(Timing, DramRowHitsAndBankMapping)
 {
     timing::GpuConfig cfg;
@@ -565,6 +582,34 @@ widePtx(unsigned nf)
        << "    sin.approx.f32 %f" << nf - 1 << ", %f" << nf - 2 << ";\n"
        << "    ret;\n}\n";
     return os.str();
+}
+
+/**
+ * GTO picks its fallback warp from an age list kept sorted by (last issue,
+ * slot). Launched at device clock 0, every age starts equal, so slot order
+ * must hold through cycle 0; with more CTAs than one core holds, later CTAs
+ * re-install slots mid-kernel, back into the age-0 prefix in slot order.
+ * The list is checked after every cycle.
+ */
+TEST(Timing, GtoAgeOrderHoldsAcrossCtaWaves)
+{
+    TimingFixture f;
+    timing::GpuConfig cfg;
+    cfg.num_cores = 1;
+    ASSERT_EQ(cfg.sched_policy, timing::SchedPolicy::GTO);
+    const unsigned threads = 256, ctas = f.n / threads;
+    // Eight warps per CTA: each scheduler gets several slots per CTA.
+    ASSERT_GT(ctas, cfg.max_threads_per_core / threads);
+    timing::GpuModel m(cfg, f.gpu.exec);
+    ASSERT_EQ(m.clock(), 0u);
+    m.beginKernel(f.env, Dim3(ctas), Dim3(threads), 0);
+    m.assertSchedulingState();
+    while (m.residentKernels() > 0) {
+        m.advanceUntil(m.clock() + 1);
+        m.assertSchedulingState();
+    }
+    f.checkResult();
+    EXPECT_EQ(m.totals().warp_instructions, (f.n / 32) * 19u);
 }
 
 /**
