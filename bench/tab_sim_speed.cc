@@ -9,7 +9,9 @@
  * fused-WINOGRAD forward conv replayed functionally at sim_threads 1/2/4
  * (CPU and wall seconds, warp-instrs/s; speedup_functional_4t) and in
  * detailed timing at sim_threads 1 (sim cycles/s, warp-instrs/s, CPU
- * seconds), plus the small conv workload's performance-mode run.
+ * seconds), plus the small conv workload's performance-mode run. Every
+ * replay row runs kReplayRuns times and reports the median with the
+ * quartiles of its CPU seconds, so a row shows its own spread.
  */
 #include <benchmark/benchmark.h>
 
@@ -250,14 +252,31 @@ recordForDetailedReplay(cuda::ContextOptions opts, Frontend &&frontend)
     return trace;
 }
 
-/** One replay configuration: best of 3, CPU and wall time each on its own. */
+/** Runs per replay row; an odd count has a middle run. */
+constexpr int kReplayRuns = 5;
+
+/** The q-quantile of ascending `v`, interpolated between neighbours. */
+double
+quantile(const std::vector<double> &v, double q)
+{
+    const double pos = q * double(v.size() - 1);
+    const size_t lo = size_t(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - double(lo));
+}
+
+/**
+ * One replay configuration, run kReplayRuns times: median and quartiles of
+ * CPU seconds, median wall seconds.
+ */
 struct ReplayPoint
 {
     const RecordedTrace *rec;
     cuda::SimMode mode;
     unsigned sim_threads;
-    double cpu_seconds = 1e300;
-    double wall_seconds = 1e300;
+    double cpu_seconds = 0.0; ///< median
+    double cpu_q1 = 0.0, cpu_q3 = 0.0;
+    double wall_seconds = 0.0; ///< median
     uint64_t cycles = 0;
     uint64_t warp_instructions = 0;
 };
@@ -269,17 +288,16 @@ measureReplay(ReplayPoint &pt)
     cuda::ContextOptions opts = rep.options();
     opts.mode = pt.mode;
     opts.sim_threads = pt.sim_threads;
-    for (int rep_i = 0; rep_i < 3; rep_i++) {
+    std::vector<double> cpus, walls;
+    for (int rep_i = 0; rep_i < kReplayRuns; rep_i++) {
         const std::clock_t c0 = std::clock();
         const auto t0 = std::chrono::steady_clock::now();
         cuda::Context ctx(opts);
         rep.replay(ctx);
-        const double cpu = double(std::clock() - c0) / CLOCKS_PER_SEC;
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        pt.cpu_seconds = std::min(pt.cpu_seconds, cpu);
-        pt.wall_seconds = std::min(pt.wall_seconds, wall);
+        cpus.push_back(double(std::clock() - c0) / CLOCKS_PER_SEC);
+        walls.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
         if (pt.mode == cuda::SimMode::Performance) {
             pt.cycles = ctx.gpuModel().totals().cycles;
             pt.warp_instructions = ctx.gpuModel().totals().warp_instructions;
@@ -287,6 +305,12 @@ measureReplay(ReplayPoint &pt)
             pt.warp_instructions = ctx.totalWarpInstructions();
         }
     }
+    std::sort(cpus.begin(), cpus.end());
+    std::sort(walls.begin(), walls.end());
+    pt.cpu_seconds = quantile(cpus, 0.5);
+    pt.cpu_q1 = quantile(cpus, 0.25);
+    pt.cpu_q3 = quantile(cpus, 0.75);
+    pt.wall_seconds = quantile(walls, 0.5);
 }
 
 void
@@ -319,7 +343,7 @@ writeSimSpeedJson(const char *path)
         measureReplay(pt);
     for (auto &pt : detailed)
         measureReplay(pt);
-    // Wall time of both functional replays at 1 thread over 4 threads.
+    // Median wall time of both functional replays at 1 thread over 4.
     double wall_1t = 0.0, wall_4t = 0.0;
     for (const ReplayPoint &pt : functional) {
         if (pt.sim_threads == 1)
@@ -340,6 +364,7 @@ writeSimSpeedJson(const char *path)
                     " n2c8h14w14 k8r3s3 gtx1050\",\n");
     std::fprintf(f, "  \"host_threads_available\": %u,\n",
                  std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"replay_runs\": %d,\n", kReplayRuns);
     std::fprintf(f, "  \"runs\": [\n");
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"sim_threads\": %u, "
@@ -358,11 +383,12 @@ writeSimSpeedJson(const char *path)
         const ReplayPoint &pt = functional[i];
         std::fprintf(f,
                      "    {\"workload\": \"%s\", \"sim_threads\": %u, "
-                     "\"cpu_seconds\": %.3f, \"wall_seconds\": %.3f, "
+                     "\"cpu_seconds\": %.3f, \"cpu_seconds_q1\": %.3f, "
+                     "\"cpu_seconds_q3\": %.3f, \"wall_seconds\": %.3f, "
                      "\"warp_instructions\": %llu, "
                      "\"warp_instrs_per_wall_s\": %.0f}%s\n",
                      pt.rec->workload, pt.sim_threads, pt.cpu_seconds,
-                     pt.wall_seconds,
+                     pt.cpu_q1, pt.cpu_q3, pt.wall_seconds,
                      (unsigned long long)pt.warp_instructions,
                      double(pt.warp_instructions) / pt.wall_seconds,
                      i + 1 < functional.size() ? "," : "");
@@ -373,11 +399,13 @@ writeSimSpeedJson(const char *path)
         const ReplayPoint &pt = detailed[i];
         std::fprintf(f,
                      "    {\"workload\": \"%s\", \"sim_threads\": 1, "
-                     "\"cpu_seconds\": %.3f, \"wall_seconds\": %.3f, "
+                     "\"cpu_seconds\": %.3f, \"cpu_seconds_q1\": %.3f, "
+                     "\"cpu_seconds_q3\": %.3f, \"wall_seconds\": %.3f, "
                      "\"cycles\": %llu, \"sim_cycles_per_cpu_s\": %.0f, "
                      "\"warp_instructions\": %llu, "
                      "\"warp_instrs_per_cpu_s\": %.0f}%s\n",
-                     pt.rec->workload, pt.cpu_seconds, pt.wall_seconds,
+                     pt.rec->workload, pt.cpu_seconds, pt.cpu_q1, pt.cpu_q3,
+                     pt.wall_seconds,
                      (unsigned long long)pt.cycles,
                      double(pt.cycles) / pt.cpu_seconds,
                      (unsigned long long)pt.warp_instructions,
@@ -389,7 +417,7 @@ writeSimSpeedJson(const char *path)
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s (functional replays 4t speedup %.2fx; detailed "
-                "lenet_step %.2f CPU s, winograd_fwd %.2f CPU s)\n",
+                "lenet_step median %.2f CPU s, winograd_fwd %.2f CPU s)\n",
                 path, speedup_4t, detailed[0].cpu_seconds,
                 detailed[1].cpu_seconds);
 }

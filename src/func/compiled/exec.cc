@@ -22,6 +22,7 @@
 #include "func/exec_semantics.h"
 #include "func/executor.h"
 #include "func/site_profiler.h"
+#include "func/warp_stream.h"
 #include "ptx/uop.h"
 
 namespace mlgs::func::compiled
@@ -55,6 +56,7 @@ struct ExecCtx
     size_t stride = 0;                 ///< cells from one lane to the next
     PageHint page;                     ///< last device-memory page touched
     WarpStepResult *res = nullptr;     ///< single-step mode: access sink
+    IssueSink *sink = nullptr;         ///< batch mode: issue-record sink
     FuncStats *stats = nullptr;        ///< batch mode: direct accumulation
     SiteProfiler *profiler = nullptr;  ///< single-step mode: shared lanes
 };
@@ -172,10 +174,11 @@ uopAddr(const ExecCtx &ctx, const UopMem &m, const RegVal *r)
 
 /**
  * Book-keep one lane's ld/st. Single-step mode pushes the access for the
- * engine's FuncStats::accumulate; batch mode applies the exact same
- * accumulation directly (bytes only for global/const, shared counts +
- * race shadow for shared, nothing for param). An attached site profiler
- * sees every shared lane, in lane order.
+ * engine's FuncStats::accumulate; batch mode with an issue sink coalesces it
+ * into the open record's lines; plain batch mode applies the exact same
+ * accumulation as accumulate directly (bytes only for global/const, shared
+ * counts + race shadow for shared, nothing for param). An attached site
+ * profiler sees every shared lane, in lane order.
  */
 void
 recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
@@ -186,6 +189,8 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
         if (ctx.res) {
             ctx.res->accesses.push_back(
                 MemAccess{ea.addr, bytes, is_store, false, ea.space});
+        } else if (ctx.sink) {
+            ctx.sink->access(ea.addr, bytes, is_store);
         } else if (ctx.stats && ea.space != Space::Local) {
             if (is_store)
                 ctx.stats->global_st_bytes += bytes;
@@ -195,6 +200,8 @@ recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
     } else if (ea.space == Space::Shared) {
         if (ctx.res)
             ctx.res->shared_accesses++;
+        else if (ctx.sink)
+            ctx.sink->sharedLane();
         else if (ctx.stats)
             ctx.stats->shared_accesses++;
         if (ctx.profiler)
@@ -337,6 +344,8 @@ hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         if (ea.space == Space::Shared) {
             if (ctx.res)
                 ctx.res->shared_accesses++;
+            else if (ctx.sink)
+                ctx.sink->sharedLane();
             else if (ctx.stats)
                 ctx.stats->shared_accesses++;
             if (ctx.profiler)
@@ -345,6 +354,8 @@ hAtom(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
         } else if (ctx.res) {
             ctx.res->accesses.push_back(MemAccess{
                 ea.addr, ptx::typeSize(u.type), true, true, ea.space});
+        } else if (ctx.sink) {
+            ctx.sink->access(ea.addr, ptx::typeSize(u.type), true);
         } else if (ctx.stats) {
             ctx.stats->atomics++;
             if (ea.space == Space::Global || ea.space == Space::Const ||
@@ -376,6 +387,8 @@ hTex(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
             if (ctx.res)
                 ctx.res->accesses.push_back(
                     MemAccess{f.base, f.bytes, false, false, Space::Tex});
+            else if (ctx.sink)
+                ctx.sink->access(f.base, f.bytes, false);
             else if (ctx.stats)
                 ctx.stats->global_ld_bytes += f.bytes;
         }
@@ -792,12 +805,13 @@ stepWarp(Executor &executor, CtaExec &cta, unsigned warp,
 
 void
 runWarp(Executor &executor, CtaExec &cta, unsigned warp, const LaunchEnv &env,
-        uint64_t max_instr_per_warp, FuncStats *stats)
+        uint64_t max_instr_per_warp, FuncStats *stats, IssueSink *sink)
 {
     const UopProgram &prog = programFor(executor, cta);
     SimtStack &st = cta.stack(warp);
     ExecCtx ctx = makeCtx(executor, cta, env, prog, warp);
     ctx.stats = stats;
+    ctx.sink = sink;
     CoverageMap *cov = executor.coverage();
     uint64_t &icount = cta.warpInstrCount(warp);
     const Uop *const uops = prog.uops.data();
@@ -819,6 +833,8 @@ runWarp(Executor &executor, CtaExec &cta, unsigned warp, const LaunchEnv &env,
                 cov->hit(u.variant_id);
             if (stats)
                 stats->count(u, exec);
+            if (sink)
+                sink->begin(pc, exec);
 
             if (u.kind >= UopKind::Mov) {
                 kHandlers[size_t(u.kind)](u, exec, ctx);
@@ -843,12 +859,16 @@ runWarp(Executor &executor, CtaExec &cta, unsigned warp, const LaunchEnv &env,
                 st.exitLanes(exec);
                 if (exec != mask && !st.empty())
                     st.advance();
+                if (sink)
+                    sink->current().exited = st.empty();
             } else if (u.kind == UopKind::Bar) {
                 MLGS_REQUIRE(st.entries().size() == 1,
                              "bar.sync inside divergent control flow in ",
                              env.kernel->name);
                 cta.setWarpAtBarrier(warp);
                 st.advance();
+                if (sink)
+                    sink->current().barrier = true;
             } else { // Membar
                 st.advance();
             }

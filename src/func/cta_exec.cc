@@ -4,21 +4,26 @@ namespace mlgs::func
 {
 
 CtaExec::CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
-                 const Dim3 &block_dim, const Dim3 &cta_id, bool alloc_state)
-    : kernel_(&kernel),
-      grid_dim_(grid_dim),
-      block_dim_(block_dim),
-      cta_id_(cta_id),
-      num_threads_(unsigned(block_dim.count())),
-      num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize)
+                 const Dim3 &block_dim, const Dim3 &cta_id)
 {
+    reset(kernel, grid_dim, block_dim, cta_id);
+}
+
+void
+CtaExec::reset(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
+               const Dim3 &block_dim, const Dim3 &cta_id)
+{
+    kernel_ = &kernel;
+    grid_dim_ = grid_dim;
+    block_dim_ = block_dim;
+    cta_id_ = cta_id;
+    num_threads_ = unsigned(block_dim.count());
+    num_warps_ = (num_threads_ + kWarpSize - 1) / kWarpSize;
     MLGS_REQUIRE(num_threads_ > 0 && num_threads_ <= 1024,
                  "CTA size out of range: ", num_threads_);
 
-    if (alloc_state) {
-        regs_.assign(size_t(num_threads_) * regsPerThread(), ptx::RegVal());
-        local_.assign(size_t(num_threads_) * kernel.local_bytes, 0);
-    }
+    regs_.assign(size_t(num_threads_) * regsPerThread(), ptx::RegVal());
+    local_.assign(size_t(num_threads_) * kernel.local_bytes, 0);
 
     stacks_.resize(num_warps_);
     for (unsigned w = 0; w < num_warps_; w++) {
@@ -29,9 +34,11 @@ CtaExec::CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
         stacks_[w].init(mask);
     }
 
-    shared_.assign(alloc_state ? kernel.shared_bytes : 0, 0);
+    shared_.assign(kernel.shared_bytes, 0);
     at_barrier_.assign(num_warps_, 0);
     instr_count_.assign(num_warps_, 0);
+    race_.reset();
+    uops_ = nullptr;
 }
 
 } // namespace mlgs::func

@@ -34,15 +34,16 @@ namespace mlgs::func
 class CtaExec
 {
   public:
-    /**
-     * @param alloc_state allocate the register file, local and shared
-     * memory. Warp-stream replay (trace-driven timing) passes false: it
-     * never reads or writes functional state, only the SIMT stacks, barrier
-     * flags, and instruction counters; regs()/local() are then empty.
-     */
     CtaExec(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
-            const Dim3 &block_dim, const Dim3 &cta_id,
-            bool alloc_state = true);
+            const Dim3 &block_dim, const Dim3 &cta_id);
+
+    /**
+     * Become a fresh CTA of `kernel`, exactly as if newly constructed, while
+     * keeping the capacity of every buffer (the timing core reuses one
+     * CtaExec per CTA slot).
+     */
+    void reset(const ptx::KernelDef &kernel, const Dim3 &grid_dim,
+               const Dim3 &block_dim, const Dim3 &cta_id);
 
     const ptx::KernelDef &kernel() const { return *kernel_; }
     const Dim3 &gridDim() const { return grid_dim_; }
@@ -55,7 +56,7 @@ class CtaExec
     /** Register cells per thread (the kernel's reg_types.size()). */
     size_t regsPerThread() const { return kernel_->reg_types.size(); }
 
-    /** Thread `tid`'s registers (empty without functional state). */
+    /** Thread `tid`'s registers (empty for a kernel without any). */
     std::span<ptx::RegVal>
     regs(unsigned tid)
     {
@@ -67,7 +68,7 @@ class CtaExec
         return slice(regs_, tid, regsPerThread());
     }
 
-    /** Thread `tid`'s .local scratch (empty without functional state). */
+    /** Thread `tid`'s .local scratch (empty without .local variables). */
     std::span<uint8_t>
     local(unsigned tid)
     {
@@ -177,7 +178,7 @@ class CtaExec
     slice(Vec &v, unsigned tid, size_t per) -> decltype(std::span(v))
     {
         using Span = decltype(std::span(v));
-        // An unallocated buffer has no storage to offset into.
+        // An empty buffer has no storage to offset into.
         if (v.empty())
             return Span{};
         return Span{v.data() + size_t(tid) * per, per};

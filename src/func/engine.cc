@@ -47,8 +47,8 @@ FunctionalEngine::runCtaWith(Executor &exec, CtaExec &cta,
     if (exec.raceCheck())
         cta.enableRaceCheck();
     // Warps run in batches (whole basic-block spans per dispatch) unless a
-    // warp-stream cache or a site profiler needs per-step granularity.
-    const bool batch = !exec.warpStreamActive() && !exec.siteProfiler();
+    // site profiler needs per-step granularity.
+    const bool batch = !exec.siteProfiler();
     // Stat classes do not depend on bug flags: the clean program serves.
     const ptx::Uop *uops =
         stats && !batch

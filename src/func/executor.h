@@ -1,15 +1,16 @@
 /**
  * @file
  * Functional execution of PTX warp instructions. One Executor instance is
- * shared by the pure-functional engine and by the timing model (which calls
- * stepWarp at issue time, GPGPU-Sim style).
+ * shared by the pure-functional engine and by the timing model, which runs
+ * warps ahead of issue through the batch executor or, where an observable
+ * property needs it, calls stepWarp at issue time (GPGPU-Sim style).
  *
  * The Executor owns nothing that executes: it holds global memory, the bug
  * model and the attached observers (coverage, warp streams, race check, site
  * profiler), and dispatches each step to the compiled micro-op executor
  * (src/func/compiled/, threaded dispatch over the lowered uop stream from
- * ptx/uop.h) or, with a warp-stream replay cache attached, to the recorded
- * stream.
+ * ptx/uop.h). The warp-stream caches are only held here: the timing model
+ * captures into and replays from them.
  */
 #ifndef MLGS_FUNC_EXECUTOR_H
 #define MLGS_FUNC_EXECUTOR_H
@@ -43,32 +44,24 @@ class Executor
     CoverageMap *coverage() const { return coverage_; }
 
     /**
-     * Record every stepped warp instruction into `cache` (trace-driven
-     * timing replay capture). Pass nullptr to detach.
+     * Capture every warp instruction the timing model issues into `cache`
+     * (trace-driven timing replay capture). Pass nullptr to detach.
      */
     void setWarpStreamRecord(WarpStreamCache *cache) { record_streams_ = cache; }
+    WarpStreamCache *warpStreamRecord() const { return record_streams_; }
 
     /**
-     * Replay warp instructions from previously recorded streams instead of
-     * executing: stepWarp() pops the next recorded step for the warp and
-     * performs no register or memory work, so device memory is not updated.
-     * Pass nullptr to detach. Mutually exclusive with record.
+     * Drive the timing model from previously captured streams instead of
+     * executing: issue consumes the recorded records and performs no
+     * register or memory work, so device memory is not updated. Pass
+     * nullptr to detach. Mutually exclusive with record.
      */
     void
     setWarpStreamReplay(const WarpStreamCache *cache)
     {
         replay_streams_ = cache;
     }
-
-    /** A warp-stream cache is attached (forces the serial timing path). */
-    bool
-    warpStreamActive() const
-    {
-        return record_streams_ != nullptr || replay_streams_ != nullptr;
-    }
-
-    /** Stream replay is attached (CTA register state is never read). */
-    bool warpStreamReplayActive() const { return replay_streams_ != nullptr; }
+    const WarpStreamCache *warpStreamReplay() const { return replay_streams_; }
 
     const BugModel &bugs() const { return bugs_; }
     GpuMemory &memory() { return *mem_; }
@@ -98,9 +91,6 @@ class Executor
                   WarpStepResult &res);
 
   private:
-    void replayStep(CtaExec &cta, unsigned warp, const LaunchEnv &env,
-                    WarpStepResult &res);
-
     GpuMemory *mem_;
     BugModel bugs_;
     bool check_races_ = false;

@@ -78,6 +78,14 @@ usesGlobalAtomics(const KernelDef &kernel)
     return kernel.global_atomics;
 }
 
+bool
+readsClock(const KernelDef &kernel)
+{
+    MLGS_ASSERT(kernel.analyzed, "readsClock before analyzeKernel on ",
+                kernel.name);
+    return kernel.reads_clock;
+}
+
 void
 analyzeKernel(KernelDef &kernel)
 {
@@ -86,6 +94,7 @@ analyzeKernel(KernelDef &kernel)
     kernel.analyzed = true;
 
     kernel.global_atomics = false;
+    kernel.reads_clock = false;
     for (auto &ins : kernel.instrs) {
         ins.variant_id = internVariant(ins.text);
         // Generic-space atomics (Space::None) may resolve to shared or
@@ -93,6 +102,9 @@ analyzeKernel(KernelDef &kernel)
         if ((ins.op == Op::Atom || ins.op == Op::Red) &&
             ins.space != Space::Shared)
             kernel.global_atomics = true;
+        for (const Operand &op : ins.ops)
+            if (op.kind == Operand::Kind::Special && op.sreg == SReg::Clock)
+                kernel.reads_clock = true;
     }
 
     const Cfg cfg(kernel);

@@ -325,6 +325,13 @@ struct KernelDef
      */
     bool global_atomics = false;
 
+    /**
+     * Kernel reads %clock (set by analyzeKernel). The functional %clock is
+     * the CTA's executed instruction count, which depends on how warps
+     * interleave, so detailed timing executes such a kernel at issue.
+     */
+    bool reads_clock = false;
+
     int
     regId(const std::string &name) const
     {
@@ -397,6 +404,9 @@ std::string formatInstr(const KernelDef &kernel, const Instr &ins);
  * to have run (parseModule does; instrumented kernels are re-analyzed).
  */
 bool usesGlobalAtomics(const KernelDef &kernel);
+
+/** Does the kernel read %clock? Requires analyzeKernel. */
+bool readsClock(const KernelDef &kernel);
 
 /**
  * Process-wide intern table mapping instruction mnemonic text to dense ids.

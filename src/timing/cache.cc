@@ -12,6 +12,7 @@ TagCache::TagCache(const CacheConfig &cfg) : cfg_(cfg)
     num_sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.assoc);
     MLGS_REQUIRE(num_sets_ > 0, "cache too small for its associativity");
     lines_.resize(size_t(num_sets_) * cfg.assoc);
+    mshrs_.assign(cfg.mshr_entries, kFreeMshr);
 }
 
 unsigned
@@ -32,8 +33,17 @@ TagCache::probe(addr_t line_addr)
     return nullptr;
 }
 
+unsigned
+TagCache::findMshr(addr_t line_addr) const
+{
+    for (unsigned m = 0; m < mshrs_.size(); m++)
+        if (mshrs_[m] == line_addr)
+            return m;
+    return kNoMshr;
+}
+
 CacheOutcome
-TagCache::accessRead(addr_t line_addr, cycle_t now)
+TagCache::accessRead(addr_t line_addr, cycle_t now, unsigned *mshr)
 {
     if (Line *l = probe(line_addr)) {
         l->last_use = now;
@@ -41,16 +51,21 @@ TagCache::accessRead(addr_t line_addr, cycle_t now)
         return CacheOutcome::Hit;
     }
     misses_++;
-    const auto it = mshrs_.find(line_addr);
-    if (it != mshrs_.end()) {
-        it->second++;
+    unsigned m = findMshr(line_addr);
+    if (m != kNoMshr) {
+        if (mshr)
+            *mshr = m;
         return CacheOutcome::MissMerged;
     }
-    if (mshrs_.size() >= cfg_.mshr_entries) {
+    if (mshr_in_use_ >= mshrs_.size()) {
         misses_--; // not a real access yet; caller retries
         return CacheOutcome::ReservationFail;
     }
-    mshrs_.emplace(line_addr, 1);
+    m = findMshr(kFreeMshr);
+    mshrs_[m] = line_addr;
+    mshr_in_use_++;
+    if (mshr)
+        *mshr = m;
     return CacheOutcome::Miss;
 }
 
@@ -66,12 +81,16 @@ TagCache::accessWrite(addr_t line_addr, cycle_t now)
     return false;
 }
 
-void
+unsigned
 TagCache::fill(addr_t line_addr, cycle_t now)
 {
-    mshrs_.erase(line_addr);
+    const unsigned m = findMshr(line_addr);
+    if (m != kNoMshr) {
+        mshrs_[m] = kFreeMshr;
+        mshr_in_use_--;
+    }
     if (probe(line_addr))
-        return;
+        return m;
     const unsigned set = setIndex(line_addr);
     Line *victim = nullptr;
     for (unsigned w = 0; w < cfg_.assoc; w++) {
@@ -86,6 +105,7 @@ TagCache::fill(addr_t line_addr, cycle_t now)
     victim->valid = true;
     victim->tag = line_addr;
     victim->last_use = now;
+    return m;
 }
 
 } // namespace mlgs::timing

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "func/compiled/exec.h"
+
 namespace mlgs::timing
 {
 
-using func::WarpStepResult;
+using func::IssueRecord;
 using ptx::InstrTiming;
 
 namespace
@@ -113,7 +115,8 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
                        func::Executor &exec)
     : id_(id), cfg_(&cfg), exec_(&exec), l1_(cfg.l1),
       wb_wheel_(std::max({cfg.alu_latency, cfg.sfu_latency * 2,
-                          cfg.shared_latency, cfg.l1.hit_latency}))
+                          cfg.shared_latency, cfg.l1.hit_latency})),
+      l1_waiters_(cfg.l1.mshr_entries)
 {
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
@@ -174,7 +177,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
 
     int cta_idx = -1;
     for (size_t i = 0; i < cta_slots_.size(); i++) {
-        if (!cta_slots_[i].cta) {
+        if (!cta_slots_[i].disp) {
             cta_idx = int(i);
             break;
         }
@@ -182,36 +185,61 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
     if (cta_idx < 0)
         return false;
 
+    // Cores that never run a CTA never touch chunk buffers.
+    if (chunks_.empty())
+        chunks_.resize(warps_.size());
     const uint64_t linear = disp.next_cta++;
-    const Dim3 cta_id = unflatten(linear, disp.grid);
     CtaSlot &cs = cta_slots_[size_t(cta_idx)];
+    cs.disp = &disp;
+    cs.linear = linear;
+    const func::WarpStreamCache *replay = exec_->warpStreamReplay();
     const uint64_t pidx = linear - disp.preload_base;
     if (linear >= disp.preload_base && pidx < disp.preloaded.size() &&
         disp.preloaded[pidx]) {
+        MLGS_REQUIRE(!replay, "warp stream replay cannot resume "
+                              "checkpointed CTAs");
         cs.cta = std::move(disp.preloaded[pidx]); // checkpoint-restored state
+        cs.src = Source::Step;
+    } else if (replay) {
+        cs.src = Source::Replay;
     } else {
-        cs.cta = std::make_unique<func::CtaExec>(
-            *disp.env->kernel, disp.grid, disp.block, cta_id,
-            /*alloc_state=*/!exec_->warpStreamReplayActive());
+        const Dim3 cta_id = unflatten(linear, disp.grid);
+        if (cs.cta)
+            cs.cta->reset(*disp.env->kernel, disp.grid, disp.block, cta_id);
+        else
+            cs.cta = std::make_unique<func::CtaExec>(
+                *disp.env->kernel, disp.grid, disp.block, cta_id);
+        cs.src = disp.step_at_issue ? Source::Step : Source::Produce;
     }
-    cs.disp = &disp;
+    const func::CtaExec *cta =
+        cs.src == Source::Replay ? nullptr : cs.cta.get();
+    MLGS_ASSERT(!cta || cta->numWarps() == disp.warps_per_cta,
+                "warp count mismatch");
     for (unsigned w = 0;
          w < warps_.size() && cs.warp_slots.size() < disp.warps_per_cta; w++)
         if (!warps_[w].valid)
             cs.warp_slots.push_back(w);
     cs.live_warps = 0;
-    for (unsigned w = 0; w < cs.cta->numWarps(); w++)
-        if (!cs.cta->warpDone(w))
-            cs.live_warps++;
+    cs.at_barrier = 0;
 
-    MLGS_ASSERT(cs.cta->numWarps() == disp.warps_per_cta, "warp count mismatch");
     const size_t words = (disp.env->kernel->reg_types.size() + 63) / 64;
     for (unsigned i = 0; i < disp.warps_per_cta; i++) {
         const unsigned slot = cs.warp_slots[i];
         WarpSlot &w = warps_[slot];
-        w.valid = !cs.cta->warpDone(i); // restored CTAs may have done warps
+        // Restored CTAs may have done warps and warps waiting at a barrier.
+        w.valid = !cta || !cta->warpDone(i);
+        w.at_barrier = w.valid && cta && cta->warpAtBarrier(i);
+        cs.live_warps += w.valid;
+        cs.at_barrier += w.at_barrier;
         w.cta_slot = cta_idx;
         w.warp_in_cta = i;
+        if (cs.src == Source::Replay) {
+            w.stream = &replay->stream(disp.env->launch_seq, linear, i);
+        } else {
+            chunks_[slot].clear();
+            w.stream = &chunks_[slot];
+        }
+        w.pos = 0;
         for (auto *rows : {&busy_regs_, &mem_dest_regs_}) {
             std::vector<uint64_t> &row = (*rows)[slot];
             row.assign(std::max(row.size(), words), 0);
@@ -237,18 +265,59 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
 }
 
 void
+ShaderCore::produce(unsigned slot)
+{
+    WarpSlot &w = warps_[slot];
+    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
+    const func::LaunchEnv &env = *cs.disp->env;
+    MLGS_REQUIRE(cs.src == Source::Produce, "warp stream replay: the stream "
+                 "of CTA ", cs.linear, " warp ", w.warp_in_cta, " in ",
+                 env.kernel->name, " ends before the warp exits");
+    func::CtaExec &cta = *cs.cta;
+    const unsigned warp = w.warp_in_cta;
+    // The warp's cursor ran dry past its bar.sync record, so the timing
+    // barrier released: every live warp of the CTA consumed its bar record,
+    // and each of them stopped at the functional barrier when producing it.
+    if (cta.warpAtBarrier(warp)) {
+        MLGS_ASSERT(cta.barrierComplete(), "functional barrier of CTA ",
+                    cs.linear, " in ", env.kernel->name,
+                    " released before every warp arrived");
+        cta.releaseBarrier();
+    }
+    func::IssueStream &chunk = chunks_[slot];
+    chunk.clear();
+    chunk.recs.reserve(kIssueChunk);
+    func::IssueSink sink(chunk, cfg_->l1.line_bytes);
+    func::compiled::runWarp(*exec_, cta, warp, env,
+                            cta.warpInstrCount(warp) + kIssueChunk, nullptr,
+                            &sink);
+    MLGS_ASSERT(!chunk.recs.empty(), "no instruction produced for a live warp");
+    w.pos = 0;
+}
+
+uint32_t
+ShaderCore::nextPc(unsigned slot)
+{
+    WarpSlot &w = warps_[slot];
+    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
+    if (cs.src == Source::Step)
+        return cs.cta->stack(w.warp_in_cta).pc();
+    if (w.pos == w.stream->recs.size())
+        produce(slot);
+    return w.stream->recs[w.pos].pc;
+}
+
+void
 ShaderCore::refresh(unsigned slot)
 {
     WarpSlot &w = warps_[slot];
     w.stale = false;
-    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
-    if (!cs.cta || cs.cta->warpAtBarrier(w.warp_in_cta) ||
-        cs.cta->warpDone(w.warp_in_cta)) {
+    if (!w.valid || w.at_barrier) {
         w.verdict = Verdict::Barrier;
         return;
     }
-    const InstrTiming &t =
-        (*cs.disp->timing)[cs.cta->stack(w.warp_in_cta).pc()];
+    const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
+    const InstrTiming &t = (*cs.disp->timing)[nextPc(slot)];
     const uint64_t *busy = busy_regs_[slot].data();
 
     bool hazard = t.exit && w.pending_loads > 0;
@@ -296,16 +365,36 @@ ShaderCore::holdWrites(unsigned slot, const InstrTiming &t, cycle_t now,
 }
 
 void
+ShaderCore::releaseBarrier(unsigned cta_slot)
+{
+    CtaSlot &cs = cta_slots_[cta_slot];
+    cs.at_barrier = 0;
+    for (const unsigned slot : cs.warp_slots) {
+        // A slot freed by an exited warp may hold another CTA's warp now.
+        if (warps_[slot].cta_slot == int(cta_slot))
+            warps_[slot].at_barrier = false;
+        markStale(slot);
+    }
+    // A stepped CTA's functional barrier releases with the timing one; a
+    // producing CTA's releases when a warp next runs ahead (produce()).
+    if (cs.src == Source::Step)
+        cs.cta->releaseBarrier();
+}
+
+void
 ShaderCore::completeCtaIfDone(int cta_slot)
 {
     CtaSlot &cs = cta_slots_[size_t(cta_slot)];
-    if (!cs.cta || cs.live_warps > 0)
+    if (!cs.disp || cs.live_warps > 0)
         return;
     used_threads_ -= cs.disp->threads_per_cta;
     used_shared_ -= cs.disp->shared_bytes_per_cta;
     used_ctas_--;
     cs.disp->completed_ctas++;
-    cs.cta.reset();
+    // The next CTA of the same launch reuses the CtaExec's buffers; once
+    // the launch has no CTA left to install, they go back to the heap.
+    if (cs.disp->allIssued())
+        cs.cta.reset();
     cs.disp = nullptr;
     cs.warp_slots.clear();
 }
@@ -317,8 +406,21 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
     const func::LaunchEnv &env = *cs.disp->env;
 
-    exec_->stepWarp(*cs.cta, w.warp_in_cta, env, step_);
-    const WarpStepResult &res = step_;
+    if (cs.src == Source::Step) {
+        exec_->stepWarp(*cs.cta, w.warp_in_cta, env, step_);
+        chunks_[slot].clear();
+        chunks_[slot].appendStep(step_, cfg_->l1.line_bytes);
+        w.pos = 0;
+    }
+    // Otherwise refresh() read this record's pc, so the cursor holds it.
+    MLGS_ASSERT(w.pos < w.stream->recs.size(), "issue from a dry cursor");
+    const func::IssueStream &stream = *w.stream;
+    const IssueRecord &rec = stream.recs[w.pos++];
+    if (func::WarpStreamCache *cap = exec_->warpStreamRecord())
+        cap->append(env.launch_seq, cs.disp->total_ctas,
+                    cs.disp->warps_per_cta, cs.linear, w.warp_in_cta, rec,
+                    stream.lines.data());
+
     w.last_issue = now;
     // The youngest age goes to the tail. At cycle 0 every age is still 0,
     // so slot order already sorts the list.
@@ -328,15 +430,15 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     }
     markStale(slot);
 
-    const InstrTiming &t = (*cs.disp->timing)[res.pc];
-    const unsigned lanes = unsigned(__builtin_popcount(res.active));
+    const InstrTiming &t = (*cs.disp->timing)[rec.pc];
+    const unsigned lanes = unsigned(__builtin_popcount(rec.active));
     counters_.warp_instructions++;
     counters_.thread_instructions += lanes;
     counters_.*kPipeCounter[size_t(t.pipe)] += 1;
     if (sampler)
         sampler->recordIssue(id_, lanes);
 
-    if (res.exited) {
+    if (rec.exited) {
         w.valid = false;
         MLGS_ASSERT(w.pending_loads == 0, "warp exited with loads in flight");
         cs.live_warps--;
@@ -345,56 +447,44 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
         completeCtaIfDone(w.cta_slot);
         return;
     }
-    if (res.barrier) {
+    if (rec.barrier) {
         // The warp now waits; the release happens in the next cycle().
+        w.at_barrier = true;
+        cs.at_barrier++;
         barrier_checks_.push_back(unsigned(w.cta_slot));
         return;
     }
 
-    // Memory path.
-    if (!res.accesses.empty()) {
-        // Coalesce per-lane accesses into cache lines.
+    // Memory path: the record's lines, coalesced for the L1 line size.
+    const auto load_lines = stream.loadLines(rec);
+    const auto store_lines = stream.storeLines(rec);
+    if (!load_lines.empty() || !store_lines.empty()) {
         const unsigned line = cfg_->l1.line_bytes;
-        load_lines_.clear();
-        store_lines_.clear();
-        for (const auto &acc : res.accesses) {
-            auto &list = acc.is_store ? store_lines_ : load_lines_;
-            const addr_t la = acc.addr & ~addr_t(line - 1);
-            // Also cover accesses straddling a line boundary.
-            const addr_t lb = (acc.addr + acc.size - 1) & ~addr_t(line - 1);
-            if (std::find(list.begin(), list.end(), la) == list.end())
-                list.push_back(la);
-            if (lb != la &&
-                std::find(list.begin(), list.end(), lb) == list.end())
-                list.push_back(lb);
-        }
-
         const auto fetch = [&](addr_t la, bool is_write) {
             MemFetch mf;
-            mf.id = next_fetch_id_++;
             mf.line_addr = la;
             mf.bytes = line;
             mf.is_write = is_write;
             mf.is_atomic = t.atomic;
             mf.core_id = id_;
             mf.warp_slot = is_write && !t.atomic ? -1 : int(slot);
-            mf.created = now;
             out_queue_.push_back(std::move(mf));
         };
         // Every load line, and every atomic line, is one pending load part.
         const unsigned pending_before = w.pending_loads;
-        for (const addr_t la : load_lines_) {
+        for (const addr_t la : load_lines) {
             w.pending_loads++;
-            const CacheOutcome outcome = l1_.accessRead(la, now);
+            unsigned mshr = 0;
+            const CacheOutcome outcome = l1_.accessRead(la, now, &mshr);
             if (outcome == CacheOutcome::Hit)
                 wb_wheel_.push(Writeback{slot, 0, true, {}}, now,
                                now + cfg_->l1.hit_latency);
             else if (outcome == CacheOutcome::MissMerged)
-                l1_waiters_[la].push_back(slot);
+                l1_waiters_.push(mshr, slot);
             else
                 fetch(la, false);
         }
-        for (const addr_t la : store_lines_) {
+        for (const addr_t la : store_lines) {
             l1_.accessWrite(la, now);
             if (t.atomic)
                 w.pending_loads++;
@@ -410,8 +500,8 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
         return;
     }
 
-    if (res.shared_accesses > 0) {
-        counters_.shared_accesses += res.shared_accesses;
+    if (rec.shared_accesses > 0) {
+        counters_.shared_accesses += rec.shared_accesses;
         holdWrites(slot, t, now, now + cfg_->shared_latency);
         return;
     }
@@ -450,14 +540,11 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
     });
 
     // 2. Release barriers completed by last cycle's arrivals and exits or
-    //    by a CTA installed since.
+    //    by a CTA installed since: every live warp of the CTA waits.
     for (const unsigned c : barrier_checks_) {
-        CtaSlot &cs = cta_slots_[c];
-        if (cs.cta && cs.cta->barrierComplete()) {
-            cs.cta->releaseBarrier();
-            for (const unsigned slot : cs.warp_slots)
-                markStale(slot);
-        }
+        const CtaSlot &cs = cta_slots_[c];
+        if (cs.disp && cs.at_barrier > 0 && cs.at_barrier == cs.live_warps)
+            releaseBarrier(c);
     }
     barrier_checks_.clear();
 
@@ -546,16 +633,12 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
 void
 ShaderCore::pushResponse(const MemFetch &mf, cycle_t now)
 {
-    l1_.fill(mf.line_addr, now);
+    const unsigned mshr = l1_.fill(mf.line_addr, now);
 
     if (mf.warp_slot >= 0)
         loadPartDone(unsigned(mf.warp_slot));
-    const auto it = l1_waiters_.find(mf.line_addr);
-    if (it != l1_waiters_.end()) {
-        for (const unsigned slot : it->second)
-            loadPartDone(slot);
-        l1_waiters_.erase(it);
-    }
+    if (mshr != TagCache::kNoMshr)
+        l1_waiters_.drain(mshr, [&](unsigned slot) { loadPartDone(slot); });
 }
 
 MemFetch

@@ -1,15 +1,18 @@
 /**
  * @file
  * Cycle-level SIMT core ("shader core" / SM): warp schedulers with a
- * scoreboard, functional execution at issue (GPGPU-Sim style), an L1 data
- * cache with MSHR merging, and CTA occupancy management.
+ * scoreboard, an L1 data cache with MSHR merging, and CTA occupancy
+ * management. Issue consumes one issue record per warp instruction from a
+ * per-warp-slot cursor (func/warp_stream.h); the records come from the
+ * batch executor running the warp ahead in bounded chunks, from one
+ * functional step at issue (GPGPU-Sim style) where an observable property
+ * needs that order, or from a captured stream.
  */
 #ifndef MLGS_TIMING_CORE_H
 #define MLGS_TIMING_CORE_H
 
 #include <iterator>
 #include <memory>
-#include <unordered_map>
 
 #include "func/engine.h"
 #include "ptx/uop.h"
@@ -100,6 +103,13 @@ struct KernelDispatch
     uint64_t completed_ctas = 0;
 
     /**
+     * Execute each warp instruction functionally at issue instead of ahead
+     * of it: the kernel's result or an attached observer depends on the
+     * order of issue (global atomics, %clock, a site profiler).
+     */
+    bool step_at_issue = false;
+
+    /**
      * Checkpoint resume: pre-initialized (possibly mid-execution) CTA states
      * for linear ids [preload_base, preload_base + preloaded.size()).
      */
@@ -109,6 +119,14 @@ struct KernelDispatch
     bool allIssued() const { return next_cta >= total_ctas; }
     bool allDone() const { return completed_ctas >= total_ctas; }
 };
+
+/**
+ * Most issue records a warp runs ahead of issue: the batch executor refills
+ * a warp's cursor with at most this many instructions. It bounds the
+ * records held per resident warp, whatever a warp's length between
+ * barriers.
+ */
+inline constexpr unsigned kIssueChunk = 64;
 
 /** One streaming multiprocessor. */
 class ShaderCore
@@ -158,12 +176,25 @@ class ShaderCore
   private:
     static constexpr unsigned kNoSlot = ~0u;
 
+    /** Where a CTA's warps get their issue records from. */
+    enum class Source : uint8_t
+    {
+        Produce, ///< the batch executor, ahead of issue, kIssueChunk at a time
+        Step,    ///< one functional step at issue (KernelDispatch, checkpoint)
+        Replay,  ///< the executor's warp-stream replay cache (no CtaExec)
+    };
+
     struct CtaSlot
     {
+        /** Functional state; unused under Source::Replay. Kept for the
+         *  slot's next CTA of the same launch once this one completes. */
         std::unique_ptr<func::CtaExec> cta;
-        KernelDispatch *disp = nullptr;
+        KernelDispatch *disp = nullptr;     ///< null while the slot is free
+        uint64_t linear = 0;                ///< linear CTA id in the grid
+        Source src = Source::Produce;
         std::vector<unsigned> warp_slots;
         unsigned live_warps = 0;
+        unsigned at_barrier = 0; ///< live warps waiting at bar.sync
     };
 
     /** Cached scheduling verdict of a warp slot's next instruction. */
@@ -189,6 +220,11 @@ class ShaderCore
         bool stale = true;
         Verdict verdict = Verdict::Barrier;
         bool mem_next = false; ///< next instruction touches memory
+        /** Consumed a bar.sync record; waits for its CTA's release. */
+        bool at_barrier = false;
+        /** Issue cursor: the next record is recs[pos] of *stream. */
+        const func::IssueStream *stream = nullptr;
+        size_t pos = 0;
     };
 
     /**
@@ -245,6 +281,11 @@ class ShaderCore
 
     /** Recompute a stale slot's cached verdict from its next instruction. */
     void refresh(unsigned slot);
+    /** The pc of the slot's next instruction; refills a dry cursor. */
+    uint32_t nextPc(unsigned slot);
+    /** Run the slot's warp ahead into its chunk (Source::Produce). */
+    void produce(unsigned slot);
+    void releaseBarrier(unsigned cta_slot);
     /** An event changed the slot's inputs; wakes its scheduler. */
     void
     markStale(unsigned slot)
@@ -304,10 +345,11 @@ class ShaderCore
 
     WritebackWheel wb_wheel_;
     FifoRing<MemFetch> out_queue_;
-    std::unordered_map<addr_t, std::vector<unsigned>> l1_waiters_;
-    uint64_t next_fetch_id_ = 0;
-    std::vector<addr_t> load_lines_, store_lines_; ///< issueWarp scratch
-    func::WarpStepResult step_; ///< issueWarp's step record, reused
+    MshrWaiters<unsigned> l1_waiters_; ///< warp slots merged into L1 misses
+    /** Each warp slot's chunk of issue records (capacity reused), sized
+     *  at the core's first CTA install. */
+    std::vector<func::IssueStream> chunks_;
+    func::WarpStepResult step_; ///< Source::Step's step record, reused
 
     TimingTotals counters_;
 };

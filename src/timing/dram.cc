@@ -75,7 +75,7 @@ DramChannel::cycle(cycle_t now)
         return;
 
     Request req = std::move(queue_[pick]);
-    queue_.erase(queue_.begin() + long(pick));
+    queue_.erase(pick);
 
     const unsigned b = req.bank;
     Bank &bank = banks_[b];

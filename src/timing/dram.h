@@ -8,7 +8,6 @@
 #ifndef MLGS_TIMING_DRAM_H
 #define MLGS_TIMING_DRAM_H
 
-#include <deque>
 #include <vector>
 
 #include "timing/config.h"
@@ -81,7 +80,7 @@ class DramChannel
     unsigned partition_id_;
     std::vector<Bank> banks_;
     std::vector<unsigned> pending_per_bank_;
-    std::deque<Request> queue_;
+    FifoRing<Request> queue_;
     DelayQueue<MemFetch> done_;
     cycle_t bus_free_ = 0;
     cycle_t earliest_ready_ = 0; ///< min over banks of ready_at

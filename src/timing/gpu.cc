@@ -45,7 +45,8 @@ sleepIdle(std::vector<uint64_t> &set, const std::vector<std::unique_ptr<C>> &c)
 
 } // namespace
 
-GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec) : cfg_(cfg)
+GpuModel::GpuModel(const GpuConfig &cfg, func::Executor &exec)
+    : cfg_(cfg), exec_(&exec)
 {
     for (unsigned c = 0; c < cfg_.num_cores; c++)
         cores_.push_back(std::make_unique<ShaderCore>(c, cfg_, exec));
@@ -259,6 +260,9 @@ GpuModel::beginKernel(const func::LaunchEnv &env, const Dim3 &grid,
     disp.completed_ctas = disp.next_cta;
     disp.preload_base = skip_ctas;
     disp.preloaded = std::move(preloaded);
+    disp.step_at_issue = exec_->siteProfiler() ||
+                         ptx::usesGlobalAtomics(*env.kernel) ||
+                         ptx::readsClock(*env.kernel);
 
     MLGS_REQUIRE(disp.threads_per_cta <= cfg_.max_threads_per_core,
                  "CTA larger than a core's thread capacity");

@@ -179,6 +179,7 @@ class GpuModel
     KernelCompletion finishActive(size_t idx);
 
     GpuConfig cfg_;
+    func::Executor *exec_;
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     std::vector<std::unique_ptr<MemPartition>> partitions_;
     DelayQueue<MemFetch> to_partition_;

@@ -17,7 +17,6 @@ namespace mlgs::timing
 /** One cache-line-granular memory transaction. */
 struct MemFetch
 {
-    uint64_t id = 0;
     addr_t line_addr = 0;
     unsigned bytes = 0;
     bool is_write = false;
@@ -25,7 +24,6 @@ struct MemFetch
     unsigned core_id = 0;
     int warp_slot = -1;  ///< requesting warp slot on the core (-1: none)
     unsigned partition = 0;
-    cycle_t created = 0;
 };
 
 /**
@@ -44,6 +42,14 @@ class FifoRing
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
 
+    /** The i-th entry from the front. */
+    T &operator[](size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+    const T &
+    operator[](size_t i) const
+    {
+        return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+
     void
     push_back(T v)
     {
@@ -60,6 +66,15 @@ class FifoRing
         head_ = (head_ + 1) & (buf_.size() - 1);
         size_--;
         return v;
+    }
+
+    /** Remove the i-th entry, keeping the others in order (moves i entries). */
+    void
+    erase(size_t i)
+    {
+        for (; i > 0; i--)
+            (*this)[i] = std::move((*this)[i - 1]);
+        pop_front();
     }
 
   private:

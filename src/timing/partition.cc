@@ -6,7 +6,8 @@ namespace mlgs::timing
 {
 
 MemPartition::MemPartition(const GpuConfig &cfg, unsigned id)
-    : cfg_(&cfg), id_(id), l2_(cfg.l2), dram_(cfg, id)
+    : cfg_(&cfg), id_(id), l2_(cfg.l2), dram_(cfg, id),
+      waiters_(cfg.l2.mshr_entries)
 {
 }
 
@@ -24,19 +25,20 @@ MemPartition::cycle(cycle_t now)
             writes_seen_++;
             dram_.push(mf);
         } else {
-            switch (l2_.accessRead(mf.line_addr, now)) {
+            unsigned mshr = 0;
+            switch (l2_.accessRead(mf.line_addr, now, &mshr)) {
               case CacheOutcome::Hit:
                 inflight_++;
                 l2_hit_pipe_.push(mf, now + cfg_->l2.hit_latency);
                 break;
               case CacheOutcome::Miss:
                 inflight_++;
-                waiters_[mf.line_addr].push_back(mf);
+                waiters_.push(mshr, mf);
                 dram_.push(mf);
                 break;
               case CacheOutcome::MissMerged:
                 inflight_++;
-                waiters_[mf.line_addr].push_back(mf);
+                waiters_.push(mshr, mf);
                 break;
               case CacheOutcome::ReservationFail:
                 accepted = false;
@@ -53,15 +55,12 @@ MemPartition::cycle(cycle_t now)
         MemFetch mf = dram_.popDone();
         if (mf.is_write && !mf.is_atomic)
             continue; // write-through completes silently
-        l2_.fill(mf.line_addr, now);
-        const auto it = waiters_.find(mf.line_addr);
-        if (it != waiters_.end()) {
-            for (auto &w : it->second) {
+        const unsigned mshr = l2_.fill(mf.line_addr, now);
+        if (mshr != TagCache::kNoMshr)
+            waiters_.drain(mshr, [&](MemFetch w) {
                 inflight_--;
                 responses_.push_back(std::move(w));
-            }
-            waiters_.erase(it);
-        }
+            });
     }
 
     // 3. L2 hits maturing.

@@ -6,8 +6,6 @@
 #ifndef MLGS_TIMING_PARTITION_H
 #define MLGS_TIMING_PARTITION_H
 
-#include <unordered_map>
-
 #include "timing/cache.h"
 #include "timing/dram.h"
 
@@ -46,7 +44,7 @@ class MemPartition
     FifoRing<MemFetch> incoming_;
     DelayQueue<MemFetch> l2_hit_pipe_;
     FifoRing<MemFetch> responses_;
-    std::unordered_map<addr_t, std::vector<MemFetch>> waiters_;
+    MshrWaiters<MemFetch> waiters_; ///< reads waiting on each L2 MSHR
 
     uint64_t writes_seen_ = 0;
     unsigned inflight_ = 0; ///< reads being serviced (DRAM or hit pipe)

@@ -20,7 +20,9 @@
 #include <limits>
 
 #include "difftest/ref_exec.h"
+#include "func/compiled/exec.h"
 #include "func/site_profiler.h"
+#include "func/warp_stream.h"
 #include "sim_test_util.h"
 
 using namespace mlgs;
@@ -845,6 +847,200 @@ TEST(CompiledExec, StepResultResetBetweenSteps)
     EXPECT_TRUE(res.accesses.empty());
     EXPECT_EQ(res.shared_accesses, 0u);
     EXPECT_TRUE(cta->warpDone(0));
+}
+
+/** One issue record with its lines, for comparison and printing. */
+struct FlatRecord
+{
+    uint32_t pc = 0;
+    warp_mask_t active = 0;
+    unsigned shared = 0;
+    bool barrier = false, exited = false;
+    std::vector<addr_t> loads, stores;
+
+    bool operator==(const FlatRecord &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FlatRecord &r)
+{
+    os << "pc " << r.pc << " active " << std::hex << r.active << " loads";
+    for (const addr_t a : r.loads)
+        os << " " << a;
+    os << " stores";
+    for (const addr_t a : r.stores)
+        os << " " << a;
+    return os << std::dec << " shared " << r.shared << " bar " << r.barrier
+              << " exit " << r.exited;
+}
+
+std::vector<FlatRecord>
+flatten(const func::IssueStream &s)
+{
+    std::vector<FlatRecord> out;
+    for (const func::IssueRecord &r : s.recs) {
+        const auto loads = s.loadLines(r), stores = s.storeLines(r);
+        out.push_back({r.pc, r.active, r.shared_accesses, r.barrier, r.exited,
+                       {loads.begin(), loads.end()},
+                       {stores.begin(), stores.end()}});
+    }
+    return out;
+}
+
+/**
+ * Every warp's issue records of a serial CTA-by-CTA run, warps interleaved
+ * `chunk` instructions at a time. With `step` each record is a stepWarp
+ * result coalesced by IssueStream::appendStep; otherwise runWarp's IssueSink
+ * coalesces lane accesses as they run. The output buffer's bytes go to
+ * `out`, the input buffer's address to `in_addr`.
+ */
+std::vector<std::vector<FlatRecord>>
+issueRecords(bool step, const char *src, const std::string &kernel, Dim3 grid,
+             Dim3 block, const std::vector<uint8_t> &in, size_t out_bytes,
+             unsigned line_bytes, unsigned chunk, std::vector<uint8_t> *out,
+             addr_t *in_addr)
+{
+    MiniGpu gpu;
+    const ptx::Module m = ptx::parseModule(src, "compiled_exec.ptx");
+    const ptx::KernelDef &k = findKernel(m, kernel);
+    Image img;
+    if (!in.empty())
+        img.in_addr = gpu.upload(in.data(), in.size());
+    img.out_addr = gpu.alloc.alloc(out_bytes);
+    gpu.mem.memset(img.out_addr, 0, out_bytes);
+    func::LaunchEnv env;
+    env.kernel = &k;
+    env.params = kernelParams(k, img).bytes();
+    env.symbols = &gpu.symbols;
+
+    std::vector<std::vector<FlatRecord>> warps;
+    func::WarpStepResult res;
+    for (uint64_t c = 0; c < grid.count(); c++) {
+        auto cta = gpu.engine.makeCta(env, grid, block, c);
+        std::vector<func::IssueStream> streams(cta->numWarps());
+        while (!cta->allDone()) {
+            for (unsigned w = 0; w < cta->numWarps(); w++) {
+                const uint64_t limit = cta->warpInstrCount(w) + chunk;
+                if (!step) {
+                    func::IssueSink sink(streams[w], line_bytes);
+                    func::compiled::runWarp(gpu.exec, *cta, w, env, limit,
+                                            nullptr, &sink);
+                    continue;
+                }
+                while (!cta->warpDone(w) && !cta->warpAtBarrier(w) &&
+                       cta->warpInstrCount(w) < limit) {
+                    gpu.exec.stepWarp(*cta, w, env, res);
+                    streams[w].appendStep(res, line_bytes);
+                }
+            }
+            if (cta->barrierComplete())
+                cta->releaseBarrier();
+        }
+        for (const auto &s : streams)
+            warps.push_back(flatten(s));
+    }
+    *out = gpu.download<uint8_t>(img.out_addr, out_bytes);
+    *in_addr = img.in_addr;
+    return warps;
+}
+
+/**
+ * Detailed timing consumes runWarp's issue records in place of stepWarp's
+ * results: record for record, pc, mask, shared lanes, barrier and exit flags
+ * and the coalesced load and store lines (order included) must agree, for
+ * line sizes where accesses straddle lines and with warps interleaved at
+ * chunk boundaries that fall mid-block.
+ */
+TEST(CompiledExec, IssueRecordsMatchSteppedResults)
+{
+    const char *src = R"(
+.visible .entry mixed(.param .u64 in, .param .u64 out)
+{
+    .reg .u64 %rd<10>;
+    .reg .u32 %r<12>;
+    .reg .f32 %f<6>;
+    .reg .pred %p<3>;
+    .shared .align 4 .b8 sbuf[256];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 37;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.u32 %r2, [%rd4+6];
+    mul.wide.u32 %rd5, %r1, 8;
+    add.u64 %rd6, %rd1, %rd5;
+    ld.global.v2.f32 {%f1, %f2}, [%rd6];
+    mov.u64 %rd7, sbuf;
+    mul.wide.u32 %rd8, %r1, 4;
+    add.u64 %rd8, %rd7, %rd8;
+    st.shared.u32 [%rd8], %r2;
+    bar.sync 0;
+    xor.b32 %r3, %r1, 1;
+    mul.wide.u32 %rd9, %r3, 4;
+    add.u64 %rd9, %rd7, %rd9;
+    ld.shared.u32 %r4, [%rd9];
+    and.b32 %r5, %r1, 3;
+    setp.eq.u32 %p1, %r5, 0;
+    @%p1 bra SKIP;
+    add.u32 %r4, %r4, %r2;
+    atom.global.add.u32 %r6, [%rd2], %r5;
+SKIP:
+    mov.u32 %r7, 0;
+LOOP:
+    add.u32 %r7, %r7, 1;
+    setp.lt.u32 %p2, %r7, %r5;
+    @%p2 bra LOOP;
+    add.f32 %f3, %f1, %f2;
+    add.u64 %rd9, %rd2, %rd3;
+    st.global.u32 [%rd9+4], %r4;
+    st.global.f32 [%rd9+8], %f3;
+    ret;
+}
+)";
+    std::vector<uint32_t> in(64 * 10);
+    for (unsigned i = 0; i < in.size(); i++)
+        in[i] = i * 2654435761u;
+    const size_t out_bytes = 64 * 37 + 16;
+    for (const unsigned line : {32u, 128u}) {
+        for (const unsigned chunk : {3u, 7u, 1000u}) {
+            SCOPED_TRACE("line " + std::to_string(line) + " chunk " +
+                         std::to_string(chunk));
+            std::vector<uint8_t> out_step, out_run;
+            addr_t in_addr = 0;
+            const auto stepped = issueRecords(
+                true, src, "mixed", Dim3(2), Dim3(64), asBytes(in),
+                out_bytes, line, chunk, &out_step, &in_addr);
+            const auto run = issueRecords(
+                false, src, "mixed", Dim3(2), Dim3(64), asBytes(in),
+                out_bytes, line, chunk, &out_run, &in_addr);
+            EXPECT_EQ(out_step, out_run);
+            ASSERT_EQ(stepped.size(), run.size());
+            for (size_t w = 0; w < stepped.size(); w++) {
+                ASSERT_EQ(stepped[w].size(), run[w].size()) << "warp " << w;
+                for (size_t i = 0; i < stepped[w].size(); i++)
+                    EXPECT_EQ(stepped[w][i], run[w][i])
+                        << "warp " << w << " record " << i;
+                EXPECT_TRUE(stepped[w].back().exited) << "warp " << w;
+            }
+
+            // The unaligned load (pc 5) in lane order: each lane's first
+            // line, then the next line when its 4 bytes straddle into it.
+            std::vector<addr_t> want;
+            bool straddled = false;
+            for (unsigned lane = 0; lane < 32; lane++) {
+                const addr_t a = in_addr + 37 * lane + 6;
+                const addr_t la = a & ~addr_t(line - 1);
+                const addr_t lb = (a + 3) & ~addr_t(line - 1);
+                straddled |= lb != la;
+                for (const addr_t l : {la, lb})
+                    if (std::find(want.begin(), want.end(), l) == want.end())
+                        want.push_back(l);
+            }
+            EXPECT_TRUE(straddled);
+            ASSERT_EQ(run[0][5].pc, 5u);
+            EXPECT_EQ(run[0][5].loads, want);
+        }
+    }
 }
 
 } // namespace

@@ -161,16 +161,20 @@ struct GenLaunch
 };
 
 /**
- * Detailed timing executes each instruction functionally at issue, in the
- * order its warp schedulers pick. For a fixed seed list of generated
- * kernels, run with one CTA per core so multi-CTA grids spread over cores,
- * that order must not change the result: output memory is byte-identical
- * to the functional engine's run of the same seed.
+ * Detailed timing runs warps ahead of issue through the batch executor, or
+ * executes each instruction at issue where an attached SiteProfiler asks
+ * for it. For a fixed seed list of generated kernels, run with one CTA per
+ * core so multi-CTA grids spread over cores, neither order may change the
+ * result: output memory is byte-identical to the functional engine's run
+ * of the same seed, and the run-ahead and at-issue runs agree on all 18
+ * timing counters.
  */
 TEST(DifftestTiming, GeneratedKernelOutputMatchesFunctionalEngine)
 {
     size_t max_regs = 0;
     unsigned multi_cta = 0;
+    timing::GpuConfig cfg;
+    cfg.max_ctas_per_core = 1;
     for (uint64_t seed = 1; seed <= 200; seed++) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const GenKernel gk = KernelGen(seed).generate();
@@ -180,19 +184,28 @@ TEST(DifftestTiming, GeneratedKernelOutputMatchesFunctionalEngine)
                                      gk.spec.block);
 
         GenLaunch timed(gk);
-        timing::GpuConfig cfg;
-        cfg.max_ctas_per_core = 1;
         timing::GpuModel model(cfg, timed.gpu.exec);
         const timing::KernelRunStats rs =
             model.runKernel(timed.env, gk.spec.grid, gk.spec.block);
         EXPECT_GT(rs.warp_instructions, 0u);
 
+        GenLaunch stepped(gk);
+        func::SiteProfiler prof;
+        stepped.gpu.exec.setSiteProfiler(&prof);
+        timing::GpuModel step_model(cfg, stepped.gpu.exec);
+        step_model.runKernel(stepped.env, gk.spec.grid, gk.spec.block);
+        test::expectTotalsEq(model.totals(), step_model.totals());
+
         const std::vector<uint8_t> want = functional.output();
-        const std::vector<uint8_t> got = timed.output();
-        const size_t first_diff = size_t(
-            std::mismatch(want.begin(), want.end(), got.begin()).first -
-            want.begin());
-        EXPECT_EQ(first_diff, want.size()) << "first differing output byte";
+        for (GenLaunch *run : {&timed, &stepped}) {
+            const std::vector<uint8_t> got = run->output();
+            const size_t first_diff = size_t(
+                std::mismatch(want.begin(), want.end(), got.begin()).first -
+                want.begin());
+            EXPECT_EQ(first_diff, want.size())
+                << (run == &timed ? "run ahead" : "at issue")
+                << ": first differing output byte";
+        }
 
         max_regs = std::max(max_regs, timed.env.kernel->reg_types.size());
         multi_cta += gk.spec.grid.count() > 1;

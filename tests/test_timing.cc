@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "bench/trace_workloads.h"
+#include "func/site_profiler.h"
 #include "power/power_model.h"
 #include "ptx/uop.h"
 #include "sim_test_util.h"
@@ -289,6 +290,37 @@ TEST(Timing, CacheBasics)
     cache.fill(8 * 128, 7);  // evicts line 0 (LRU: last used at 4)
     EXPECT_EQ(cache.accessRead(8 * 128, 8), timing::CacheOutcome::Hit);
     EXPECT_EQ(cache.accessRead(0, 9), timing::CacheOutcome::Miss);
+
+    // The MSHRs are a table of mshr_entries slots: a merged miss reports
+    // its line's slot, a fill frees it, and a full table refuses new lines.
+    cc.mshr_entries = 2;
+    timing::TagCache small(cc);
+    unsigned m0 = 9, m1 = 9, merged = 9, m2 = 9;
+    EXPECT_EQ(small.accessRead(0, 1, &m0), timing::CacheOutcome::Miss);
+    EXPECT_EQ(small.accessRead(128, 1, &m1), timing::CacheOutcome::Miss);
+    EXPECT_NE(m0, m1);
+    EXPECT_EQ(small.accessRead(128, 2, &merged),
+              timing::CacheOutcome::MissMerged);
+    EXPECT_EQ(merged, m1);
+    EXPECT_EQ(small.accessRead(256, 2), timing::CacheOutcome::ReservationFail);
+    EXPECT_EQ(small.fill(0, 3), m0);
+    EXPECT_EQ(small.fill(0, 4), timing::TagCache::kNoMshr);
+    EXPECT_EQ(small.accessRead(256, 5, &m2), timing::CacheOutcome::Miss);
+    EXPECT_EQ(m2, m0);
+    EXPECT_EQ(small.mshrInUse(), 2u);
+
+    // Waiters drain per slot, oldest first.
+    timing::MshrWaiters<unsigned> waiters(2);
+    for (const unsigned v : {1u, 2u, 3u})
+        waiters.push(1, v);
+    waiters.push(0, 7);
+    std::vector<unsigned> got;
+    waiters.drain(1, [&](unsigned v) { got.push_back(v); });
+    EXPECT_EQ(got, (std::vector<unsigned>{1, 2, 3}));
+    EXPECT_FALSE(waiters.empty());
+    waiters.drain(0, [&](unsigned v) { got.push_back(v); });
+    EXPECT_EQ(got.back(), 7u);
+    EXPECT_TRUE(waiters.empty());
 }
 
 TEST(Timing, FifoRingKeepsOrderAcrossGrowth)
@@ -306,6 +338,19 @@ TEST(Timing, FifoRingKeepsOrderAcrossGrowth)
     while (!ring.empty())
         ASSERT_EQ(ring.pop_front(), next_out++);
     EXPECT_EQ(next_out, next_in);
+
+    // erase(i) removes one entry and keeps the others in order.
+    for (unsigned v = 0; v < 20; v++)
+        ring.push_back(v);
+    ring.erase(5);
+    ring.erase(0);
+    EXPECT_EQ(ring[4], 6u);
+    for (unsigned v = 1; v < 20; v++) {
+        if (v != 5) {
+            ASSERT_EQ(ring.pop_front(), v);
+        }
+    }
+    EXPECT_TRUE(ring.empty());
 }
 
 TEST(Timing, DramRowHitsAndBankMapping)
@@ -646,6 +691,195 @@ TEST(Timing, NarrowKernelReusesWideKernelSlotsInFlight)
     f.checkResult();
     EXPECT_GT(m.totals().sfu, 0u);
     EXPECT_GT(m.totals().warp_instructions, 0u);
+}
+
+/** How runIssuePaths executes a kernel. */
+enum class RunMode
+{
+    Functional, ///< the functional engine, no timing
+    Detailed,   ///< detailed timing as configured
+    PerStep,    ///< detailed timing with a SiteProfiler attached, which
+                ///< executes every instruction at issue
+};
+
+struct PathRun
+{
+    std::vector<uint32_t> out;
+    timing::TimingTotals totals;
+};
+
+/**
+ * Run `kernel` (.param .u64 in, .param .u64 out, .param .u32 iters) over
+ * `in`, returning `out_words` words of its output and the timing totals.
+ */
+PathRun
+runIssuePaths(RunMode mode, const char *src, const char *kernel, Dim3 grid,
+              Dim3 block, const std::vector<uint32_t> &in, size_t out_words,
+              uint32_t iters, const timing::GpuConfig &cfg)
+{
+    MiniGpu gpu;
+    func::SiteProfiler prof;
+    if (mode == RunMode::PerStep)
+        gpu.exec.setSiteProfiler(&prof);
+    const ptx::Module m = ptx::parseModule(src, "issue_paths.ptx");
+    const addr_t din = gpu.uploadVec(in);
+    const addr_t dout = gpu.alloc.alloc(out_words * 4);
+    gpu.mem.memset(dout, 0, out_words * 4);
+    ParamPack p;
+    p.add<uint64_t>(din).add<uint64_t>(dout).add<uint32_t>(iters);
+    func::LaunchEnv env;
+    env.kernel = m.findKernel(kernel);
+    env.params = p.bytes();
+    env.symbols = &gpu.symbols;
+
+    PathRun run;
+    if (mode == RunMode::Functional) {
+        gpu.engine.launch(env, grid, block);
+    } else {
+        timing::GpuModel model(cfg, gpu.exec);
+        model.runKernel(env, grid, block);
+        run.totals = model.totals();
+    }
+    run.out = gpu.download<uint32_t>(dout, out_words);
+    return run;
+}
+
+/**
+ * %clock reads the CTA's executed instruction count, which depends on how
+ * warps interleave: its kernel must execute at issue, as under an attached
+ * SiteProfiler. Warps loop a warp-dependent number of times first, so the
+ * values also differ from the functional engine's warp-serial order.
+ */
+TEST(Timing, ClockKernelExecutesAtIssue)
+{
+    const char *src = R"(
+.visible .entry clocked(.param .u64 in, .param .u64 out, .param .u32 iters)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<10>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [out];
+    ld.param.u32 %r1, [iters];
+    mov.u32 %r2, %tid.x;
+    mov.u32 %r3, %ctaid.x;
+    mov.u32 %r4, %ntid.x;
+    mad.lo.u32 %r5, %r3, %r4, %r2;
+    shr.u32 %r6, %r2, 5;
+    mad.lo.u32 %r6, %r6, %r1, %r1;
+    mov.u32 %r7, 0;
+LOOP:
+    add.u32 %r7, %r7, 1;
+    setp.lt.u32 %p1, %r7, %r6;
+    @%p1 bra LOOP;
+    mov.u32 %r8, %clock;
+    mul.wide.u32 %rd2, %r5, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r8;
+    ret;
+}
+)";
+    const ptx::Module m = ptx::parseModule(src, "clocked.ptx");
+    ASSERT_TRUE(ptx::readsClock(*m.findKernel("clocked")));
+    ASSERT_FALSE(ptx::readsClock(
+        *ptx::parseModule(kVecAdd, "vecadd.ptx").findKernel("vecadd")));
+
+    timing::GpuConfig cfg;
+    cfg.num_cores = 2;
+    const Dim3 grid(4), block(128);
+    const std::vector<uint32_t> in(1, 0);
+    const PathRun detailed = runIssuePaths(RunMode::Detailed, src, "clocked",
+                                           grid, block, in, 512, 40, cfg);
+    const PathRun per_step = runIssuePaths(RunMode::PerStep, src, "clocked",
+                                           grid, block, in, 512, 40, cfg);
+    const PathRun functional = runIssuePaths(
+        RunMode::Functional, src, "clocked", grid, block, in, 512, 40, cfg);
+    EXPECT_EQ(detailed.out, per_step.out);
+    expectTotalsEq(detailed.totals, per_step.totals);
+    EXPECT_NE(detailed.out, functional.out);
+}
+
+/**
+ * Warps run ahead of issue kIssueChunk instructions at a time. Here every
+ * warp runs several chunks between barriers, exchanges values with another
+ * warp through shared memory across two barriers per phase, and the grid
+ * needs three waves of CTAs on two cores; one load is unaligned with a
+ * stride above the line size, so lanes straddle into two new lines. The
+ * output must equal the functional engine's, and every counter the run
+ * that executes at issue.
+ */
+TEST(Timing, ChunkedWarpsCrossBarriersInWaves)
+{
+    const char *src = R"(
+.visible .entry chunked(.param .u64 in, .param .u64 out, .param .u32 iters)
+{
+    .reg .u64 %rd<10>;
+    .reg .u32 %r<12>;
+    .reg .pred %p<3>;
+    .shared .align 4 .b8 buf[512];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    ld.param.u32 %r1, [iters];
+    mov.u32 %r2, %tid.x;
+    mov.u32 %r3, %ctaid.x;
+    mov.u32 %r4, %ntid.x;
+    mad.lo.u32 %r5, %r3, %r4, %r2;
+    mul.wide.u32 %rd3, %r5, 133;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.u32 %r6, [%rd4+126];
+    mov.u64 %rd5, buf;
+    mul.wide.u32 %rd6, %r2, 4;
+    add.u64 %rd6, %rd5, %rd6;
+    add.u32 %r7, %r2, 32;
+    rem.u32 %r7, %r7, %r4;
+    mul.wide.u32 %rd7, %r7, 4;
+    add.u64 %rd7, %rd5, %rd7;
+    mov.u32 %r8, 0;
+PHASE:
+    mov.u32 %r9, 0;
+LOOP:
+    mad.lo.u32 %r6, %r6, 1664525, 1013904223;
+    xor.b32 %r6, %r6, %r9;
+    add.u32 %r9, %r9, 1;
+    setp.lt.u32 %p1, %r9, %r1;
+    @%p1 bra LOOP;
+    st.shared.u32 [%rd6], %r6;
+    bar.sync 0;
+    ld.shared.u32 %r10, [%rd7];
+    bar.sync 0;
+    add.u32 %r6, %r6, %r10;
+    add.u32 %r8, %r8, 1;
+    setp.lt.u32 %p2, %r8, 3;
+    @%p2 bra PHASE;
+    mul.wide.u32 %rd8, %r5, 4;
+    add.u64 %rd8, %rd2, %rd8;
+    st.global.u32 [%rd8], %r6;
+    ret;
+}
+)";
+    timing::GpuConfig cfg;
+    cfg.num_cores = 2;
+    cfg.max_ctas_per_core = 2;
+    const unsigned ctas = 12, threads = 128, iters = 100;
+    // Each loop iteration is 5 instructions: several chunks per phase.
+    ASSERT_GT(5 * iters, 3 * timing::kIssueChunk);
+    std::vector<uint32_t> in(ctas * threads * 34 + 64);
+    for (unsigned i = 0; i < in.size(); i++)
+        in[i] = i * 2654435761u + 12345u;
+
+    const size_t words = size_t(ctas) * threads;
+    const PathRun functional =
+        runIssuePaths(RunMode::Functional, src, "chunked", Dim3(ctas),
+                      Dim3(threads), in, words, iters, cfg);
+    const PathRun detailed =
+        runIssuePaths(RunMode::Detailed, src, "chunked", Dim3(ctas),
+                      Dim3(threads), in, words, iters, cfg);
+    const PathRun per_step =
+        runIssuePaths(RunMode::PerStep, src, "chunked", Dim3(ctas),
+                      Dim3(threads), in, words, iters, cfg);
+    EXPECT_EQ(detailed.out, functional.out);
+    EXPECT_EQ(per_step.out, functional.out);
+    expectTotalsEq(detailed.totals, per_step.totals);
+    EXPECT_GT(detailed.totals.shared_accesses, 0u);
 }
 
 } // namespace
