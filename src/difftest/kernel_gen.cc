@@ -19,6 +19,10 @@ enum Cls : unsigned
     CF32,
     CF16,
     CPRED,
+    CU8,  ///< sub-word load staging (never in a pool)
+    CS8,
+    CU16,
+    CS16,
     NCLS,
 };
 
@@ -30,7 +34,8 @@ struct ClsInfo
 
 const ClsInfo kCls[NCLS] = {
     {"%u", ".u32"}, {"%s", ".s32"}, {"%w", ".u64"}, {"%x", ".s64"},
-    {"%f", ".f32"}, {"%h", ".f16"}, {"%p", ".pred"},
+    {"%f", ".f32"}, {"%h", ".f16"}, {"%p", ".pred"}, {"%c", ".u8"},
+    {"%d", ".s8"},  {"%e", ".u16"}, {"%g", ".s16"},
 };
 
 const Cls kIntCls[4] = {CU32, CS32, CU64, CS64};
@@ -45,8 +50,25 @@ clsTok(Cls c)
       case CS64: return "s64";
       case CF32: return "f32";
       case CF16: return "f16";
+      case CU8: return "u8";
+      case CS8: return "s8";
+      case CU16: return "u16";
+      case CS16: return "s16";
       default: return "pred";
     }
+}
+
+/** `items` separated by `sep`. */
+std::string
+join(const std::vector<std::string> &items, const char *sep)
+{
+    std::string out;
+    for (size_t i = 0; i < items.size(); i++) {
+        if (i)
+            out += sep;
+        out += items[i];
+    }
+    return out;
 }
 
 /** Self-contained replacement statement keeping `reg` defined. */
@@ -60,6 +82,10 @@ fallbackFor(Cls c, const std::string &reg)
       case CS64: return "mov.s64 " + reg + ", -9999;";
       case CF32: return "mov.f32 " + reg + ", 0f3FC00000;"; // 1.5f
       case CF16: return "mov.b16 " + reg + ", 15360;";      // 1.0h
+      case CU8: return "mov.u8 " + reg + ", 200;";
+      case CS8: return "mov.s8 " + reg + ", -5;";
+      case CU16: return "mov.u16 " + reg + ", 40000;";
+      case CS16: return "mov.s16 " + reg + ", -300;";
       default: return "setp.eq.u32 " + reg + ", 1, 1;";
     }
 }
@@ -164,7 +190,10 @@ struct Builder
 
     // ---- structural prologue ------------------------------------------
 
+    static constexpr unsigned kLocalBytes = 64; ///< .local scratch size
+
     std::string in0p, in1p, outp; ///< per-thread slice base addresses
+    std::string lptr;             ///< generic address of the .local scratch
     std::string lin, gid;         ///< linear tid in block / in grid
     std::string a_in0_;           ///< raw in0 base (stride probes)
 
@@ -284,7 +313,7 @@ struct Builder
     void
     menuOp()
     {
-        switch (rng.below(24)) {
+        switch (rng.below(27)) {
           case 0: case 1: case 2: case 3: case 4: { // int binop
             static const char *ops[] = {"add", "sub", "mul.lo", "min",
                                         "max", "and", "or",  "xor"};
@@ -586,6 +615,15 @@ struct Builder
               }
             }
           }
+          case 23: // sub-word load, widened by cvt into a pool class
+            subWordLoad();
+            return;
+          case 24: // vector load from an input slice
+            vectorLoad();
+            return;
+          case 25: // thread-private .local scratch
+            localOp();
+            return;
           default: { // guarded op or store to the thread's output slice
             const Cls c = kIntCls[rng.below(4)];
             if (rng.below(2) && !redef[c].empty()) {
@@ -613,6 +651,114 @@ struct Builder
         def(cd, mn + " " + d + ", " + a + ";", d, {a});
     }
 
+    /**
+     * A u8/s8/u16/s16 load into a register of its own width (so only the
+     * loaded bytes are ever read), then a cvt into the matching 32-bit pool.
+     */
+    void
+    subWordLoad()
+    {
+        static const Cls cls[] = {CU8, CS8, CU16, CS16};
+        const Cls c = cls[rng.below(4)];
+        const unsigned size = c == CU8 || c == CS8 ? 1 : 2;
+        const unsigned off =
+            unsigned(rng.below(4 * k.spec.in_words / size)) * size;
+        const std::string r = newReg(c);
+        defNoPool(c,
+                  "ld.global." + std::string(clsTok(c)) + " " + r + ", [" +
+                      in0p + "+" + std::to_string(off) + "];",
+                  r, {in0p});
+        const Cls wide = c == CU8 || c == CU16 ? CU32 : CS32;
+        const std::string d = newReg(wide);
+        def(wide,
+            "cvt." + std::string(clsTok(wide)) + "." + clsTok(c) + " " + d +
+                ", " + r + ";",
+            d, {r});
+    }
+
+    /**
+     * Emit a load of `n` registers of class `c` (n > 1: one vector load) and
+     * pool them. A vector load defines several registers, so its minimizer
+     * fallback is one mov per register on one line.
+     */
+    void
+    loadInto(Cls c, unsigned n, const std::string &mnemonic,
+             const std::string &addr, std::vector<std::string> uses)
+    {
+        std::vector<std::string> regs;
+        for (unsigned i = 0; i < n; i++)
+            regs.push_back(newReg(c));
+        if (n == 1) {
+            def(c, mnemonic + " " + regs[0] + ", " + addr + ";", regs[0],
+                std::move(uses));
+            return;
+        }
+        std::vector<std::string> fallbacks;
+        for (const std::string &r : regs)
+            fallbacks.push_back(fallbackFor(c, r));
+        emit(mnemonic + " {" + join(regs, ", ") + "}, " + addr + ";", "",
+             std::move(uses), false, false, join(fallbacks, " "));
+        for (const std::string &r : regs) {
+            pool[c].push_back(r);
+            redef[c].push_back(r);
+        }
+    }
+
+    /** v2/v4 load of u32, s32, f32 or u64 words from an input slice. */
+    void
+    vectorLoad()
+    {
+        static const Cls cls[] = {CU32, CS32, CF32, CU64};
+        const Cls c = cls[rng.below(4)];
+        const unsigned esz = c == CU64 ? 8 : 4;
+        const unsigned n = c == CU64 || rng.below(2) ? 2 : 4;
+        const unsigned w = esz * n;
+        const unsigned off = unsigned(rng.below(4 * k.spec.in_words / w)) * w;
+        const std::string &base = c == CF32 ? in1p : in0p;
+        loadInto(c, n,
+                 "ld.global.v" + std::to_string(n) + "." + clsTok(c),
+                 "[" + base + "+" + std::to_string(off) + "]", {base});
+    }
+
+    /**
+     * A store to or a load from the thread's .local scratch, by symbol or
+     * through the generic address in `lptr` (resolved by its window). A
+     * slot never stored reads as zero.
+     */
+    void
+    localOp()
+    {
+        static const Cls cls[] = {CU32, CS32, CU64, CF32};
+        const Cls c = cls[rng.below(4)];
+        const unsigned esz = c == CU64 ? 8 : 4;
+        const unsigned n = c == CU64 ? 1 + unsigned(rng.below(2))
+                                     : 1u << rng.below(3);
+        const unsigned w = esz * n;
+        const unsigned off = unsigned(rng.below(kLocalBytes / w)) * w;
+        const bool generic = rng.below(3) == 0;
+        const std::string addr =
+            "[" + (generic ? lptr : std::string("lbuf")) + "+" +
+            std::to_string(off) + "]";
+        std::vector<std::string> uses;
+        if (generic)
+            uses.push_back(lptr);
+        const std::string mn =
+            std::string(generic ? "" : ".local") +
+            (n > 1 ? ".v" + std::to_string(n) : "") + "." + clsTok(c);
+        if (rng.below(2)) {
+            loadInto(c, n, "ld" + mn, addr, std::move(uses));
+            return;
+        }
+        std::vector<std::string> vals;
+        for (unsigned i = 0; i < n; i++)
+            vals.push_back(pick(c));
+        uses.insert(uses.end(), vals.begin(), vals.end());
+        const std::string list =
+            n > 1 ? "{" + join(vals, ", ") + "}" : vals[0];
+        emit("st" + mn + " " + addr + ", " + list + ";", "", std::move(uses),
+             false, true);
+    }
+
     /** Droppable store of a random pool value into the output slice. */
     void
     storeRandom(bool guarded)
@@ -625,7 +771,49 @@ struct Builder
             guard = (rng.below(2) ? "@" : "@!") + p + " ";
             uses.push_back(p);
         }
-        switch (rng.below(4)) {
+        switch (rng.below(7)) {
+          case 6: { // u8/s8/u16/s16, narrowed by cvt into its own width
+            static const Cls cls[] = {CU8, CS8, CU16, CS16};
+            const Cls c = cls[rng.below(4)];
+            const Cls wide = c == CU8 || c == CU16 ? CU32 : CS32;
+            const unsigned size = c == CU8 || c == CS8 ? 1 : 2;
+            const std::string v = pick(wide), r = newReg(c);
+            defNoPool(c,
+                      "cvt." + std::string(clsTok(c)) + "." + clsTok(wide) +
+                          " " + r + ", " + v + ";",
+                      r, {v});
+            uses.insert(uses.end(), {r, outp});
+            emit(guard + "st.global." + clsTok(c) + " [" + outp + "+" +
+                     std::to_string(size * rng.below(8 * k.spec.out_slots /
+                                                      size)) +
+                     "], " + r + ";",
+                 "", uses, false, true);
+            return;
+          }
+          case 4: { // v2/v4 of u32 or f32
+            const Cls c = rng.below(2) ? CU32 : CF32;
+            const unsigned n = rng.below(2) ? 2 : 4;
+            std::vector<std::string> vals;
+            for (unsigned i = 0; i < n; i++)
+                vals.push_back(pick(c));
+            uses.insert(uses.end(), vals.begin(), vals.end());
+            uses.push_back(outp);
+            emit(guard + "st.global.v" + std::to_string(n) + "." + clsTok(c) +
+                     " [" + outp + "+" +
+                     std::to_string(4 * n * rng.below(2 * k.spec.out_slots / n)) +
+                     "], {" + join(vals, ", ") + "};",
+                 "", uses, false, true);
+            return;
+          }
+          case 5: { // v2.u64
+            const std::string a = pick(CU64), b = pick(CU64);
+            uses.insert(uses.end(), {a, b, outp});
+            emit(guard + "st.global.v2.u64 [" + outp + "+" +
+                     std::to_string(16 * rng.below(k.spec.out_slots / 2)) +
+                     "], {" + a + ", " + b + "};",
+                 "", uses, false, true);
+            return;
+          }
           case 0: {
             const std::string v = pick(CU32);
             uses.insert(uses.end(), {v, outp});
@@ -778,11 +966,15 @@ struct Builder
     sharedTile()
     {
         const unsigned nt = nthreads();
-        k.decl_lines.push_back(".shared .align 4 .b8 tile[" +
-                               std::to_string(4 * nt) + "];");
+        const unsigned n = 1u << rng.below(3); // u32 words per thread
+        const std::string vn = n > 1 ? ".v" + std::to_string(n) : "";
+        k.decl_lines.push_back(".shared .align 16 .b8 tile[" +
+                               std::to_string(4 * n * nt) + "];");
 
         const std::string off = newReg(CU32);
-        emit("mul.lo.u32 " + off + ", " + lin + ", 4;", off, {lin}, true);
+        emit("mul.lo.u32 " + off + ", " + lin + ", " + std::to_string(4 * n) +
+                 ";",
+             off, {lin}, true);
         const std::string off64 = newAddr();
         emit("cvt.u64.u32 " + off64 + ", " + off + ";", off64, {off}, true);
         const std::string base = newAddr();
@@ -790,9 +982,14 @@ struct Builder
         const std::string waddr = newAddr();
         emit("add.u64 " + waddr + ", " + base + ", " + off64 + ";", waddr,
              {base, off64}, true);
-        const std::string v = pick(CU32);
-        emit("st.shared.u32 [" + waddr + "], " + v + ";", "", {waddr, v},
-             true);
+        std::vector<std::string> vals;
+        for (unsigned i = 0; i < n; i++)
+            vals.push_back(pick(CU32));
+        std::vector<std::string> uses = {waddr};
+        uses.insert(uses.end(), vals.begin(), vals.end());
+        emit("st.shared" + vn + ".u32 [" + waddr + "], " +
+                 (n > 1 ? "{" + join(vals, ", ") + "}" : vals[0]) + ";",
+             "", uses, true);
         emit("bar.sync 0;", "", {}, true);
 
         const std::string nb = newReg(CU32);
@@ -801,17 +998,23 @@ struct Builder
         emit("rem.u32 " + nbw + ", " + nb + ", " + std::to_string(nt) + ";",
              nbw, {nb}, true);
         const std::string noff = newReg(CU32);
-        emit("mul.lo.u32 " + noff + ", " + nbw + ", 4;", noff, {nbw}, true);
+        emit("mul.lo.u32 " + noff + ", " + nbw + ", " +
+                 std::to_string(4 * n) + ";",
+             noff, {nbw}, true);
         const std::string noff64 = newAddr();
         emit("cvt.u64.u32 " + noff64 + ", " + noff + ";", noff64, {noff},
              true);
         const std::string raddr = newAddr();
         emit("add.u64 " + raddr + ", " + base + ", " + noff64 + ";", raddr,
              {base, noff64}, true);
-        const std::string got = newReg(CU32);
-        emit("ld.shared.u32 " + got + ", [" + raddr + "];", got, {raddr},
-             true);
-        pool[CU32].push_back(got);
+        std::vector<std::string> got;
+        for (unsigned i = 0; i < n; i++)
+            got.push_back(newReg(CU32));
+        emit("ld.shared" + vn + ".u32 " +
+                 (n > 1 ? "{" + join(got, ", ") + "}" : got[0]) + ", [" +
+                 raddr + "];",
+             n > 1 ? "" : got[0], {raddr}, true);
+        pool[CU32].insert(pool[CU32].end(), got.begin(), got.end());
     }
 
     // ---- injected-bug detectability probes --------------------------------
@@ -956,6 +1159,10 @@ struct Builder
             defectWideRemRead();
             break;
           case Defect::None: {
+            k.decl_lines.push_back(".local .align 16 .b8 lbuf[" +
+                                   std::to_string(kLocalBytes) + "];");
+            lptr = newAddr();
+            emit("mov.u64 " + lptr + ", lbuf;", lptr, {}, true);
             seedValues();
             const unsigned n1 = 4 + unsigned(rng.below(8));
             for (unsigned i = 0; i < n1; i++)

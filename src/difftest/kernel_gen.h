@@ -5,8 +5,9 @@
  * KernelGen produces typed, verifier-well-formed kernels over a weighted
  * instruction menu (integer/float/f16 arithmetic, rem/div/bfe/bfi/mad/fma,
  * shared-memory tiles with bar.sync, divergent diamonds with guaranteed
- * post-dominator reconvergence, global loads/stores over caller-provided
- * buffers). Kernels are emitted as PTX *text* and consumed through the real
+ * post-dominator reconvergence, scalar, sub-word and v2/v4 global loads and
+ * stores over caller-provided buffers, and a per-thread .local scratch
+ * reached by symbol and through a generic address). Kernels are emitted as PTX *text* and consumed through the real
  * parser so the whole parse/analyze pipeline is on the tested path.
  *
  * Every generated statement carries enough structure (def/uses/fallback) for

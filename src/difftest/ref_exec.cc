@@ -423,9 +423,6 @@ RefExec::RefExec(const ptx::KernelDef &kernel, Dim3 grid, Dim3 block,
       threads_per_cta_(unsigned(block.count())),
       num_ctas_(grid.count())
 {
-    MLGS_REQUIRE(k_.local_bytes == 0,
-                 "RefExec does not model .local memory (kernel ", k_.name,
-                 ")");
     regs_.assign(size_t(num_ctas_) * threads_per_cta_,
                  std::vector<uint64_t>(k_.reg_types.size(), 0));
 }
@@ -437,6 +434,8 @@ RefExec::symbolAddr(const std::string &sym) const
         return kSharedBase + sv->offset;
     if (const auto *p = k_.findParam(sym))
         return kParamBase + p->offset;
+    if (const auto *lv = k_.findLocal(sym))
+        return kLocalBase + lv->offset;
     fatal("RefExec: unresolved symbol '", sym, "'");
 }
 
@@ -492,20 +491,30 @@ RefExec::readOperand(const Instr &ins, const Operand &op, const Thread &t,
 }
 
 void
-RefExec::loadBytes(addr_t addr, void *out, size_t n,
+RefExec::loadBytes(addr_t addr, void *out, size_t n, Thread &t,
                    std::vector<uint8_t> &shared, Space space) const
 {
+    if (space == Space::Local ||
+        (space == Space::None && inLocalWindow(addr))) {
+        const addr_t off = addr - kLocalBase;
+        MLGS_REQUIRE(n <= t.local.size() && off <= t.local.size() - n,
+                     "RefExec: local OOB read");
+        std::memcpy(out, t.local.data() + off, n);
+        return;
+    }
     if (space == Space::Param ||
         (space == Space::None && inParamWindow(addr))) {
         const addr_t off = addr - kParamBase;
-        MLGS_REQUIRE(off + n <= params_.size(), "RefExec: param OOB read");
+        MLGS_REQUIRE(n <= params_.size() && off <= params_.size() - n,
+                     "RefExec: param OOB read");
         std::memcpy(out, params_.data() + off, n);
         return;
     }
     if (space == Space::Shared ||
         (space == Space::None && inSharedWindow(addr))) {
         const addr_t off = addr - kSharedBase;
-        MLGS_REQUIRE(off + n <= shared.size(), "RefExec: shared OOB read");
+        MLGS_REQUIRE(n <= shared.size() && off <= shared.size() - n,
+                     "RefExec: shared OOB read");
         std::memcpy(out, shared.data() + off, n);
         return;
     }
@@ -519,13 +528,25 @@ RefExec::loadBytes(addr_t addr, void *out, size_t n,
 }
 
 void
-RefExec::storeBytes(addr_t addr, const void *src, size_t n,
+RefExec::storeBytes(addr_t addr, const void *src, size_t n, Thread &t,
                     std::vector<uint8_t> &shared, Space space) const
 {
+    if (space == Space::Local ||
+        (space == Space::None && inLocalWindow(addr))) {
+        const addr_t off = addr - kLocalBase;
+        MLGS_REQUIRE(n <= t.local.size() && off <= t.local.size() - n,
+                     "RefExec: local OOB write");
+        std::memcpy(t.local.data() + off, src, n);
+        return;
+    }
+    if (space == Space::Param ||
+        (space == Space::None && inParamWindow(addr)))
+        fatal("RefExec: store to param space");
     if (space == Space::Shared ||
         (space == Space::None && inSharedWindow(addr))) {
         const addr_t off = addr - kSharedBase;
-        MLGS_REQUIRE(off + n <= shared.size(), "RefExec: shared OOB write");
+        MLGS_REQUIRE(n <= shared.size() && off <= shared.size() - n,
+                     "RefExec: shared OOB write");
         std::memcpy(shared.data() + off, src, n);
         return;
     }
@@ -654,40 +675,48 @@ RefExec::runThread(Thread &t, std::vector<uint8_t> &shared, const Dim3 &cta)
             continue;
           }
           case Op::Ld: {
-            MLGS_REQUIRE(ins.vec_width == 1,
-                         "RefExec: vector loads unsupported: ", ins.text);
+            // ld.vN: N consecutive elements, one per destination register.
             const Operand &am = ins.ops[1];
             const addr_t ea =
                 (am.reg >= 0 ? regs[size_t(am.reg)] : symbolAddr(am.sym)) +
                 addr_t(am.imm);
             const unsigned esz = ptx::typeSize(ins.type);
-            uint8_t bytes[8] = {};
-            loadBytes(ea, bytes, esz, shared, ins.space);
-            uint64_t raw = 0;
-            std::memcpy(&raw, bytes, esz); // little-endian cell load
-            uint64_t cell;
-            switch (ins.type) {
-              case Type::S8: cell = uint64_t(int64_t(int8_t(raw))); break;
-              case Type::S16: cell = uint64_t(int64_t(int16_t(raw))); break;
-              case Type::S32: cell = uint64_t(int64_t(int32_t(raw))); break;
-              default: cell = raw; break; // unsigned/bits/float: raw bytes
+            const unsigned n = ins.vec_width;
+            uint8_t bytes[32] = {};
+            MLGS_REQUIRE(n * esz <= sizeof(bytes), "RefExec: ld too wide");
+            loadBytes(ea, bytes, n * esz, t, shared, ins.space);
+            for (unsigned i = 0; i < n; i++) {
+                uint64_t raw = 0;
+                std::memcpy(&raw, bytes + i * esz, esz); // little-endian
+                uint64_t cell;
+                switch (ins.type) {
+                  case Type::S8: cell = uint64_t(int64_t(int8_t(raw))); break;
+                  case Type::S16: cell = uint64_t(int64_t(int16_t(raw))); break;
+                  case Type::S32: cell = uint64_t(int64_t(int32_t(raw))); break;
+                  default: cell = raw; break; // unsigned/bits/float: raw bytes
+                }
+                const int dst = n == 1 ? ins.ops[0].reg : ins.ops[0].vec[i];
+                splice(regs[size_t(dst)], ins.type, cell);
             }
-            splice(regs[size_t(ins.ops[0].reg)], ins.type, cell);
             t.pc++;
             continue;
           }
           case Op::St: {
-            MLGS_REQUIRE(ins.vec_width == 1,
-                         "RefExec: vector stores unsupported: ", ins.text);
             const Operand &am = ins.ops[0];
             const addr_t ea =
                 (am.reg >= 0 ? regs[size_t(am.reg)] : symbolAddr(am.sym)) +
                 addr_t(am.imm);
-            const uint64_t v = readOperand(ins, ins.ops[1], t, cta);
             const unsigned esz = ptx::typeSize(ins.type);
-            uint8_t bytes[8];
-            std::memcpy(bytes, &v, 8);
-            storeBytes(ea, bytes, esz, shared, ins.space);
+            const unsigned n = ins.vec_width;
+            uint8_t bytes[32];
+            MLGS_REQUIRE(n * esz <= sizeof(bytes), "RefExec: st too wide");
+            for (unsigned i = 0; i < n; i++) {
+                const uint64_t v =
+                    n == 1 ? readOperand(ins, ins.ops[1], t, cta)
+                           : regs[size_t(ins.ops[1].vec[i])];
+                std::memcpy(bytes + i * esz, &v, esz); // low bytes
+            }
+            storeBytes(ea, bytes, n * esz, t, shared, ins.space);
             t.pc++;
             continue;
           }
@@ -737,6 +766,7 @@ RefExec::runCta(uint64_t linear_cta)
         threads[i].regs = &regs_[size_t(linear_cta) * threads_per_cta_ + i];
         threads[i].idx3 = unflatten(i, block_);
         threads[i].tid = i;
+        threads[i].local.assign(k_.local_bytes, 0);
     }
 
     while (true) {

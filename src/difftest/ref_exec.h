@@ -59,6 +59,7 @@ class RefExec
         enum { Running, AtBarrier, Done } state = Running;
         Dim3 idx3;
         unsigned tid = 0;
+        std::vector<uint8_t> local; ///< the thread's .local bytes
     };
 
     void runCta(uint64_t linear_cta);
@@ -68,9 +69,9 @@ class RefExec
     uint64_t readOperand(const ptx::Instr &ins, const ptx::Operand &op,
                          const Thread &t, const Dim3 &cta) const;
     addr_t symbolAddr(const std::string &sym) const;
-    void loadBytes(addr_t addr, void *out, size_t n,
+    void loadBytes(addr_t addr, void *out, size_t n, Thread &t,
                    std::vector<uint8_t> &shared, ptx::Space space) const;
-    void storeBytes(addr_t addr, const void *src, size_t n,
+    void storeBytes(addr_t addr, const void *src, size_t n, Thread &t,
                     std::vector<uint8_t> &shared, ptx::Space space) const;
 
     const ptx::KernelDef &k_;

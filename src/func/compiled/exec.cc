@@ -5,7 +5,9 @@
  * handled inline by the dispatch loop, generic kinds funnel into the shared
  * scalar semantics (func/exec_semantics.h), and the specialized kinds are
  * dense 32-lane loops over pre-resolved register slots, structured so the
- * compiler can unroll/vectorize them.
+ * compiler can unroll/vectorize them. ld and st are warp-wide memory
+ * micro-ops that settle element type, state space and bookkeeping once per
+ * uop; only atom, tex and generic-space resolution stay per lane.
  *
  * The batch loop (runWarp) additionally exploits the basic-block structure
  * the lowering pass marked via `ends_block`: within a block the active mask
@@ -16,7 +18,10 @@
  */
 #include "func/compiled/exec.h"
 
+#include <bit>
+#include <cstring>
 #include <functional>
+#include <span>
 
 #include "func/engine.h"
 #include "func/exec_semantics.h"
@@ -158,58 +163,23 @@ srcRI(const UopSrc &s, const RegVal *r)
     return s.kind == UopSrc::K::Reg ? r[size_t(s.reg)] : s.imm;
 }
 
+/** Address of a symbol-based operand ([sym+imm]): the same in every lane. */
+addr_t
+symAddr(const ExecCtx &ctx, const UopMem &m)
+{
+    if (m.sym >= 0)
+        return runtimeSym(ctx, m.sym) + addr_t(m.imm);
+    return windowBase(m.sym_space) + m.sym_off + addr_t(m.imm);
+}
+
 /** Pre-resolved effective address with generic-space resolution. */
 Ea
 uopAddr(const ExecCtx &ctx, const UopMem &m, const RegVal *r)
 {
-    addr_t ea;
-    if (m.base_reg >= 0)
-        ea = r[size_t(m.base_reg)].u64 + addr_t(m.imm);
-    else if (m.sym >= 0)
-        ea = runtimeSym(ctx, m.sym) + addr_t(m.imm);
-    else
-        ea = windowBase(m.sym_space) + m.sym_off + addr_t(m.imm);
+    const addr_t ea = m.base_reg >= 0
+                          ? r[size_t(m.base_reg)].u64 + addr_t(m.imm)
+                          : symAddr(ctx, m);
     return Ea{resolveSpace(m.space, ea), ea};
-}
-
-/**
- * Book-keep one lane's ld/st. Single-step mode pushes the access for the
- * engine's FuncStats::accumulate; batch mode with an issue sink coalesces it
- * into the open record's lines; plain batch mode applies the exact same
- * accumulation as accumulate directly (bytes only for global/const, shared
- * counts + race shadow for shared, nothing for param). An attached site
- * profiler sees every shared lane, in lane order.
- */
-void
-recordLdSt(const ExecCtx &ctx, const Uop &u, const Ea &ea, unsigned bytes,
-           bool is_store, unsigned tid)
-{
-    if (ea.space == Space::Global || ea.space == Space::Const ||
-        ea.space == Space::Local) {
-        if (ctx.res) {
-            ctx.res->accesses.push_back(
-                MemAccess{ea.addr, bytes, is_store, false, ea.space});
-        } else if (ctx.sink) {
-            ctx.sink->access(ea.addr, bytes, is_store);
-        } else if (ctx.stats && ea.space != Space::Local) {
-            if (is_store)
-                ctx.stats->global_st_bytes += bytes;
-            else
-                ctx.stats->global_ld_bytes += bytes;
-        }
-    } else if (ea.space == Space::Shared) {
-        if (ctx.res)
-            ctx.res->shared_accesses++;
-        else if (ctx.sink)
-            ctx.sink->sharedLane();
-        else if (ctx.stats)
-            ctx.stats->shared_accesses++;
-        if (ctx.profiler)
-            ctx.profiler->noteSharedLane(ea.addr - kSharedBase, bytes);
-        if (RaceShadow *rs = ctx.cta->raceShadow())
-            rs->onAccess(size_t(ea.addr - kSharedBase), bytes, tid, u.pc,
-                         u.line, is_store);
-    }
 }
 
 /**
@@ -286,42 +256,338 @@ hBfi(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
     });
 }
 
+// ---- ld/st: warp-wide memory micro-ops ----
+//
+// One handler per direction, a template over the element's storage type that
+// a switch on the uop's type instantiates once per uop. A declared state
+// space skips generic-space resolution, a symbol-based address is computed
+// once for the warp, and the bookkeeping mode is picked once (MemBook).
+//
+// An element moves as its low typeSize bytes: a load overwrites exactly
+// those bytes of each destination cell and a store takes them from the
+// source cell. On the little-endian RegVal union that is writeTyped's and
+// storeTyped's effect for every ld/st type, so a u32 load keeps the high
+// half of a cell holding a 64-bit value.
+static_assert(std::endian::native == std::endian::little,
+              "ld/st move elements as the low bytes of a RegVal cell");
+
+/**
+ * The per-lane body of a memory micro-op is forced inline into its lane
+ * loop: gcc -O3 otherwise keeps it out of line, a call per lane.
+ */
+#define MLGS_LANE_INLINE [[gnu::always_inline]] inline
+
+/**
+ * One ld/st's bookkeeping, set up once per uop. The step path lists each
+ * global, const or local lane for FuncStats::accumulate; a batch run with an
+ * issue sink coalesces it into the open record's lines; a plain batch run
+ * counts the bytes of global and const lanes into FuncStats; checkpoint
+ * fast-forward keeps no counts. Shared lanes are counted in every mode, and
+ * an attached site profiler and the CTA's race shadow see each one, in lane
+ * order. Param and texture lanes are not booked. finish() folds the counts
+ * into the sink once the lanes are done.
+ */
+class MemBook
+{
+  public:
+    MemBook(ExecCtx &ctx, const Uop &u, unsigned bytes, bool is_store)
+        : ctx_(ctx), u_(u), race_(ctx.cta->raceShadow()), bytes_(bytes),
+          store_(is_store)
+    {
+        mode_ = ctx.res     ? Mode::Step
+                : ctx.sink  ? Mode::Sink
+                : ctx.stats ? Mode::Stats
+                            : Mode::None;
+    }
+
+    /** Book one lane's access of space `sp` at `ea`. */
+    MLGS_LANE_INLINE void
+    note(Space sp, addr_t ea, unsigned lane)
+    {
+        if (sp == Space::Global || sp == Space::Const || sp == Space::Local) {
+            if (mode_ == Mode::Sink)
+                ctx_.sink->access(ea, bytes_, store_);
+            else if (mode_ == Mode::Step)
+                ctx_.res->accesses.push_back(
+                    MemAccess{ea, bytes_, store_, false, sp});
+            else if (sp != Space::Local)
+                device_lanes_++;
+        } else if (sp == Space::Shared) {
+            shared_lanes_++;
+            if (ctx_.profiler || race_)
+                observeShared(ea, lane);
+        }
+    }
+
+    void
+    finish()
+    {
+        switch (mode_) {
+          case Mode::Step:
+            ctx_.res->shared_accesses += shared_lanes_;
+            break;
+          case Mode::Sink:
+            ctx_.sink->current().shared_accesses += uint16_t(shared_lanes_);
+            break;
+          case Mode::Stats:
+            ctx_.stats->shared_accesses += shared_lanes_;
+            (store_ ? ctx_.stats->global_st_bytes
+                    : ctx_.stats->global_ld_bytes) +=
+                uint64_t(device_lanes_) * bytes_;
+            break;
+          case Mode::None:
+            break;
+        }
+    }
+
+  private:
+    enum class Mode : uint8_t { Step, Sink, Stats, None };
+
+    void
+    observeShared(addr_t ea, unsigned lane)
+    {
+        if (ctx_.profiler)
+            ctx_.profiler->noteSharedLane(ea - kSharedBase, bytes_);
+        if (race_)
+            race_->onAccess(size_t(ea - kSharedBase), bytes_,
+                            ctx_.tid0 + lane, u_.pc, u_.line, store_);
+    }
+
+    ExecCtx &ctx_;
+    const Uop &u_;
+    RaceShadow *race_;
+    unsigned bytes_;
+    bool store_;
+    Mode mode_;
+    unsigned device_lanes_ = 0; ///< global/const lanes (Stats mode)
+    unsigned shared_lanes_ = 0;
+};
+
+[[noreturn, gnu::cold]] void
+outOfBounds(const ExecCtx &ctx, Space sp, addr_t off, const char *what)
+{
+    fatal(ptx::spaceName(sp), " ", what, " out of bounds in ",
+          ctx.env->kernel->name, " offset ", off);
+}
+
+/** Offset of an `n`-byte access at `ea` into a window of `size` bytes. */
+MLGS_LANE_INLINE addr_t
+windowOffset(const ExecCtx &ctx, Space sp, addr_t ea, addr_t base, size_t n,
+             size_t size, const char *what)
+{
+    const addr_t off = ea - base;
+    if (!inWindow(off, n, size))
+        outOfBounds(ctx, sp, off, what);
+    return off;
+}
+
+/**
+ * Bytes of one lane's `n`-byte access at `ea` in CTA-shared or
+ * thread-local memory, bounds-checked; `what` ("read" or "write") names the
+ * access in the FatalError.
+ */
+MLGS_LANE_INLINE uint8_t *
+windowBytes(ExecCtx &ctx, Space sp, addr_t ea, size_t n, unsigned lane,
+            const char *what)
+{
+    const std::span<uint8_t> bytes = sp == Space::Shared
+                                         ? std::span(ctx.cta->shared())
+                                         : ctx.cta->local(ctx.tid0 + lane);
+    return bytes.data() +
+           windowOffset(ctx, sp, ea,
+                        sp == Space::Shared ? kSharedBase : kLocalBase, n,
+                        bytes.size(), what);
+}
+
+/**
+ * Where one lane reads its `n` bytes at `ea` in space `sp`: in place for
+ * shared, local and param (bounds-checked) and for device memory on the
+ * hinted page; any other device access is copied into `buf` by GpuMemory,
+ * where a page never written reads as zeros and stays absent.
+ */
+MLGS_LANE_INLINE const uint8_t *
+laneSrc(ExecCtx &ctx, Space sp, addr_t ea, size_t n, unsigned lane,
+        uint8_t *buf)
+{
+    if (sp == Space::Shared || sp == Space::Local)
+        return windowBytes(ctx, sp, ea, n, lane, "read");
+    if (sp == Space::Param) {
+        const std::vector<uint8_t> &params = ctx.env->params;
+        return params.data() + windowOffset(ctx, sp, ea, kParamBase, n,
+                                            params.size(), "read");
+    }
+    const size_t off = size_t(ea & (GpuMemory::kPageSize - 1));
+    if ((ea >> GpuMemory::kPageBits) == ctx.page.page &&
+        off + n <= GpuMemory::kPageSize)
+        return ctx.page.bytes + off;
+    ctx.mem->read(ea, buf, n, &ctx.page);
+    return buf;
+}
+
+/** One lane's `n`-byte store at `ea` in space `sp` (see laneSrc). */
+MLGS_LANE_INLINE void
+laneStore(ExecCtx &ctx, Space sp, addr_t ea, const uint8_t *bytes, size_t n,
+          unsigned lane)
+{
+    if (sp == Space::Param)
+        fatal("stores to param space are not allowed");
+    if (sp == Space::Shared || sp == Space::Local) {
+        std::memcpy(windowBytes(ctx, sp, ea, n, lane, "write"), bytes, n);
+        return;
+    }
+    const size_t off = size_t(ea & (GpuMemory::kPageSize - 1));
+    if ((ea >> GpuMemory::kPageBits) == ctx.page.page &&
+        off + n <= GpuMemory::kPageSize)
+        std::memcpy(ctx.page.bytes + off, bytes, n);
+    else
+        ctx.mem->write(ea, bytes, n, &ctx.page);
+}
+
+/** A load's `n` elements of type E at `src` into the `dst` cells. */
+template <typename E>
+MLGS_LANE_INLINE void
+scatter(RegVal *r, const int32_t *dst, unsigned n, const uint8_t *src)
+{
+    for (unsigned i = 0; i < n; i++)
+        std::memcpy(static_cast<void *>(&r[size_t(dst[i])]),
+                    src + i * sizeof(E), sizeof(E));
+}
+
+/** One lane of an ld: read, write the destination cells, book. */
+template <typename E>
+MLGS_LANE_INLINE void
+loadLane(ExecCtx &ctx, const Uop &u, MemBook &book, RegVal *r, unsigned lane,
+         Space sp, addr_t ea)
+{
+    const unsigned n = u.vec_width;
+    uint8_t buf[4 * sizeof(E)];
+    scatter<E>(r, n == 1 ? &u.dst : u.dvec, n,
+               laneSrc(ctx, sp, ea, n * sizeof(E), lane, buf));
+    book.note(sp, ea, lane);
+}
+
+/** One lane of an st: gather the source cells, write, book. */
+template <typename E>
+MLGS_LANE_INLINE void
+storeLane(ExecCtx &ctx, const Uop &u, MemBook &book, RegVal *r,
+          unsigned lane, Space sp, addr_t ea)
+{
+    const unsigned n = u.vec_width;
+    uint8_t buf[4 * sizeof(E)];
+    if (n == 1) {
+        const RegVal v = u.a.kind == UopSrc::K::Reg
+                             ? r[size_t(u.a.reg)]
+                             : srcVal(ctx, u.a, lane, r);
+        std::memcpy(buf, &v, sizeof(E));
+    } else {
+        for (unsigned i = 0; i < n; i++)
+            std::memcpy(buf + i * sizeof(E), &r[size_t(u.svec[i])],
+                        sizeof(E));
+    }
+    laneStore(ctx, sp, ea, buf, n * sizeof(E), lane);
+    book.note(sp, ea, lane);
+}
+
+/** ld over the active lanes, E being the element's storage type. */
+template <typename E>
+void
+ldWarp(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    const UopMem &m = u.mem;
+    MemBook book(ctx, u, u.vec_width * unsigned(sizeof(E)), false);
+    if (m.base_reg >= 0 && m.space != Space::None) {
+        const Space sp = m.space;
+        MLGS_LANE_LOOP(loadLane<E>(ctx, u, book, r, lane, sp,
+                                   r[size_t(m.base_reg)].u64 +
+                                       addr_t(m.imm)));
+    } else if (m.base_reg >= 0) {
+        MLGS_LANE_LOOP({
+            const addr_t ea = r[size_t(m.base_reg)].u64 + addr_t(m.imm);
+            loadLane<E>(ctx, u, book, r, lane, resolveSpace(Space::None, ea),
+                        ea);
+        });
+    } else {
+        // A uniform address: read once and broadcast, except from .local,
+        // whose storage is per thread.
+        const addr_t ea = symAddr(ctx, m);
+        const Space sp = resolveSpace(m.space, ea);
+        if (sp == Space::Local) {
+            MLGS_LANE_LOOP(loadLane<E>(ctx, u, book, r, lane, sp, ea));
+        } else {
+            uint8_t buf[4 * sizeof(E)];
+            const uint8_t *src =
+                laneSrc(ctx, sp, ea, u.vec_width * sizeof(E), 0, buf);
+            MLGS_LANE_LOOP({
+                scatter<E>(r, u.vec_width == 1 ? &u.dst : u.dvec,
+                           u.vec_width, src);
+                book.note(sp, ea, lane);
+            });
+        }
+    }
+    book.finish();
+}
+
+/** st over the active lanes, E being the element's storage type. */
+template <typename E>
+void
+stWarp(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
+{
+    const UopMem &m = u.mem;
+    MemBook book(ctx, u, u.vec_width * unsigned(sizeof(E)), true);
+    if (m.base_reg >= 0 && m.space != Space::None) {
+        const Space sp = m.space;
+        MLGS_LANE_LOOP(storeLane<E>(ctx, u, book, r, lane, sp,
+                                    r[size_t(m.base_reg)].u64 +
+                                        addr_t(m.imm)));
+    } else if (m.base_reg >= 0) {
+        MLGS_LANE_LOOP({
+            const addr_t ea = r[size_t(m.base_reg)].u64 + addr_t(m.imm);
+            storeLane<E>(ctx, u, book, r, lane,
+                         resolveSpace(Space::None, ea), ea);
+        });
+    } else {
+        const addr_t ea = symAddr(ctx, m);
+        const Space sp = resolveSpace(m.space, ea);
+        MLGS_LANE_LOOP(storeLane<E>(ctx, u, book, r, lane, sp, ea));
+    }
+    book.finish();
+}
+
+#undef MLGS_LANE_INLINE
+
+/** Storage bytes of one ld/st element of type `t`. */
+unsigned
+elementBytes(Type t)
+{
+    const unsigned b = t == Type::Pred ? 0 : ptx::typeSize(t);
+    MLGS_ASSERT(b != 0, "ld/st of type ", ptx::typeName(t));
+    return b;
+}
+
 void
 hLd(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
-    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
-    MLGS_LANE_LOOP({
-        const unsigned tid = ctx.tid0 + lane;
-        const Ea ea = uopAddr(ctx, u.mem, r);
-        RegVal vals[4];
-        loadTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid,
-                  *ctx.env, &ctx.page);
-        if (u.vec_width == 1)
-            writeTyped(r[size_t(u.dst)], u.type, vals[0]);
-        else
-            for (unsigned i = 0; i < u.dvec_n; i++)
-                writeTyped(r[size_t(u.dvec[i])], u.type, vals[i]);
-        recordLdSt(ctx, u, ea, bytes, false, tid);
-    });
+    if (!exec)
+        return;
+    switch (elementBytes(u.type)) {
+      case 1: return ldWarp<uint8_t>(u, exec, ctx);
+      case 2: return ldWarp<uint16_t>(u, exec, ctx);
+      case 4: return ldWarp<uint32_t>(u, exec, ctx);
+      default: return ldWarp<uint64_t>(u, exec, ctx);
+    }
 }
 
 void
 hSt(const Uop &u, warp_mask_t exec, ExecCtx &ctx)
 {
-    const unsigned bytes = u.vec_width * ptx::typeSize(u.type);
-    MLGS_LANE_LOOP({
-        const unsigned tid = ctx.tid0 + lane;
-        const Ea ea = uopAddr(ctx, u.mem, r);
-        RegVal vals[4];
-        if (u.vec_width == 1)
-            vals[0] = srcVal(ctx, u.a, lane, r);
-        else
-            for (unsigned i = 0; i < u.svec_n; i++)
-                vals[i] = r[size_t(u.svec[i])];
-        storeTyped(*ctx.mem, ea, u.type, u.vec_width, vals, *ctx.cta, tid,
-                   &ctx.page);
-        recordLdSt(ctx, u, ea, bytes, true, tid);
-    });
+    if (!exec)
+        return;
+    switch (elementBytes(u.type)) {
+      case 1: return stWarp<uint8_t>(u, exec, ctx);
+      case 2: return stWarp<uint16_t>(u, exec, ctx);
+      case 4: return stWarp<uint32_t>(u, exec, ctx);
+      default: return stWarp<uint64_t>(u, exec, ctx);
+    }
 }
 
 void

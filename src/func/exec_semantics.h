@@ -254,6 +254,17 @@ resolveSpace(ptx::Space sp, addr_t ea)
 }
 
 /**
+ * Whether `n` bytes at offset `off` lie inside a window of `size` bytes. An
+ * address below the window wraps `off` around, so `off + n` must not be
+ * formed.
+ */
+inline bool
+inWindow(addr_t off, size_t n, size_t size)
+{
+    return off <= size && n <= size - off;
+}
+
+/**
  * Typed load of `vec` elements from any state space. `hint` (may be null)
  * speeds up global/const reads that stay on one page.
  */
@@ -272,14 +283,14 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
     switch (ea.space) {
       case Space::Param: {
         const addr_t off = ea.addr - kParamBase;
-        MLGS_REQUIRE(off + total <= env.params.size(),
+        MLGS_REQUIRE(inWindow(off, total, env.params.size()),
                      "param read out of bounds in ", env.kernel->name);
         std::memcpy(bytes, env.params.data() + off, total);
         break;
       }
       case Space::Shared: {
         const addr_t off = ea.addr - kSharedBase;
-        MLGS_REQUIRE(off + total <= cta.shared().size(),
+        MLGS_REQUIRE(inWindow(off, total, cta.shared().size()),
                      "shared read out of bounds in ", env.kernel->name,
                      " offset ", off);
         std::memcpy(bytes, cta.shared().data() + off, total);
@@ -288,7 +299,8 @@ loadTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
         const auto local = cta.local(tid);
-        MLGS_REQUIRE(off + total <= local.size(), "local read out of bounds");
+        MLGS_REQUIRE(inWindow(off, total, local.size()),
+                     "local read out of bounds");
         std::memcpy(bytes, local.data() + off, total);
         break;
       }
@@ -380,7 +392,7 @@ storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
         fatal("stores to param space are not allowed");
       case Space::Shared: {
         const addr_t off = ea.addr - kSharedBase;
-        MLGS_REQUIRE(off + total <= cta.shared().size(),
+        MLGS_REQUIRE(inWindow(off, total, cta.shared().size()),
                      "shared write out of bounds offset ", off);
         std::memcpy(cta.shared().data() + off, bytes, total);
         break;
@@ -388,7 +400,8 @@ storeTyped(GpuMemory &mem, const Ea &ea, ptx::Type t, unsigned vec,
       case Space::Local: {
         const addr_t off = ea.addr - kLocalBase;
         const auto local = cta.local(tid);
-        MLGS_REQUIRE(off + total <= local.size(), "local write out of bounds");
+        MLGS_REQUIRE(inWindow(off, total, local.size()),
+                     "local write out of bounds");
         std::memcpy(local.data() + off, bytes, total);
         break;
       }

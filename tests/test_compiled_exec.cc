@@ -10,13 +10,14 @@
  *    accounting stays pinned;
  *  - where the independent scalar reference (difftest::RefExec, which
  *    shares no code with src/func) supports the kernel's ops, registers and
- *    memory must match it bitwise. RefExec has no atom, red, tex or vector
- *    ld/st, so those cases check fixed expected values instead.
+ *    memory must match it bitwise. RefExec has no atom, red or tex, so
+ *    those cases check fixed expected values instead.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "difftest/ref_exec.h"
@@ -537,10 +538,9 @@ TEST(CompiledExec, VectorLdStMatchesInterp)
         in.push_back(float(t) * 1.5f);
         in.push_back(float(t) - 16.5f);
     }
-    // RefExec has no vector ld/st: check fixed values. Every sum and
-    // difference here is exact in f32.
-    const Image img = expectPathsMatch(src, "vecldst", Dim3(1), Dim3(16),
-                                       asBytes(in), 16 * 8);
+    // Every sum and difference here is exact in f32.
+    const Image img = expectAllMatch(src, "vecldst", Dim3(1), Dim3(16),
+                                     asBytes(in), 16 * 8);
     std::vector<float> out(16 * 2);
     std::memcpy(out.data(), img.out.data(), out.size() * 4);
     for (unsigned t = 0; t < 16; t++) {
@@ -1039,6 +1039,590 @@ LOOP:
             EXPECT_TRUE(straddled);
             ASSERT_EQ(run[0][5].pc, 5u);
             EXPECT_EQ(run[0][5].loads, want);
+        }
+    }
+}
+
+// ---- warp-wide ld/st micro-ops in every execution mode ----
+
+/** How a memory case runs: stepped, batched into FuncStats, or into a sink. */
+enum class MemMode { Step, Stats, Sink };
+
+const char *
+memModeName(MemMode m)
+{
+    return m == MemMode::Step ? "stepWarp" : m == MemMode::Stats
+                                                 ? "runWarp+FuncStats"
+                                                 : "runWarp+IssueSink";
+}
+
+/**
+ * One kernel `mem(.param .u64 in, .param .u64 out, ...)` and its data. The
+ * buffers are placed by a fresh allocator in order in, out, fresh (`fresh`
+ * is allocated but never written); `extra` gives the u64 parameters after
+ * in and out from those three addresses.
+ */
+struct MemCase
+{
+    std::string src;
+    Dim3 grid{2}, block{48};
+    std::vector<uint8_t> in;
+    size_t out_bytes = 0;
+    size_t fresh_bytes = 0;
+    std::function<std::vector<uint64_t>(addr_t, addr_t, addr_t)> extra;
+    /** Runtime symbol bound to `in` (RefExec resolves none: not compared). */
+    std::string in_symbol;
+};
+
+/** What one run of a MemCase leaves behind. */
+struct MemRun
+{
+    std::vector<uint8_t> out;
+    std::vector<std::vector<uint64_t>> regs; ///< [cta * threads + tid][reg]
+    func::FuncStats stats;                   ///< Step and Stats modes
+    std::vector<std::vector<FlatRecord>> records; ///< Step and Sink modes
+    size_t new_pages = 0; ///< device pages the launch materialized
+    addr_t in = 0, out_addr = 0, fresh = 0;
+    std::vector<uint8_t> params;
+};
+
+/**
+ * Run a MemCase CTA by CTA with the race shadow on, warps interleaved five
+ * instructions at a time. Step mode also attaches a site profiler, as
+ * production per-step runs do, and converts each step into an issue record.
+ */
+MemRun
+runMem(MemMode mode, const MemCase &c)
+{
+    MiniGpu gpu;
+    gpu.exec.setRaceCheck(true);
+    func::SiteProfiler prof;
+    if (mode == MemMode::Step)
+        gpu.exec.setSiteProfiler(&prof);
+    const ptx::Module m = ptx::parseModule(c.src, "mem_ops.ptx");
+    const ptx::KernelDef &k = findKernel(m, "mem");
+
+    MemRun run;
+    run.in = gpu.upload(c.in.data(), c.in.size());
+    if (!c.in_symbol.empty())
+        gpu.symbols[c.in_symbol] = run.in;
+    run.out_addr = gpu.alloc.alloc(c.out_bytes);
+    gpu.mem.memset(run.out_addr, 0, c.out_bytes);
+    if (c.fresh_bytes)
+        run.fresh = gpu.alloc.alloc(c.fresh_bytes);
+    ParamPack p;
+    p.add<uint64_t>(run.in);
+    p.add<uint64_t>(run.out_addr);
+    if (c.extra)
+        for (const uint64_t v : c.extra(run.in, run.out_addr, run.fresh))
+            p.add<uint64_t>(v);
+    run.params = p.bytes();
+
+    func::LaunchEnv env;
+    env.kernel = &k;
+    env.params = run.params;
+    env.symbols = &gpu.symbols;
+    const ptx::Uop *uops =
+        ptx::compiledProgram(k, ptx::LowerBugs{}).uops.data();
+    const size_t pages = gpu.mem.pageCount();
+    func::WarpStepResult res;
+    for (uint64_t ci = 0; ci < c.grid.count(); ci++) {
+        auto cta = gpu.engine.makeCta(env, c.grid, c.block, ci);
+        cta->enableRaceCheck();
+        std::vector<func::IssueStream> streams(cta->numWarps());
+        for (unsigned rounds = 0; !cta->allDone(); rounds++) {
+            MLGS_REQUIRE(rounds < 100000, "memory case does not finish");
+            for (unsigned w = 0; w < cta->numWarps(); w++) {
+                const uint64_t limit = cta->warpInstrCount(w) + 5;
+                if (mode == MemMode::Stats) {
+                    func::compiled::runWarp(gpu.exec, *cta, w, env, limit,
+                                            &run.stats);
+                } else if (mode == MemMode::Sink) {
+                    func::IssueSink sink(streams[w], 32);
+                    func::compiled::runWarp(gpu.exec, *cta, w, env, limit,
+                                            nullptr, &sink);
+                } else {
+                    while (!cta->warpDone(w) && !cta->warpAtBarrier(w) &&
+                           cta->warpInstrCount(w) < limit) {
+                        gpu.exec.stepWarp(*cta, w, env, res);
+                        run.stats.accumulate(res, uops[res.pc]);
+                        streams[w].appendStep(res, 32);
+                    }
+                }
+            }
+            if (cta->barrierComplete()) {
+                cta->releaseBarrier();
+                run.stats.barriers++;
+            }
+        }
+        if (const func::RaceShadow *rs = cta->raceShadow())
+            run.stats.shared_races += rs->races().size();
+        for (unsigned t = 0; t < unsigned(c.block.count()); t++) {
+            const auto regs = cta->regs(t);
+            std::vector<uint64_t> cells(regs.size());
+            std::memcpy(cells.data(), regs.data(), regs.size() * 8);
+            run.regs.push_back(std::move(cells));
+        }
+        if (mode != MemMode::Stats)
+            for (const auto &s : streams)
+                run.records.push_back(flatten(s));
+    }
+    run.new_pages = gpu.mem.pageCount() - pages;
+    run.out = gpu.download<uint8_t>(run.out_addr, c.out_bytes);
+    return run;
+}
+
+/** The same case on RefExec, over the placement and parameters of `run`. */
+MemRun
+refMem(const MemCase &c, const MemRun &run)
+{
+    const ptx::Module m = ptx::parseModule(c.src, "mem_ops.ptx");
+    MemRun ref;
+    ref.out.assign(c.out_bytes, 0);
+    std::vector<uint8_t> in = c.in, fresh(c.fresh_bytes, 0);
+    std::vector<difftest::RefBuffer> bufs = {{run.in, &in},
+                                             {run.out_addr, &ref.out}};
+    if (c.fresh_bytes)
+        bufs.push_back({run.fresh, &fresh});
+    difftest::RefExec ex(findKernel(m, "mem"), c.grid, c.block, run.params,
+                         std::move(bufs));
+    ex.run();
+    for (uint64_t ci = 0; ci < ex.numCtas(); ci++)
+        for (unsigned t = 0; t < ex.threadsPerCta(); t++)
+            ref.regs.push_back(ex.threadRegs(unsigned(ci), t));
+    return ref;
+}
+
+/** Run `c` in every mode and on RefExec; all must agree. Returns Step's. */
+MemRun
+expectMemModesAgree(const MemCase &c)
+{
+    const MemRun step = runMem(MemMode::Step, c);
+    const MemRun stats = runMem(MemMode::Stats, c);
+    const MemRun sink = runMem(MemMode::Sink, c);
+    const auto image = [](const MemRun &r) {
+        Image img;
+        img.out = r.out;
+        img.regs = r.regs;
+        return img;
+    };
+    expectStateEqual(image(step), image(stats), "stepWarp vs runWarp+stats");
+    expectStateEqual(image(step), image(sink), "stepWarp vs runWarp+sink");
+    if (c.in_symbol.empty())
+        expectStateEqual(image(refMem(c, step)), image(step),
+                         "RefExec vs step");
+    expectStatsEqual(step.stats, stats.stats);
+    EXPECT_EQ(step.records, sink.records) << "issue records diverged";
+    EXPECT_EQ(step.new_pages, stats.new_pages);
+    EXPECT_EQ(step.new_pages, sink.new_pages);
+    return step;
+}
+
+/** "%v<first>" or "{%v<first>, ...}" for a vec-`n` register list. */
+std::string
+vregs(unsigned first, unsigned n)
+{
+    if (n == 1)
+        return "%v" + std::to_string(first);
+    std::string s = "{";
+    for (unsigned i = 0; i < n; i++) {
+        s += i ? ", %v" : "%v";
+        s += std::to_string(first + i);
+    }
+    return s + "}";
+}
+
+constexpr unsigned kMemThreads = 48; ///< one full and one partial warp
+constexpr unsigned kMemCtas = 2;
+
+/**
+ * The matrix kernel for one space, element type and vector width. Its data
+ * registers are .b64 cells holding lane-varying 64-bit patterns, so every
+ * narrower load must leave the bytes above its element untouched. Three
+ * sections repeat the space's loads and stores under a full mask, inside a
+ * divergent branch (odd lanes skip) and under a guard (tid % 3 == 0).
+ */
+std::string
+memKernel(const std::string &space, const std::string &type, unsigned esz,
+          unsigned vec)
+{
+    const unsigned w = esz * vec;
+    const unsigned ntot = kMemThreads * kMemCtas;
+    const std::string ty = (vec > 1 ? ".v" + std::to_string(vec) : "") +
+                           "." + type;
+    const std::string sp = space == "generic" ? "" : "." + space;
+    std::string k = R"(
+.visible .entry mem(.param .u64 in, .param .u64 out,
+                    .param .u64 pdata, .param .u64 p1, .param .u64 p2,
+                    .param .u64 p3, .param .u64 p4, .param .u64 p5,
+                    .param .u64 p6, .param .u64 p7)
+{
+    .reg .u64 %rd<24>;
+    .reg .u32 %r<10>;
+    .reg .b64 %v<32>;
+    .reg .pred %p<4>;
+    .shared .align 16 .b8 sbuf[)" + std::to_string(kMemThreads * w) + R"(];
+    .local .align 16 .b8 lbuf[128];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %ctaid.x;
+    mad.lo.u32 %r4, %r3, %r2, %r1;
+    cvt.u64.u32 %rd3, %r1;
+    mul.lo.u64 %rd4, %rd3, 72340172838076673;
+    and.b32 %r5, %r1, 1;
+    setp.ne.u32 %p1, %r5, 0;
+    rem.u32 %r6, %r1, 3;
+    setp.eq.u32 %p2, %r6, 0;
+    mov.u64 %rd13, sbuf;
+    mov.u64 %rd14, lbuf;
+    mul.wide.u32 %rd5, %r1, )" + std::to_string(w) + R"(;
+    add.u64 %rd15, %rd13, %rd5;
+    add.u32 %r7, %r1, 1;
+    rem.u32 %r7, %r7, %r2;
+    mul.wide.u32 %rd6, %r7, )" + std::to_string(w) + R"(;
+    add.u64 %rd16, %rd13, %rd6;
+    rem.u32 %r8, %r1, )" + std::to_string(64 / w) + R"(;
+    mul.wide.u32 %rd7, %r8, )" + std::to_string(w) + R"(;
+    mov.u64 %rd8, pdata;
+    add.u64 %rd17, %rd8, %rd7;
+)";
+    for (unsigned i = 0; i < 32; i++) {
+        const uint64_t pattern = 0x8877665544332211ull * (i + 1) + i;
+        k += "    mov.b64 %v" + std::to_string(i) + ", " +
+             std::to_string(pattern) + ";\n    xor.b64 %v" +
+             std::to_string(i) + ", %v" + std::to_string(i) + ", %rd4;\n";
+    }
+    for (unsigned s = 0; s < 3; s++) {
+        const std::string S = std::to_string(s);
+        const auto masked = [&](const std::string &text) {
+            if (s == 0) {
+                k += "    " + text + "\n";
+            } else if (s == 2) {
+                k += "    @%p2 " + text + "\n";
+            } else {
+                const std::string label = "SKIP_" + std::to_string(k.size());
+                k += "    @%p1 bra " + label + ";\n    " + text + "\n" +
+                     label + ":\n";
+            }
+        };
+        const std::string dst0 = vregs(s * 8, vec), dst1 = vregs(s * 8 + 4, vec);
+        const std::string src = vregs(24 + s, vec);
+        // Per-lane global slots of this section: in (%rd9), out (%rd10).
+        k += "    mul.wide.u32 %rd11, %r4, " + std::to_string(w) + ";\n" +
+             "    add.u64 %rd11, %rd11, " + std::to_string(s * ntot * w) +
+             ";\n    add.u64 %rd9, %rd1, %rd11;\n" +
+             "    add.u64 %rd10, %rd2, %rd11;\n";
+        if (space == "global") {
+            masked("st.global" + ty + " [%rd10], " + src + ";");
+            masked("ld.global" + ty + " " + dst0 + ", [%rd9];");
+            masked("ld.global" + ty + " " + dst1 + ", [%rd10];");
+        } else if (space == "const") {
+            masked("ld.const" + ty + " " + dst0 + ", [%rd9];");
+            masked("ld.const" + ty + " " + dst1 + ", [%rd9+" +
+                   std::to_string(w) + "];");
+            k += "    st.global" + ty + " [%rd10], " + dst0 + ";\n";
+        } else if (space == "param") {
+            masked("ld.param" + ty + " " + dst0 + ", [%rd17];");
+            masked("ld.param" + ty + " " + dst1 + ", [pdata+" +
+                   std::to_string(s * 8) + "];");
+        } else if (space == "shared") {
+            masked("st.shared" + ty + " [%rd15], " + src + ";");
+            k += "    bar.sync 0;\n";
+            masked("ld.shared" + ty + " " + dst0 + ", [%rd16];");
+            masked("ld.shared" + ty + " " + dst1 + ", [sbuf+" +
+                   std::to_string(s * w) + "];");
+            k += "    bar.sync 0;\n";
+        } else if (space == "local") {
+            masked(s == 1 ? "st.local" + ty + " [lbuf+" +
+                                std::to_string(s * w) + "], " + src + ";"
+                          : "st.local" + ty + " [%rd14+" +
+                                std::to_string(s * w) + "], " + src + ";");
+            masked("ld.local" + ty + " " + dst0 + ", [lbuf+" +
+                   std::to_string(s * w) + "];");
+            masked("ld.local" + ty + " " + dst1 + ", [%rd14+" +
+                   std::to_string(s * w) + "];");
+        } else { // generic: lanes pick global, shared or local by tid % 3
+            k += "    add.u64 %rd18, %rd14, " + std::to_string(s * w) +
+                 ";\n    setp.eq.u32 %p3, %r6, 1;\n"
+                 "    selp.b64 %rd19, %rd15, %rd10, %p3;\n"
+                 "    setp.eq.u32 %p3, %r6, 2;\n"
+                 "    selp.b64 %rd19, %rd18, %rd19, %p3;\n";
+            masked("st" + ty + " [%rd19], " + src + ";");
+            k += "    bar.sync 0;\n";
+            masked("ld" + ty + " " + dst0 + ", [%rd19];");
+            masked("ld" + ty + " " + dst1 + ", [sbuf+" +
+                   std::to_string(s * w) + "];");
+            k += "    bar.sync 0;\n";
+        }
+    }
+    return k + "    ret;\n}\n";
+}
+
+/**
+ * ld/st micro-ops decide space, type and bookkeeping once per uop. Every
+ * space x element type x vector width x mask form must give the same
+ * registers, memory, issue records and FuncStats through stepWarp, runWarp
+ * into FuncStats and runWarp into an IssueSink, and match RefExec.
+ */
+TEST(CompiledExec, MemoryOpsMatchAcrossModes)
+{
+    struct Ty
+    {
+        const char *name;
+        unsigned size;
+    };
+    const Ty types[] = {{"u8", 1},  {"s8", 1},  {"u16", 2}, {"s16", 2},
+                        {"f16", 2}, {"u32", 4}, {"s32", 4}, {"f32", 4},
+                        {"u64", 8}, {"s64", 8}, {"f64", 8}};
+    const unsigned ntot = kMemThreads * kMemCtas;
+    for (const char *space :
+         {"global", "const", "shared", "local", "param", "generic"}) {
+        for (const Ty &t : types) {
+            for (const unsigned vec : {1u, 2u, 4u}) {
+                SCOPED_TRACE(std::string(space) + " v" +
+                             std::to_string(vec) + "." + t.name);
+                const unsigned w = t.size * vec;
+                MemCase c;
+                c.src = memKernel(space, t.name, t.size, vec);
+                c.grid = Dim3(kMemCtas);
+                c.block = Dim3(kMemThreads);
+                c.in.resize(3 * ntot * w + 32);
+                for (size_t i = 0; i < c.in.size(); i++)
+                    c.in[i] = uint8_t(i * 151 + 7 + (i >> 8));
+                c.out_bytes = 3 * ntot * w;
+                c.extra = [](addr_t, addr_t, addr_t) {
+                    std::vector<uint64_t> pdata;
+                    for (unsigned i = 0; i < 8; i++)
+                        pdata.push_back(0x0f1e2d3c4b5a6978ull * (i + 3));
+                    return pdata;
+                };
+                const MemRun run = expectMemModesAgree(c);
+                EXPECT_EQ(run.new_pages, 0u);
+                if (std::string(space) == "shared") {
+                    EXPECT_GT(run.stats.shared_accesses, 0u);
+                }
+                if (std::string(space) == "global") {
+                    EXPECT_GT(run.stats.global_st_bytes, 0u);
+                }
+            }
+        }
+    }
+}
+
+/** Register id of `name` in the kernel of `src`. */
+size_t
+regId(const std::string &src, const std::string &name)
+{
+    const ptx::Module m = ptx::parseModule(src, "mem_ops.ptx");
+    const auto &names = findKernel(m, "mem").reg_names;
+    const auto it = std::find(names.begin(), names.end(), name);
+    MLGS_REQUIRE(it != names.end(), "no register ", name);
+    return size_t(it - names.begin());
+}
+
+TEST(CompiledExec, MemoryOpsEdgeCases)
+{
+    // A misaligned u64 and v2.u32 that straddle a 4 KB page boundary in
+    // lane 5, through a narrower load into a cell holding a 64-bit value
+    // (its high half stays), and a store that straddles out's boundary.
+    MemCase c;
+    c.src = R"(
+.visible .entry mem(.param .u64 in, .param .u64 out, .param .u64 skew_in,
+                    .param .u64 skew_out)
+{
+    .reg .u64 %rd<10>;
+    .reg .u32 %r<4>;
+    .reg .b64 %v<6>;
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    ld.param.u64 %rd3, [skew_in];
+    ld.param.u64 %rd4, [skew_out];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd5, %r1, 8;
+    add.u64 %rd6, %rd1, %rd3;
+    add.u64 %rd6, %rd6, %rd5;
+    add.u64 %rd7, %rd2, %rd4;
+    add.u64 %rd7, %rd7, %rd5;
+    mov.b64 %v1, 1234605616436508552;
+    ld.global.u64 %v0, [%rd6];
+    ld.global.u32 %v1, [%rd6];
+    ld.global.v2.u32 {%v2, %v3}, [%rd6];
+    st.global.u64 [%rd7], %v0;
+    ret;
+}
+)";
+    c.grid = Dim3(1);
+    c.block = Dim3(32);
+    c.in.resize(3 * 4096);
+    for (size_t i = 0; i < c.in.size(); i++)
+        c.in[i] = uint8_t(i * 29 + 3);
+    c.out_bytes = 3 * 4096;
+    // Lane 5's 8 bytes start 3 bytes before a page boundary.
+    const auto skew = [](addr_t base) {
+        const addr_t boundary = (base / 4096 + 1) * 4096;
+        return uint64_t(boundary - 3 - 5 * 8 - base);
+    };
+    c.extra = [&](addr_t in, addr_t out, addr_t) {
+        return std::vector<uint64_t>{skew(in), skew(out)};
+    };
+    const MemRun run = expectMemModesAgree(c);
+    const addr_t lane5 = skew(run.in) + 5 * 8;
+    ASSERT_EQ((run.in + lane5) % 4096, 4093u);
+    uint64_t want = 0;
+    std::memcpy(&want, c.in.data() + lane5, 8);
+    const size_t v0 = regId(c.src, "%v0"), v1 = regId(c.src, "%v1");
+    EXPECT_EQ(run.regs[5][v0], want);
+    EXPECT_EQ(run.regs[5][v1] >> 32, 0x11223344u) << "high half clobbered";
+    EXPECT_EQ(uint32_t(run.regs[5][v1]), uint32_t(want));
+    uint64_t stored = 0;
+    std::memcpy(&stored, run.out.data() + skew(run.out_addr) + 5 * 8, 8);
+    EXPECT_EQ(stored, want);
+
+    // A page never written reads as zeros and is not materialized, per lane
+    // (each lane its own page) and through a uniform address.
+    MemCase fresh;
+    fresh.src = R"(
+.visible .entry mem(.param .u64 in, .param .u64 out, .param .u64 fresh)
+{
+    .reg .u64 %rd<8>;
+    .reg .u32 %r<4>;
+    .reg .b64 %v<6>;
+    ld.param.u64 %rd1, [fresh];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4096;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %v0, [%rd3+12];
+    ld.global.v2.u64 {%v1, %v2}, [%rd3+64];
+    ld.const.u8 %v3, [%rd3];
+    ld.global.v4.f32 {%v4, %v5, %v1, %v2}, [%rd1+4000];
+    ret;
+}
+)";
+    fresh.grid = Dim3(1);
+    fresh.block = Dim3(40);
+    fresh.in.assign(8, 1);
+    fresh.out_bytes = 8;
+    fresh.fresh_bytes = 41 * 4096;
+    fresh.extra = [](addr_t, addr_t, addr_t f) {
+        return std::vector<uint64_t>{f};
+    };
+    const MemRun zeros = expectMemModesAgree(fresh);
+    EXPECT_EQ(zeros.new_pages, 0u);
+    for (unsigned t = 0; t < 40; t++)
+        for (unsigned v = 0; v < 6; v++)
+            EXPECT_EQ(zeros.regs[t][regId(fresh.src, "%v" + std::to_string(v))],
+                      0u)
+                << "thread " << t << " %v" << v;
+
+    // A uniform global address ([sym+imm], a runtime symbol bound to the in
+    // buffer) is read once and broadcast; every lane still books its access.
+    MemCase uni;
+    uni.src = R"(
+.global .align 8 .b8 gdata[64];
+.visible .entry mem(.param .u64 in, .param .u64 out)
+{
+    .reg .b64 %v<4>;
+    .reg .u32 %r<2>;
+    .reg .pred %p<2>;
+    mov.u32 %r1, %tid.x;
+    setp.lt.u32 %p1, %r1, 20;
+    ld.global.u64 %v0, [gdata+8];
+    @%p1 ld.const.v2.u32 {%v1, %v2}, [gdata+16];
+    ret;
+}
+)";
+    uni.grid = Dim3(1);
+    uni.block = Dim3(36);
+    uni.in.resize(64);
+    for (size_t i = 0; i < 64; i++)
+        uni.in[i] = uint8_t(i * 7 + 1);
+    uni.out_bytes = 8;
+    uni.in_symbol = "gdata";
+    const MemRun bcast = expectMemModesAgree(uni);
+    uint64_t want8 = 0, want16 = 0;
+    std::memcpy(&want8, uni.in.data() + 8, 8);
+    std::memcpy(&want16, uni.in.data() + 16, 8);
+    const size_t u0 = regId(uni.src, "%v0"), u1 = regId(uni.src, "%v1"),
+                 u2 = regId(uni.src, "%v2");
+    for (unsigned t = 0; t < 36; t++) {
+        EXPECT_EQ(bcast.regs[t][u0], want8) << "thread " << t;
+        EXPECT_EQ(bcast.regs[t][u1], t < 20 ? uint32_t(want16) : 0u);
+        EXPECT_EQ(bcast.regs[t][u2], t < 20 ? want16 >> 32 : 0u);
+    }
+    EXPECT_EQ(bcast.stats.global_ld_bytes, 36u * 8 + 20u * 8);
+    // Both warps' ld.global and the first warp's guarded ld.const each
+    // touch one line.
+    unsigned with_loads = 0;
+    for (const auto &warp : bcast.records)
+        for (const FlatRecord &r : warp)
+            if (!r.loads.empty()) {
+                EXPECT_EQ(r.loads.size(), 1u);
+                with_loads++;
+            }
+    EXPECT_EQ(with_loads, 3u);
+}
+
+TEST(CompiledExec, MemoryOpsOutOfBoundsAreFatalInEveryMode)
+{
+    // Each access runs on every lane of one warp, after the same access
+    // under a guard no lane passes; param is 80 bytes (in, out and pdata),
+    // sbuf 64 and lbuf 16.
+    const char *accesses[] = {
+        "ld.shared.u32 %v0, [sbuf+64];",
+        "st.shared.u32 [sbuf+62], %v0;",
+        "ld.shared.v2.u32 {%v0, %v1}, [%rd3+60];",
+        "st.shared.u64 [%rd3+64], %v0;",
+        "ld.param.u32 %v0, [pdata+64];",
+        "ld.param.v4.u32 {%v0, %v1, %v2, %v3}, [%rd5+56];",
+        "st.param.u32 [pdata], %v0;",
+        "ld.local.u32 %v0, [lbuf+16];",
+        "st.local.u64 [lbuf+12], %v0;",
+        "ld.local.u8 %v0, [%rd4+16];",
+        "st.local.v2.u32 [%rd4+12], {%v0, %v1};",
+        "ld.u32 %v0, [%rd3+64];",
+        "st.u32 [%rd4+16], %v0;",
+        // Two bytes below the window: the offset wraps around, and
+        // offset + size wraps back into range.
+        "ld.shared.u32 %v0, [%rd2];",
+        "st.local.u32 [%rd1], %v0;",
+        "atom.shared.add.u32 %v0, [%rd2], 1;",
+    };
+    for (const char *acc : accesses) {
+        SCOPED_TRACE(acc);
+        MemCase c;
+        const std::string body = std::string(R"(
+.visible .entry mem(.param .u64 in, .param .u64 out,
+                    .param .u64 pdata, .param .u64 p1, .param .u64 p2,
+                    .param .u64 p3, .param .u64 p4, .param .u64 p5,
+                    .param .u64 p6, .param .u64 p7)
+{
+    .reg .u64 %rd<6>;
+    .reg .b64 %v<4>;
+    .reg .pred %p<2>;
+    .shared .align 8 .b8 sbuf[64];
+    .local .align 8 .b8 lbuf[16];
+    mov.u64 %rd3, sbuf;
+    mov.u64 %rd4, lbuf;
+    mov.u64 %rd5, pdata;
+    sub.u64 %rd2, %rd3, 2;
+    sub.u64 %rd1, %rd4, 2;
+    setp.eq.u64 %p1, %rd3, 0;
+    @%p1 )") + acc + "\n    " + acc + "\n    ret;\n}\n";
+        c.src = body;
+        c.grid = Dim3(1);
+        c.block = Dim3(32);
+        c.in.assign(8, 0);
+        c.out_bytes = 8;
+        c.extra = [](addr_t, addr_t, addr_t) {
+            return std::vector<uint64_t>(8, 0);
+        };
+        ASSERT_NO_THROW(ptx::parseModule(c.src, "mem_ops.ptx"));
+        for (const MemMode mode :
+             {MemMode::Step, MemMode::Stats, MemMode::Sink}) {
+            SCOPED_TRACE(memModeName(mode));
+            EXPECT_THROW(runMem(mode, c), FatalError);
         }
     }
 }
