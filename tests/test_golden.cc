@@ -8,6 +8,8 @@
  * byte for byte, since the simulator guarantees bitwise-deterministic
  * statistics across thread counts and compilers. Until now only the
  * trace-replay bench pinned these numbers; this makes the pin tier-1.
+ * Each run also carries a 256-cycle AerialVision sampler, pinned by its
+ * bucket count, summed series and a digest over every bucket.
  *
  * Regenerating after an intentional model change:
  *
@@ -24,8 +26,10 @@
 #include <string>
 
 #include "bench/trace_workloads.h"
+#include "common/fnv.h"
 #include "cudnn/cudnn.h"
 #include "runtime/context.h"
+#include "stats/aerial.h"
 
 using namespace mlgs;
 using namespace mlgs::bench;
@@ -57,13 +61,57 @@ const GoldenRun kRuns[] = {
 };
 
 void
-appendBankVector(std::ostringstream &os, const char *key,
-                 const std::vector<uint64_t> &v)
+appendVector(std::ostringstream &os, const char *key,
+             const std::vector<uint64_t> &v, const char *indent = "      ")
 {
-    os << "      \"" << key << "\": [";
+    os << indent << "\"" << key << "\": [";
     for (size_t i = 0; i < v.size(); i++)
         os << (i ? ", " : "") << v[i];
     os << "]";
+}
+
+/**
+ * The sampler's block: bucket count, series summed over buckets (banks
+ * summed too) and an FNV-1a digest over every bucket's raw integer vectors.
+ */
+void
+appendAerial(std::ostringstream &os, const stats::AerialSampler &sampler)
+{
+    uint64_t instructions = 0, bank_busy = 0, bank_pending = 0;
+    std::vector<uint64_t> lanes(33, 0);
+    std::vector<uint64_t> stalls(size_t(stats::StallKind::kCount), 0);
+    Fnv1a digest;
+    const auto hashVec = [&](const std::vector<uint64_t> &v) {
+        digest.add<uint64_t>(v.size()).addBytes(v.data(), v.size() * 8);
+    };
+    for (const stats::AerialBucket &b : sampler.buckets()) {
+        instructions += b.instructions;
+        for (size_t i = 0; i < lanes.size(); i++)
+            lanes[i] += b.lane_histogram[i];
+        for (size_t i = 0; i < stalls.size(); i++)
+            stalls[i] += b.stalls[i];
+        for (size_t k = 0; k < b.bank_busy.size(); k++) {
+            bank_busy += b.bank_busy[k];
+            bank_pending += b.bank_pending[k];
+        }
+        digest.add<uint64_t>(b.start_cycle).add<uint64_t>(b.cycles);
+        digest.add<uint64_t>(b.instructions);
+        for (const auto *v : {&b.core_instructions, &b.core_thread_instructions,
+                              &b.lane_histogram, &b.stalls, &b.bank_busy,
+                              &b.bank_pending})
+            hashVec(*v);
+    }
+    os << "      \"aerial\": {\n"
+       << "        \"buckets\": " << sampler.buckets().size() << ",\n"
+       << "        \"instructions\": " << instructions << ",\n";
+    appendVector(os, "lane_histogram", lanes, "        ");
+    os << ",\n";
+    appendVector(os, "stalls", stalls, "        ");
+    os << ",\n"
+       << "        \"bank_busy\": " << bank_busy << ",\n"
+       << "        \"bank_pending\": " << bank_pending << ",\n"
+       << "        \"digest\": \"" << std::hex << digest.hash() << std::dec
+       << "\"\n      },\n";
 }
 
 /** Simulate one run and render its stats block (fixed key order). */
@@ -74,17 +122,23 @@ renderRun(const GoldenRun &run)
     spec.pass = run.pass;
     spec.algo = run.algo;
 
-    cuda::Context ctx(convTraceOptions(spec));
+    const cuda::ContextOptions opts = convTraceOptions(spec);
+    cuda::Context ctx(opts);
+    stats::AerialSampler sampler(256, opts.gpu.num_cores,
+                                 opts.gpu.totalDramBanks());
+    ctx.attachSampler(&sampler);
     runConvFrontend(ctx, spec);
+    sampler.finish();
 
     const timing::TimingTotals &t = ctx.gpuModel().totals();
     std::ostringstream os;
     os << "    \"" << run.name << "\": {\n";
+    appendAerial(os, sampler);
     for (const auto &c : timing::kTimingCounters)
         os << "      \"" << c.name << "\": " << t.*c.member << ",\n";
-    appendBankVector(os, "bank_row_hits", ctx.gpuModel().perBankRowHits());
+    appendVector(os, "bank_row_hits", ctx.gpuModel().perBankRowHits());
     os << ",\n";
-    appendBankVector(os, "bank_row_misses", ctx.gpuModel().perBankRowMisses());
+    appendVector(os, "bank_row_misses", ctx.gpuModel().perBankRowMisses());
     os << "\n    }";
     return os.str();
 }
