@@ -20,9 +20,6 @@ class TimingBackend : public ExecBackend
   public:
     explicit TimingBackend(timing::GpuModel &gpu) : gpu_(&gpu) {}
 
-    /** AerialVision sampler observed during advanceUntil() (may be null). */
-    void setSampler(stats::AerialSampler *s) { sampler_ = s; }
-
     bool canAccept() const override
     {
         return gpu_->residentKernels() <
@@ -40,7 +37,7 @@ class TimingBackend : public ExecBackend
 
     std::optional<BackendCompletion> advanceUntil(cycle_t limit) override
     {
-        if (const auto c = gpu_->advanceUntil(limit, sampler_))
+        if (const auto c = gpu_->advanceUntil(limit))
             return BackendCompletion{c->token, c->at};
         return std::nullopt;
     }
@@ -54,7 +51,6 @@ class TimingBackend : public ExecBackend
 
   private:
     timing::GpuModel *gpu_;
-    stats::AerialSampler *sampler_ = nullptr;
 };
 
 } // namespace mlgs::engine

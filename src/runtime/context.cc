@@ -263,12 +263,7 @@ Context::drainAll()
 void
 Context::attachSampler(stats::AerialSampler *s)
 {
-    sampler_ = s;
-    Device &d = dev();
-    if (d.timing_backend)
-        d.timing_backend->setSampler(s);
-    if (d.sampled_backend)
-        d.sampled_backend->setSampler(s);
+    dev().gpu->attachSampler(s);
 }
 
 // ---- memory ----

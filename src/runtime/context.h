@@ -177,6 +177,8 @@ class Context : public func::TextureProvider
 
     // ---- mode ----
     SimMode mode() const { return opts_.mode; }
+    /** Attach an AerialVision sampler to the current device's timing
+     *  model (null detaches); see timing::GpuModel::attachSampler. */
     void attachSampler(stats::AerialSampler *s);
 
     /** Resolved timing mode (always Detailed in functional mode). */
@@ -451,7 +453,6 @@ class Context : public func::TextureProvider
     sample::TimingMode resolved_timing_ = sample::TimingMode::Detailed;
     std::vector<std::unique_ptr<Device>> devices_;
     int current_ = 0;
-    stats::AerialSampler *sampler_ = nullptr;
 
     std::vector<LaunchRecord> launch_log_;
     std::vector<CapturedLaunch> captured_;

@@ -136,7 +136,7 @@ SampledBackend::advanceUntil(cycle_t limit)
         // fast-forwarded completion: completions must surface in device-time
         // order so the engine's stream/copy interleaving stays consistent.
         const cycle_t gpu_limit = have_fast ? std::min(limit, fast_at) : limit;
-        if (const auto c = gpu_->advanceUntil(gpu_limit, sampler_))
+        if (const auto c = gpu_->advanceUntil(gpu_limit))
             return engine::BackendCompletion{c->token, c->at};
     }
     if (have_fast && fast_at <= limit) {

@@ -86,9 +86,6 @@ class SampledBackend : public engine::ExecBackend
     SampledBackend(timing::GpuModel &gpu, func::FunctionalEngine &func,
                    const SamplingOptions &opts);
 
-    /** AerialVision sampler observed while the cycle model advances. */
-    void setSampler(stats::AerialSampler *s) { sampler_ = s; }
-
     bool canAccept() const override;
     uint64_t begin(engine::LaunchRecord &rec, const func::LaunchEnv &env,
                    cycle_t start) override;
@@ -118,7 +115,6 @@ class SampledBackend : public engine::ExecBackend
     timing::GpuModel *gpu_;
     func::FunctionalEngine *func_;
     SamplingOptions opts_;
-    stats::AerialSampler *sampler_ = nullptr;
 
     Clusterer clusterer_;
     std::priority_queue<FastPending, std::vector<FastPending>,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <numeric>
 #include <sstream>
 
 #include "common/log.h"
@@ -15,119 +16,117 @@ AerialSampler::AerialSampler(unsigned bucket_cycles, unsigned num_cores,
     : bucket_cycles_(bucket_cycles), num_cores_(num_cores), num_banks_(num_banks)
 {
     MLGS_REQUIRE(bucket_cycles_ > 0, "bucket size must be positive");
-    current_ = makeBucket();
 }
 
-AerialBucket
-AerialSampler::makeBucket() const
+namespace
 {
-    AerialBucket b;
-    b.start_cycle = now_;
-    b.core_instructions.assign(num_cores_, 0);
-    b.core_thread_instructions.assign(num_cores_, 0);
-    b.lane_histogram.assign(33, 0);
-    b.stalls.assign(size_t(StallKind::kCount), 0);
-    b.bank_busy.assign(num_banks_, 0);
-    b.bank_pending.assign(num_banks_, 0);
-    return b;
+
+/** Every per-core, per-lane, per-stall and per-bank series of a bucket. */
+constexpr std::vector<uint64_t> AerialBucket::*kSeries[] = {
+    &AerialBucket::core_instructions, &AerialBucket::core_thread_instructions,
+    &AerialBucket::lane_histogram,    &AerialBucket::stalls,
+    &AerialBucket::bank_busy,         &AerialBucket::bank_pending};
+
+/** Apply `a = op(a, b)` to every count of the two buckets. */
+template <typename Op>
+void
+combine(AerialBucket &a, const AerialBucket &b, Op op)
+{
+    a.cycles = op(a.cycles, b.cycles);
+    a.instructions = op(a.instructions, b.instructions);
+    for (const auto series : kSeries) {
+        std::vector<uint64_t> &v = a.*series;
+        v.resize(std::max(v.size(), (b.*series).size()));
+        for (size_t i = 0; i < (b.*series).size(); i++)
+            v[i] = op(v[i], (b.*series)[i]);
+    }
+}
+
+uint64_t
+sum(const std::vector<uint64_t> &v)
+{
+    return std::accumulate(v.begin(), v.end(), uint64_t(0));
+}
+
+double
+ratio(uint64_t num, uint64_t den)
+{
+    return den ? double(num) / double(den) : 0.0;
+}
+
+} // namespace
+
+void
+AerialSampler::start(AerialBucket counters)
+{
+    mark_ = std::move(counters);
+    latest_ = mark_;
 }
 
 void
-AerialSampler::recordIssue(unsigned core, unsigned lanes)
+AerialSampler::observe(AerialBucket counters)
 {
-    current_.instructions++;
-    current_.core_instructions[core]++;
-    current_.core_thread_instructions[core] += lanes;
-    current_.lane_histogram[std::min(lanes, 32u)]++;
-}
-
-void
-AerialSampler::recordStall(unsigned core, StallKind kind)
-{
-    (void)core;
-    current_.stalls[size_t(kind)]++;
-}
-
-void
-AerialSampler::recordBank(unsigned bank, bool transferring, bool has_pending)
-{
-    if (transferring)
-        current_.bank_busy[bank]++;
-    if (has_pending || transferring)
-        current_.bank_pending[bank]++;
-}
-
-void
-AerialSampler::endCycle()
-{
-    now_++;
-    current_.cycles++;
-    if (current_.cycles >= bucket_cycles_)
+    latest_ = std::move(counters);
+    if (latest_.cycles - mark_.cycles >= bucket_cycles_)
         closeBucket();
 }
 
 void
 AerialSampler::finish()
 {
-    if (current_.cycles > 0)
+    if (latest_.cycles > mark_.cycles)
         closeBucket();
 }
 
 void
 AerialSampler::closeBucket()
 {
-    buckets_.push_back(std::move(current_));
-    current_ = makeBucket();
+    AerialBucket b = latest_;
+    combine(b, mark_, std::minus<>());
+    b.start_cycle = buckets_.empty() ? 0
+                                     : buckets_.back().start_cycle +
+                                           buckets_.back().cycles;
+    buckets_.push_back(std::move(b));
+    mark_ = latest_;
+}
+
+AerialBucket
+AerialSampler::total() const
+{
+    AerialBucket t;
+    for (const AerialBucket &b : buckets_)
+        combine(t, b, std::plus<>());
+    return t;
 }
 
 double
 AerialSampler::globalIpc() const
 {
-    uint64_t insts = 0, cycles = 0;
-    for (const auto &b : buckets_) {
-        insts += b.instructions;
-        cycles += b.cycles;
-    }
-    return cycles ? double(insts) / double(cycles) : 0.0;
+    const AerialBucket t = total();
+    return ratio(t.instructions, t.cycles);
 }
 
 double
 AerialSampler::meanDramEfficiency() const
 {
-    uint64_t busy = 0, pending = 0;
-    for (const auto &b : buckets_)
-        for (unsigned k = 0; k < num_banks_; k++) {
-            busy += b.bank_busy[k];
-            pending += b.bank_pending[k];
-        }
-    return pending ? double(busy) / double(pending) : 0.0;
+    const AerialBucket t = total();
+    return ratio(sum(t.bank_busy), sum(t.bank_pending));
 }
 
 double
 AerialSampler::meanDramUtilization() const
 {
-    uint64_t busy = 0, cycles = 0;
-    for (const auto &b : buckets_) {
-        cycles += b.cycles * num_banks_;
-        for (unsigned k = 0; k < num_banks_; k++)
-            busy += b.bank_busy[k];
-    }
-    return cycles ? double(busy) / double(cycles) : 0.0;
+    const AerialBucket t = total();
+    return ratio(sum(t.bank_busy), t.cycles * num_banks_);
 }
 
 double
 AerialSampler::stallFraction(StallKind kind) const
 {
-    uint64_t slot_events = 0, of_kind = 0;
-    for (const auto &b : buckets_) {
-        for (size_t i = 0; i < b.stalls.size(); i++) {
-            slot_events += b.stalls[i];
-            if (i == size_t(kind))
-                of_kind += b.stalls[i];
-        }
-        slot_events += b.instructions;
-    }
-    return slot_events ? double(of_kind) / double(slot_events) : 0.0;
+    const AerialBucket t = total();
+    return t.stalls.empty()
+               ? 0.0
+               : ratio(t.stalls[size_t(kind)], t.instructions + sum(t.stalls));
 }
 
 void
@@ -145,21 +144,18 @@ AerialSampler::writeCsv(const std::string &path) const
 
     row("cycles", [](const AerialBucket &b) { return b.cycles; });
     row("global_ipc", [](const AerialBucket &b) {
-        return b.cycles ? double(b.instructions) / double(b.cycles) : 0.0;
+        return ratio(b.instructions, b.cycles);
     });
     for (unsigned c = 0; c < num_cores_; c++)
         row("core_ipc_" + std::to_string(c), [c](const AerialBucket &b) {
-            return b.cycles ? double(b.core_instructions[c]) / double(b.cycles)
-                            : 0.0;
+            return ratio(b.core_instructions[c], b.cycles);
         });
     for (unsigned k = 0; k < num_banks_; k++) {
         row("bank_eff_" + std::to_string(k), [k](const AerialBucket &b) {
-            return b.bank_pending[k]
-                       ? double(b.bank_busy[k]) / double(b.bank_pending[k])
-                       : 0.0;
+            return ratio(b.bank_busy[k], b.bank_pending[k]);
         });
         row("bank_util_" + std::to_string(k), [k](const AerialBucket &b) {
-            return b.cycles ? double(b.bank_busy[k]) / double(b.cycles) : 0.0;
+            return ratio(b.bank_busy[k], b.cycles);
         });
     }
     for (unsigned w = 0; w <= 32; w++)
@@ -206,6 +202,17 @@ downsample(const std::vector<AerialBucket> &buckets, unsigned max_cols,
     return out;
 }
 
+/** One heat-map row: the label, then a shade per column. */
+void
+heatRow(std::ostringstream &os, unsigned label, const std::vector<double> &vals)
+{
+    os.width(4);
+    os << label << " |";
+    for (const double v : vals)
+        os << shade(v);
+    os << "|\n";
+}
+
 } // namespace
 
 std::string
@@ -214,22 +221,11 @@ AerialSampler::renderBankHeatmap(bool utilization, unsigned max_cols) const
     std::ostringstream os;
     os << (utilization ? "DRAM utilization" : "DRAM efficiency")
        << " (rows = banks, cols = time, ' '..'@' = 0..1)\n";
-    for (unsigned k = 0; k < num_banks_; k++) {
-        const auto vals =
-            downsample(buckets_, max_cols, [&](const AerialBucket &b) {
-                if (utilization)
-                    return b.cycles ? double(b.bank_busy[k]) / double(b.cycles)
-                                    : 0.0;
-                return b.bank_pending[k]
-                           ? double(b.bank_busy[k]) / double(b.bank_pending[k])
-                           : 0.0;
-            });
-        os.width(4);
-        os << k << " |";
-        for (const double v : vals)
-            os << shade(v);
-        os << "|\n";
-    }
+    for (unsigned k = 0; k < num_banks_; k++)
+        heatRow(os, k, downsample(buckets_, max_cols, [&](const AerialBucket &b) {
+                    return ratio(b.bank_busy[k], utilization ? b.cycles
+                                                             : b.bank_pending[k]);
+                }));
     return os.str();
 }
 
@@ -238,10 +234,9 @@ AerialSampler::renderIpcStrip(unsigned max_cols) const
 {
     double peak = 1.0;
     for (const auto &b : buckets_)
-        if (b.cycles)
-            peak = std::max(peak, double(b.instructions) / double(b.cycles));
+        peak = std::max(peak, ratio(b.instructions, b.cycles));
     const auto vals = downsample(buckets_, max_cols, [&](const AerialBucket &b) {
-        return b.cycles ? double(b.instructions) / double(b.cycles) / peak : 0.0;
+        return ratio(b.instructions, b.cycles) / peak;
     });
     std::ostringstream os;
     os << "global IPC (peak " << peak << ")\n |";
@@ -257,24 +252,13 @@ AerialSampler::renderCoreHeatmap(unsigned max_cols) const
     double peak = 1.0;
     for (const auto &b : buckets_)
         for (unsigned c = 0; c < num_cores_; c++)
-            if (b.cycles)
-                peak = std::max(peak,
-                                double(b.core_instructions[c]) / double(b.cycles));
+            peak = std::max(peak, ratio(b.core_instructions[c], b.cycles));
     std::ostringstream os;
     os << "per-shader IPC (rows = cores, peak " << peak << ")\n";
-    for (unsigned c = 0; c < num_cores_; c++) {
-        const auto vals =
-            downsample(buckets_, max_cols, [&](const AerialBucket &b) {
-                return b.cycles ? double(b.core_instructions[c]) /
-                                      double(b.cycles) / peak
-                                : 0.0;
-            });
-        os.width(4);
-        os << c << " |";
-        for (const double v : vals)
-            os << shade(v);
-        os << "|\n";
-    }
+    for (unsigned c = 0; c < num_cores_; c++)
+        heatRow(os, c, downsample(buckets_, max_cols, [&](const AerialBucket &b) {
+                    return ratio(b.core_instructions[c], b.cycles) / peak;
+                }));
     return os.str();
 }
 
@@ -294,23 +278,12 @@ AerialSampler::renderWarpBreakdown(unsigned max_cols) const
         return std::max(total, 1.0);
     };
     std::vector<Row> rows;
-    rows.push_back({"W0/idle", [&](const AerialBucket &b) {
-                        return double(b.stalls[size_t(StallKind::Idle)]) /
-                               slotTotal(b);
-                    }});
-    rows.push_back({"data-hzd", [&](const AerialBucket &b) {
-                        return double(b.stalls[size_t(StallKind::DataHazard)]) /
-                               slotTotal(b);
-                    }});
-    rows.push_back({"mem-strt", [&](const AerialBucket &b) {
-                        return double(
-                                   b.stalls[size_t(StallKind::MemStructural)]) /
-                               slotTotal(b);
-                    }});
-    rows.push_back({"barrier", [&](const AerialBucket &b) {
-                        return double(b.stalls[size_t(StallKind::Barrier)]) /
-                               slotTotal(b);
-                    }});
+    static const char *kStallRows[] = {"W0/idle", "data-hzd", "mem-strt",
+                                       "barrier"};
+    for (size_t k = 0; k < size_t(StallKind::kCount); k++)
+        rows.push_back({kStallRows[k], [k, &slotTotal](const AerialBucket &b) {
+                            return double(b.stalls[k]) / slotTotal(b);
+                        }});
     const std::pair<unsigned, unsigned> ranges[] = {
         {1, 8}, {9, 16}, {17, 24}, {25, 31}, {32, 32}};
     for (const auto &[lo, hi] : ranges) {

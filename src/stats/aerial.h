@@ -3,7 +3,8 @@
  * AerialVision-lite: time-bucketed performance counters that reproduce the
  * paper's plot types — per-bank DRAM efficiency/utilization, global and
  * per-shader IPC, and the warp-issue (divergence/stall) breakdown — with CSV
- * and terminal heat-map renderers.
+ * and terminal heat-map renderers. * The timing model keeps the counters cumulatively; a bucket is the
+ * difference of two of its snapshots.
  */
 #ifndef MLGS_STATS_AERIAL_H
 #define MLGS_STATS_AERIAL_H
@@ -27,26 +28,30 @@ enum class StallKind : uint8_t
     kCount,
 };
 
-/** One sampling bucket worth of aggregated counters. */
+/**
+ * Counters over a span of sampled cycles (the cycles the timing model
+ * stepped): one bucket, or, as the model's snapshot, all of them.
+ */
 struct AerialBucket
 {
-    cycle_t start_cycle = 0;
+    cycle_t start_cycle = 0; ///< sampled cycles before the bucket
     cycle_t cycles = 0;
 
     uint64_t instructions = 0;          ///< warp instructions issued (global)
     std::vector<uint64_t> core_instructions;  ///< per core
     std::vector<uint64_t> core_thread_instructions; ///< per core, lane-weighted
 
-    /** Warp-issue histogram: index = active lanes (1..32); [0] unused. */
+    /** Warp-issue histogram: index = active lanes (0..32). */
     std::vector<uint64_t> lane_histogram; ///< size 33
-    /** Issue-slot stall counts by kind. */
+    /** Issue-slot stall counts by kind; with `instructions` they fill every
+     *  scheduler slot of the sampled core-cycles. */
     std::vector<uint64_t> stalls;         ///< size StallKind::kCount
 
     std::vector<uint64_t> bank_busy;      ///< cycles transferring, per bank
-    std::vector<uint64_t> bank_pending;   ///< cycles with work queued, per bank
+    std::vector<uint64_t> bank_pending;   ///< busy or with work queued, per bank
 };
 
-/** Collects per-cycle events into fixed-width cycle buckets. */
+/** Cuts timing::GpuModel::attachSampler()'s snapshots into buckets. */
 class AerialSampler
 {
   public:
@@ -57,17 +62,10 @@ class AerialSampler
     unsigned numBanks() const { return num_banks_; }
     unsigned bucketCycles() const { return bucket_cycles_; }
 
-    /** A warp instruction issued on a core with `lanes` active lanes. */
-    void recordIssue(unsigned core, unsigned lanes);
-
-    /** An issue slot on `core` produced nothing. */
-    void recordStall(unsigned core, StallKind kind);
-
-    /** DRAM bank status this cycle. */
-    void recordBank(unsigned bank, bool transferring, bool has_pending);
-
-    /** Advance time by one cycle (closes buckets on boundaries). */
-    void endCycle();
+    /** The model's snapshot at attach: the next bucket starts here. */
+    void start(AerialBucket counters);
+    /** A later snapshot; closes the open bucket once it is full. */
+    void observe(AerialBucket counters);
 
     /** Flush the in-progress bucket (call after the run completes). */
     void finish();
@@ -101,15 +99,15 @@ class AerialSampler
     std::string renderWarpBreakdown(unsigned max_cols = 100) const;
 
   private:
-    AerialBucket makeBucket() const;
     void closeBucket();
+    AerialBucket total() const; ///< every bucket summed
 
     unsigned bucket_cycles_;
     unsigned num_cores_;
     unsigned num_banks_;
 
-    cycle_t now_ = 0;
-    AerialBucket current_;
+    AerialBucket mark_;   ///< snapshot where the open bucket starts
+    AerialBucket latest_;
     std::vector<AerialBucket> buckets_;
 };
 

@@ -34,6 +34,8 @@ clearReg(uint64_t *row, uint32_t r)
 /** Outgoing requests at which memory instructions stop issuing. */
 constexpr size_t kOutQueueLimit = 256;
 
+constexpr unsigned kStallKinds = unsigned(stats::StallKind::kCount);
+
 /** The TimingTotals counter each ptx::PipeClass issue bumps. */
 constexpr uint64_t TimingTotals::*kPipeCounter[] = {
     &TimingTotals::alu, &TimingTotals::sfu, &TimingTotals::mem_insts};
@@ -126,6 +128,7 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
     sched_last_.assign(cfg.schedulers_per_core, -1);
     sched_owned_.resize(cfg.schedulers_per_core);
     sched_quiet_.assign(cfg.schedulers_per_core, 0);
+    stall_spans_.resize(cfg.schedulers_per_core);
     age_head_.assign(cfg.schedulers_per_core, kNoSlot);
     age_tail_.assign(cfg.schedulers_per_core, kNoSlot);
     for (unsigned slot = 0; slot < warps_.size(); slot++) {
@@ -400,7 +403,7 @@ ShaderCore::completeCtaIfDone(int cta_slot)
 }
 
 void
-ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
+ShaderCore::issueWarp(unsigned slot, cycle_t now)
 {
     WarpSlot &w = warps_[slot];
     CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
@@ -435,8 +438,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     counters_.warp_instructions++;
     counters_.thread_instructions += lanes;
     counters_.*kPipeCounter[size_t(t.pipe)] += 1;
-    if (sampler)
-        sampler->recordIssue(id_, lanes);
+    issues_by_lanes_[lanes]++;
 
     if (rec.exited) {
         w.valid = false;
@@ -516,16 +518,38 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler)
     holdWrites(slot, t, now, now + lat);
 }
 
+void
+ShaderCore::stallFrom(unsigned s, stats::StallKind kind, cycle_t now)
+{
+    StallSpan &span = stall_spans_[s];
+    if (kind == span.kind)
+        return;
+    if (span.kind != stats::StallKind::Idle)
+        stalled_slots_[size_t(span.kind)] += now - span.since;
+    span = {kind, now};
+}
+
+void
+ShaderCore::addAerialCounts(stats::AerialBucket &a, cycle_t now) const
+{
+    a.instructions += counters_.warp_instructions;
+    a.core_instructions.push_back(counters_.warp_instructions);
+    a.core_thread_instructions.push_back(counters_.thread_instructions);
+    for (unsigned w = 0; w <= kWarpSize; w++)
+        a.lane_histogram[w] += issues_by_lanes_[w];
+    for (size_t k = 0; k < stalled_slots_.size(); k++)
+        a.stalls[k] += stalled_slots_[k];
+    for (const StallSpan &span : stall_spans_)
+        if (span.kind != stats::StallKind::Idle)
+            a.stalls[size_t(span.kind)] += now - span.since;
+}
+
 bool
-ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
+ShaderCore::cycle(cycle_t now)
 {
     // Fast path: nothing resident and nothing in flight.
-    if (live_warps_total_ == 0 && wb_wheel_.empty()) {
-        if (sampler)
-            for (unsigned s = 0; s < cfg_->schedulers_per_core; s++)
-                sampler->recordStall(id_, stats::StallKind::Idle);
+    if (live_warps_total_ == 0 && wb_wheel_.empty())
         return false;
-    }
     const unsigned live_before = live_warps_total_;
 
     // 1. Retire matured writebacks.
@@ -549,18 +573,25 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
     barrier_checks_.clear();
 
     // 3. Schedulers issue. A quiet scheduler's warps are unchanged since its
-    //    last fruitless scan, so it would find nothing again; the sampler
-    //    needs each scheduler's stall reason, so then every scan runs.
+    //    last fruitless scan, so a scan would find nothing again, for the
+    //    same reason: its stall span goes on.
     const unsigned nsched = cfg_->schedulers_per_core;
     for (unsigned s = 0; s < nsched; s++) {
-        if (sched_quiet_[s] && !sampler)
+        if (sched_quiet_[s])
             continue;
         int chosen = -1;
-        stats::StallKind why = stats::StallKind::DataHazard;
+        // A fruitless scan stalls for the reason of its blocked warp of
+        // highest rank: slot order under GTO, visit order under LRR. `why`
+        // keeps the largest rank * kStallKinds + reason (no branch).
+        unsigned why = 0;
         bool any_valid = false, any_eligible = false;
         const auto &owned = sched_owned_[s];
 
-        auto ready = [&](unsigned slot) -> bool {
+        const auto block = [&](stats::StallKind kind, unsigned rank) {
+            why = std::max(why, rank * kStallKinds + unsigned(kind));
+            return false;
+        };
+        auto ready = [&](unsigned slot, unsigned rank) -> bool {
             WarpSlot &w = warps_[slot];
             if (!w.valid)
                 return false;
@@ -570,41 +601,32 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
             if (w.verdict == Verdict::Barrier)
                 return false;
             any_eligible = true;
-            if (w.verdict == Verdict::Hazard) {
-                why = stats::StallKind::DataHazard;
-                return false;
-            }
+            if (w.verdict == Verdict::Hazard)
+                return block(stats::StallKind::DataHazard, rank);
             if (w.mem_next &&
                 (out_queue_.size() >= kOutQueueLimit ||
-                 w.pending_loads >= cfg_->max_pending_loads_per_warp)) {
-                why = stats::StallKind::MemStructural;
-                return false;
-            }
+                 w.pending_loads >= cfg_->max_pending_loads_per_warp))
+                return block(stats::StallKind::MemStructural, rank);
             return true;
         };
 
         if (cfg_->sched_policy == SchedPolicy::GTO) {
             // Greedy: stay on the last-issued warp while it is ready...
-            if (sched_last_[s] >= 0 && ready(unsigned(sched_last_[s])))
+            if (sched_last_[s] >= 0 &&
+                ready(unsigned(sched_last_[s]), unsigned(sched_last_[s])))
                 chosen = sched_last_[s];
             // ...then fall back to the oldest ready warp: the first ready
-            // one in age order, where ties go to the lower slot.
+            // one in age order, where ties go to the lower slot. A
+            // fruitless walk visits every owned slot.
             for (unsigned slot = age_head_[s]; chosen < 0 && slot != kNoSlot;
                  slot = warps_[slot].age_next)
-                if (ready(slot))
+                if (ready(slot, slot))
                     chosen = int(slot);
-            // A fruitless walk visited every valid warp in age order; the
-            // sampler's stall reason is the last one in slot order.
-            if (chosen < 0 && sampler) {
-                why = stats::StallKind::DataHazard;
-                for (const unsigned slot : owned)
-                    ready(slot);
-            }
         } else if (!owned.empty()) {
             const unsigned start = sched_rr_[s] % unsigned(owned.size());
             for (size_t i = 0; i < owned.size(); i++) {
                 const unsigned slot = owned[(start + i) % owned.size()];
-                if (ready(slot)) {
+                if (ready(slot, unsigned(i))) {
                     chosen = int(slot);
                     sched_rr_[s] = unsigned((start + i + 1) % owned.size());
                     break;
@@ -614,18 +636,16 @@ ShaderCore::cycle(cycle_t now, stats::AerialSampler *sampler)
 
         if (chosen >= 0) {
             sched_last_[s] = chosen;
-            issueWarp(unsigned(chosen), now, sampler);
+            stallFrom(s, stats::StallKind::Idle, now);
+            issueWarp(unsigned(chosen), now);
             continue;
         }
         sched_quiet_[s] = 1;
-        if (sampler) {
-            if (!any_valid)
-                sampler->recordStall(id_, stats::StallKind::Idle);
-            else if (!any_eligible)
-                sampler->recordStall(id_, stats::StallKind::Barrier);
-            else
-                sampler->recordStall(id_, why);
-        }
+        stallFrom(s,
+                  !any_valid      ? stats::StallKind::Idle
+                  : !any_eligible ? stats::StallKind::Barrier
+                                  : stats::StallKind(why % kStallKinds),
+                  now);
     }
     return live_warps_total_ < live_before;
 }
@@ -665,6 +685,9 @@ ShaderCore::assertDrained() const
                 ": L1 waiters left on a drained device");
     MLGS_ASSERT(l1_.mshrInUse() == 0, "core ", id_, ": ", l1_.mshrInUse(),
                 " L1 MSHRs in use on a drained device");
+    for (const StallSpan &span : stall_spans_)
+        MLGS_ASSERT(span.kind == stats::StallKind::Idle, "core ", id_,
+                    ": a scheduler stalls with no live warp");
 }
 
 void

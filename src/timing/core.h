@@ -11,6 +11,7 @@
 #ifndef MLGS_TIMING_CORE_H
 #define MLGS_TIMING_CORE_H
 
+#include <array>
 #include <iterator>
 #include <memory>
 
@@ -142,7 +143,7 @@ class ShaderCore
      * a warp exited, which frees a warp slot (and perhaps its CTA's slot)
      * for the next CTA dispatch.
      */
-    bool cycle(cycle_t now, stats::AerialSampler *sampler);
+    bool cycle(cycle_t now);
 
     /** Memory response delivered from the interconnect. */
     void pushResponse(const MemFetch &mf, cycle_t now);
@@ -155,6 +156,14 @@ class ShaderCore
 
     /** This core's issue counters; every other TimingTotals field is 0. */
     const TimingTotals &counters() const { return counters_; }
+
+    /**
+     * Add this core's AerialVision counts over the cycles before `now` to
+     * a snapshot (DESIGN.md §2): its issues and their lane histogram, and
+     * its stalled slots but the idle ones, which the reader derives.
+     */
+    void addAerialCounts(stats::AerialBucket &a, cycle_t now) const;
+
     const TagCache &l1() const { return l1_; }
     unsigned id() const { return id_; }
 
@@ -163,7 +172,8 @@ class ShaderCore
 
     /**
      * Panics unless nothing is left in flight: no writeback, L1 waiter or
-     * L1 MSHR. Called when a kernel retires on a drained device.
+     * L1 MSHR, and no counted stall span. Called when a kernel retires on
+     * a drained device.
      */
     void assertDrained() const;
 
@@ -296,7 +306,9 @@ class ShaderCore
     void ageUnlink(unsigned slot);
     /** Link `slot` in front of `next` (at the tail for kNoSlot). */
     void ageLinkBefore(unsigned slot, unsigned next);
-    void issueWarp(unsigned slot, cycle_t now, stats::AerialSampler *sampler);
+    void issueWarp(unsigned slot, cycle_t now);
+    /** Scheduler `s` stalls for `kind` from `now` on; an issue passes Idle. */
+    void stallFrom(unsigned s, stats::StallKind kind, cycle_t now);
     void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t now,
                     cycle_t at);
     void loadPartDone(unsigned slot);
@@ -335,6 +347,14 @@ class ShaderCore
      * until markStale() or a drop below a memory-structural limit wakes it.
      */
     std::vector<uint8_t> sched_quiet_;
+    /** Per scheduler: why its slot has stalled since `since`, until it
+     *  issues or a scan finds another reason. Idle spans are not counted. */
+    struct StallSpan
+    {
+        stats::StallKind kind = stats::StallKind::Idle;
+        cycle_t since = 0;
+    };
+    std::vector<StallSpan> stall_spans_;
     /** CTA slots whose barrier may have completed since the last cycle. */
     std::vector<unsigned> barrier_checks_;
 
@@ -352,6 +372,9 @@ class ShaderCore
     func::WarpStepResult step_; ///< Source::Step's step record, reused
 
     TimingTotals counters_;
+    std::array<uint64_t, kWarpSize + 1> issues_by_lanes_{};
+    /** Closed stall spans' cycles per StallKind; Idle stays 0. */
+    std::array<uint64_t, size_t(stats::StallKind::kCount)> stalled_slots_{};
 };
 
 } // namespace mlgs::timing

@@ -2,18 +2,8 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace mlgs::timing
 {
-
-DramChannel::DramChannel(const GpuConfig &cfg, unsigned partition_id)
-    : cfg_(&cfg), partition_id_(partition_id), banks_(cfg.dram_banks)
-{
-    pending_per_bank_.assign(cfg.dram_banks, 0);
-    bank_row_hits_.assign(cfg.dram_banks, 0);
-    bank_row_misses_.assign(cfg.dram_banks, 0);
-}
 
 unsigned
 DramChannel::bankOf(addr_t line_addr) const
@@ -33,12 +23,33 @@ DramChannel::rowOf(addr_t line_addr) const
     return (pline / row_lines) / cfg_->dram_banks;
 }
 
+DramChannel::BankActivity
+DramChannel::bankActivity(unsigned bank, cycle_t now) const
+{
+    const Bank &b = banks_[bank];
+    const cycle_t burst = cfg_->dram_burst_cycles;
+    const cycle_t from = b.counted_until;
+    const cycle_t lo = std::max(from, b.ready_at - std::min(b.ready_at, burst));
+    const cycle_t hi = std::min(now, b.ready_at);
+    const uint64_t busy = hi > lo ? hi - lo : 0;
+    return {b.counted.busy + busy,
+            b.counted.pending + (b.queued ? now - from : busy)};
+}
+
 void
-DramChannel::push(MemFetch mf)
+DramChannel::integrate(unsigned b, cycle_t now)
+{
+    banks_[b].counted = bankActivity(b, now);
+    banks_[b].counted_until = now;
+}
+
+void
+DramChannel::push(MemFetch mf, cycle_t now)
 {
     const unsigned bank = bankOf(mf.line_addr);
     const uint64_t row = rowOf(mf.line_addr);
-    pending_per_bank_[bank]++;
+    integrate(bank, now);
+    banks_[bank].queued++;
     queue_.push_back({std::move(mf), bank, row});
 }
 
@@ -79,25 +90,24 @@ DramChannel::cycle(cycle_t now)
 
     const unsigned b = req.bank;
     Bank &bank = banks_[b];
-    pending_per_bank_[b]--;
+    integrate(b, now);
+    bank.queued--;
 
     cycle_t latency = cfg_->dram_cas;
     if (bank.open_row != req.row) {
         latency += cfg_->dram_row_cycle;
         bank.open_row = req.row;
         row_misses_++;
-        bank_row_misses_[b]++;
+        bank.row_misses++;
     } else {
         row_hits_++;
-        bank_row_hits_[b]++;
+        bank.row_hits++;
     }
 
     const cycle_t transfer_start = std::max(now + latency, bus_free_);
     const cycle_t completion = transfer_start + cfg_->dram_burst_cycles;
     bus_free_ = completion;
     bank.ready_at = completion;
-    bank.transfer_start = transfer_start;
-    bank.transfer_until = completion;
     earliest_ready_ = completion;
     for (const Bank &other : banks_)
         earliest_ready_ = std::min(earliest_ready_, other.ready_at);
@@ -111,19 +121,6 @@ DramChannel::popDone()
 {
     inflight_--;
     return done_.pop();
-}
-
-bool
-DramChannel::bankTransferring(unsigned bank, cycle_t now) const
-{
-    const Bank &b = banks_[bank];
-    return now >= b.transfer_start && now < b.transfer_until;
-}
-
-bool
-DramChannel::bankPending(unsigned bank) const
-{
-    return pending_per_bank_[bank] > 0;
 }
 
 } // namespace mlgs::timing

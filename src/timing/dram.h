@@ -1,9 +1,9 @@
 /**
  * @file
  * Per-partition DRAM channel: banks with open-row tracking, FR-FCFS (or FCFS)
- * scheduling, and a shared data bus. Produces the per-bank busy/pending
- * signals behind the paper's DRAM efficiency and utilization plots, where
- * serial single-bank phases appear as "bank camping".
+ * scheduling, and a shared data bus. Keeps the per-bank busy and pending
+ * cycle counts behind the paper's DRAM efficiency and utilization plots,
+ * where serial single-bank phases appear as "bank camping".
  */
 #ifndef MLGS_TIMING_DRAM_H
 #define MLGS_TIMING_DRAM_H
@@ -20,10 +20,13 @@ namespace mlgs::timing
 class DramChannel
 {
   public:
-    DramChannel(const GpuConfig &cfg, unsigned partition_id);
+    explicit DramChannel(const GpuConfig &cfg)
+        : cfg_(&cfg), banks_(cfg.dram_banks)
+    {
+    }
 
-    /** Enqueue a request (post-L2 miss or write-through). */
-    void push(MemFetch mf);
+    /** Enqueue a request (post-L2 miss or write-through) at cycle `now`. */
+    void push(MemFetch mf, cycle_t now);
 
     /** Advance one cycle; completed requests appear on done(). */
     void cycle(cycle_t now);
@@ -37,22 +40,24 @@ class DramChannel
         return !queue_.empty() || !done_.empty() || inflight_ > 0;
     }
 
-    unsigned numBanks() const { return unsigned(banks_.size()); }
-
-    /** Bank status sampled each cycle by the GPU top level. */
-    bool bankTransferring(unsigned bank, cycle_t now) const;
-    bool bankPending(unsigned bank) const;
+    /** A bank's cumulative activity over the cycles before some `now`. */
+    struct BankActivity
+    {
+        uint64_t busy = 0;    ///< cycles transferring data
+        uint64_t pending = 0; ///< cycles transferring or with a request queued
+    };
+    BankActivity bankActivity(unsigned bank, cycle_t now) const;
 
     // Aggregate statistics.
     uint64_t rowHits() const { return row_hits_; }
     uint64_t rowMisses() const { return row_misses_; }
 
     // Per-bank breakdown (determinism checks, bank-camping diagnostics).
-    uint64_t bankRowHits(unsigned bank) const { return bank_row_hits_[bank]; }
+    uint64_t bankRowHits(unsigned bank) const { return banks_[bank].row_hits; }
     uint64_t
     bankRowMisses(unsigned bank) const
     {
-        return bank_row_misses_[bank];
+        return banks_[bank].row_misses;
     }
 
     /** Address mapping exposed for tests. */
@@ -63,9 +68,14 @@ class DramChannel
     struct Bank
     {
         uint64_t open_row = UINT64_MAX;
-        cycle_t ready_at = 0;        ///< bank free for a new column access
-        cycle_t transfer_start = 0;  ///< data-bus window for its last request
-        cycle_t transfer_until = 0;
+        /** Bank free for a new column access: the end of the data-bus
+         *  window of its last request, which began a burst earlier. */
+        cycle_t ready_at = 0;
+        unsigned queued = 0; ///< requests waiting in the queue
+        BankActivity counted; ///< over the cycles before counted_until
+        cycle_t counted_until = 0;
+        uint64_t row_hits = 0;
+        uint64_t row_misses = 0;
     };
 
     /** A queued request with its bank and row, mapped once at push. */
@@ -76,10 +86,12 @@ class DramChannel
         uint64_t row = 0;
     };
 
+    /** Count bank `b`'s activity up to `now`, ahead of an event at `now`
+     *  (DESIGN.md §2, AerialVision counters). */
+    void integrate(unsigned b, cycle_t now);
+
     const GpuConfig *cfg_;
-    unsigned partition_id_;
     std::vector<Bank> banks_;
-    std::vector<unsigned> pending_per_bank_;
     FifoRing<Request> queue_;
     DelayQueue<MemFetch> done_;
     cycle_t bus_free_ = 0;
@@ -88,8 +100,6 @@ class DramChannel
 
     uint64_t row_hits_ = 0;
     uint64_t row_misses_ = 0;
-    std::vector<uint64_t> bank_row_hits_;
-    std::vector<uint64_t> bank_row_misses_;
 };
 
 } // namespace mlgs::timing

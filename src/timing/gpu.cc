@@ -69,28 +69,19 @@ GpuModel::anythingInFlight() const
 }
 
 void
-GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
+GpuModel::cycleOnce(cycle_t now)
 {
     // Components outside the awake sets are idle, so each step visits only
-    // awake ones, in ascending id order. The sampler records every core's
-    // stalls and every partition's banks, so with one attached each step
-    // visits all of them.
-    const auto forEach = [&](const std::vector<uint64_t> &set, size_t n,
-                             auto &&f) {
-        if (!sampler)
-            return forEachBit(set, f);
-        for (unsigned i = 0; i < n; i++)
-            f(i);
-    };
+    // awake ones, in ascending id order.
 
-    // 1. Shader cores (issue + writeback). An idle core's cycle is a no-op,
-    //    apart from the sampler's stalls, and has no live warps.
+    // 1. Shader cores (issue + writeback). An idle core's cycle is a no-op
+    //    and has no live warps.
     uint64_t active = 0;
-    forEach(awake_cores_, cores_.size(), [&](unsigned c) {
+    forEachBit(awake_cores_, [&](unsigned c) {
         ShaderCore &core = *cores_[c];
         if (core.liveWarps())
             active++;
-        if ((sampler || core.busy()) && core.cycle(now, sampler))
+        if (core.busy() && core.cycle(now))
             dispatch_pending_ = true;
     });
     live_.core_active_cycles += active;
@@ -118,8 +109,8 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
         partitions_[mf.partition]->pushRequest(std::move(mf));
     }
 
-    // 4. Partitions (L2 + DRAM), response collection, bank sampling.
-    forEach(awake_parts_, partitions_.size(), [&](unsigned p) {
+    // 4. Partitions (L2 + DRAM), response collection.
+    forEachBit(awake_parts_, [&](unsigned p) {
         MemPartition &part = *partitions_[p];
         if (part.busy())
             part.cycle(now);
@@ -129,13 +120,6 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
             live_.icnt_flits += (mf.bytes + 31) / 32;
             to_core_.push(std::move(mf), now + cfg_.icnt_latency);
             moved++;
-        }
-        if (sampler) {
-            const DramChannel &dram = part.dram();
-            for (unsigned b = 0; b < cfg_.dram_banks; b++)
-                sampler->recordBank(p * cfg_.dram_banks + b,
-                                    dram.bankTransferring(b, now),
-                                    dram.bankPending(b));
         }
     });
 
@@ -148,9 +132,6 @@ GpuModel::cycleOnce(cycle_t now, stats::AerialSampler *sampler)
 
     sleepIdle(awake_cores_, cores_);
     sleepIdle(awake_parts_, partitions_);
-
-    if (sampler)
-        sampler->endCycle();
 }
 
 void
@@ -211,6 +192,48 @@ GpuModel::perBankRowMisses() const
         for (unsigned b = 0; b < cfg_.dram_banks; b++)
             out.push_back(p->dram().bankRowMisses(b));
     return out;
+}
+
+void
+GpuModel::attachSampler(stats::AerialSampler *sampler)
+{
+    MLGS_REQUIRE(!sampler || (sampler->numCores() == cfg_.num_cores &&
+                              sampler->numBanks() == cfg_.totalDramBanks()),
+                 "AerialSampler shaped for ", sampler->numCores(),
+                 " cores and ", sampler->numBanks(),
+                 " DRAM banks attached to a device with ", cfg_.num_cores,
+                 " cores and ", cfg_.totalDramBanks(), " DRAM banks");
+    sampler_ = sampler;
+    next_sample_ = ~uint64_t(0);
+    if (sampler) {
+        sampler->start(aerialCounters());
+        next_sample_ = live_.cycles + sampler->bucketCycles();
+    }
+}
+
+stats::AerialBucket
+GpuModel::aerialCounters() const
+{
+    stats::AerialBucket a;
+    a.cycles = live_.cycles;
+    a.lane_histogram.assign(kWarpSize + 1, 0);
+    a.stalls.assign(size_t(stats::StallKind::kCount), 0);
+    for (const auto &core : cores_)
+        core->addAerialCounts(a, clock_);
+    // Every slot of every sampled core-cycle issued or stalled; the cores
+    // count every stall but the idle ones.
+    uint64_t idle = a.cycles * cores_.size() * cfg_.schedulers_per_core -
+                    a.instructions;
+    for (const uint64_t s : a.stalls)
+        idle -= s;
+    a.stalls[size_t(stats::StallKind::Idle)] = idle;
+    for (const auto &p : partitions_)
+        for (unsigned b = 0; b < cfg_.dram_banks; b++) {
+            const auto bank = p->dram().bankActivity(b, clock_);
+            a.bank_busy.push_back(bank.busy);
+            a.bank_pending.push_back(bank.pending);
+        }
+    return a;
 }
 
 TimingTotals
@@ -311,8 +334,14 @@ GpuModel::finishActive(size_t idx)
 }
 
 std::optional<KernelCompletion>
-GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
+GpuModel::advanceUntil(cycle_t limit)
 {
+    // An attached sampler observes the counters whenever the model stops.
+    const auto stop = [&](std::optional<KernelCompletion> comp) {
+        if (sampler_)
+            sampler_->observe(aerialCounters());
+        return comp;
+    };
     while (!active_.empty()) {
         // Mark kernels whose start time has arrived as started.
         for (auto &ak : active_) {
@@ -335,7 +364,7 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
             if (drained)
                 assertDrained();
             if (drained || active_.size() > 1)
-                return finishActive(i);
+                return stop(finishActive(i));
         }
 
         // Fully idle gap: every resident kernel is still waiting for its
@@ -352,7 +381,7 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
             if (next_start > limit) {
                 clock_ = limit;
                 last_progress_clock_ = clock_;
-                return std::nullopt;
+                return stop(std::nullopt);
             }
             clock_ = next_start;
             last_progress_clock_ = clock_;
@@ -360,16 +389,20 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
         }
 
         if (clock_ >= limit)
-            return std::nullopt;
+            return stop(std::nullopt);
 
         if (dispatch_pending_) {
             dispatch_pending_ = false;
             dispatchCtas();
         }
 
-        cycleOnce(clock_, sampler);
+        cycleOnce(clock_);
         live_.cycles++;
         clock_++;
+        if (live_.cycles == next_sample_) {
+            sampler_->observe(aerialCounters());
+            next_sample_ += sampler_->bucketCycles();
+        }
 
         uint64_t completed = 0;
         for (const auto &ak : active_)
@@ -382,7 +415,7 @@ GpuModel::advanceUntil(cycle_t limit, stats::AerialSampler *sampler)
                     "timing model made no progress for 10M cycles in kernel ",
                     active_.front()->env.kernel->name);
     }
-    return std::nullopt;
+    return stop(std::nullopt);
 }
 
 KernelRunStats
@@ -398,24 +431,23 @@ GpuModel::collectKernel(uint64_t token)
 
 KernelRunStats
 GpuModel::runKernel(const func::LaunchEnv &env, const Dim3 &grid,
-                    const Dim3 &block, stats::AerialSampler *sampler)
+                    const Dim3 &block)
 {
-    return runKernelFrom(env, grid, block, 0, {}, sampler);
+    return runKernelFrom(env, grid, block, 0, {});
 }
 
 KernelRunStats
 GpuModel::runKernelFrom(const func::LaunchEnv &env, const Dim3 &grid,
                         const Dim3 &block, uint64_t skip_ctas,
                         std::vector<std::unique_ptr<func::CtaExec>>
-                            preloaded_ctas,
-                        stats::AerialSampler *sampler)
+                            preloaded_ctas)
 {
     MLGS_REQUIRE(active_.empty(),
                  "runKernelFrom requires an idle device (",
                  active_.size(), " kernels resident)");
     const uint64_t token = beginKernel(env, grid, block, clock_, skip_ctas,
                                        std::move(preloaded_ctas));
-    const auto comp = advanceUntil(kNoDeadline, sampler);
+    const auto comp = advanceUntil(kNoDeadline);
     MLGS_REQUIRE(comp && comp->token == token, "kernel did not complete");
     return collectKernel(token);
 }

@@ -2,7 +2,8 @@
  * @file
  * Top-level performance model ("Performance simulation mode"): shader cores,
  * a crossbar interconnect, and memory partitions advanced in lock-step, with
- * AerialVision sampling hooks and aggregated counters for the power model.
+ * aggregated counters for the power model and the cumulative AerialVision
+ * counters an attached sampler reads at its bucket boundaries.
  * Like GPGPU-Sim's cycle loop, one host thread (the caller) steps the cores
  * in ascending core-id order, skipping idle ones; host threads parallelize
  * only functional CTAs.
@@ -88,8 +89,7 @@ class GpuModel
      * burning simulation work. Returns the completion if one occurred at a
      * clock value <= limit.
      */
-    std::optional<KernelCompletion> advanceUntil(
-        cycle_t limit, stats::AerialSampler *sampler = nullptr);
+    std::optional<KernelCompletion> advanceUntil(cycle_t limit);
 
     /** Fetch (and drop) the stats of a kernel retired by advanceUntil(). */
     KernelRunStats collectKernel(uint64_t token);
@@ -108,8 +108,7 @@ class GpuModel
     // ---- synchronous one-grid wrappers ----
     /** Run one grid to completion in the timing model (device must be idle). */
     KernelRunStats runKernel(const func::LaunchEnv &env, const Dim3 &grid,
-                             const Dim3 &block,
-                             stats::AerialSampler *sampler = nullptr);
+                             const Dim3 &block);
 
     /**
      * Timing-mode resume support: run a grid whose first `skip_ctas` CTAs are
@@ -119,10 +118,20 @@ class GpuModel
     KernelRunStats runKernelFrom(const func::LaunchEnv &env, const Dim3 &grid,
                                  const Dim3 &block, uint64_t skip_ctas,
                                  std::vector<std::unique_ptr<func::CtaExec>>
-                                     preloaded_ctas,
-                                 stats::AerialSampler *sampler = nullptr);
+                                     preloaded_ctas);
 
     const GpuConfig &config() const { return cfg_; }
+
+    /**
+     * Attach an AerialVision sampler (null detaches); fatal unless it is
+     * shaped for this device. It observes aerialCounters() now, at every
+     * bucket boundary and whenever advanceUntil() returns.
+     */
+    void attachSampler(stats::AerialSampler *sampler);
+
+    /** Cumulative AerialVision counters since the device was built. */
+    stats::AerialBucket aerialCounters() const;
+
     /**
      * Grand totals, folded in as each kernel retires; exact once the device
      * is idle (the last resident kernel retires after the pipeline drains).
@@ -169,7 +178,7 @@ class GpuModel
         TimingTotals base; ///< snapshot at start (per-kernel attribution)
     };
 
-    void cycleOnce(cycle_t now, stats::AerialSampler *sampler);
+    void cycleOnce(cycle_t now);
     /** Install CTAs on free core slots, kernels in launch order. */
     void dispatchCtas();
     bool anythingInFlight() const;
@@ -217,6 +226,10 @@ class GpuModel
      * delays) survive across kernel launches, so the clock must too.
      */
     cycle_t clock_ = 0;
+
+    stats::AerialSampler *sampler_ = nullptr;
+    /** live_.cycles at the attached sampler's next bucket boundary. */
+    uint64_t next_sample_ = ~uint64_t(0);
 
     // Forward-progress watchdog across advanceUntil calls.
     cycle_t last_progress_clock_ = 0;

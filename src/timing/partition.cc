@@ -6,7 +6,7 @@ namespace mlgs::timing
 {
 
 MemPartition::MemPartition(const GpuConfig &cfg, unsigned id)
-    : cfg_(&cfg), id_(id), l2_(cfg.l2), dram_(cfg, id),
+    : cfg_(&cfg), id_(id), l2_(cfg.l2), dram_(cfg),
       waiters_(cfg.l2.mshr_entries)
 {
 }
@@ -23,7 +23,7 @@ MemPartition::cycle(cycle_t now)
             // Write-through towards DRAM; no response needed.
             l2_.accessWrite(mf.line_addr, now);
             writes_seen_++;
-            dram_.push(mf);
+            dram_.push(mf, now);
         } else {
             unsigned mshr = 0;
             switch (l2_.accessRead(mf.line_addr, now, &mshr)) {
@@ -34,7 +34,7 @@ MemPartition::cycle(cycle_t now)
               case CacheOutcome::Miss:
                 inflight_++;
                 waiters_.push(mshr, mf);
-                dram_.push(mf);
+                dram_.push(mf, now);
                 break;
               case CacheOutcome::MissMerged:
                 inflight_++;

@@ -31,7 +31,6 @@ class MemPartition
 
     const TagCache &l2() const { return l2_; }
     const DramChannel &dram() const { return dram_; }
-    DramChannel &dram() { return dram_; }
 
     uint64_t l2Writebacks() const { return writes_seen_; }
 

@@ -15,21 +15,51 @@ using namespace mlgs;
 namespace
 {
 
+/** Zeroed cumulative counters of a device with `cores` cores and `banks` banks. */
+stats::AerialBucket
+zeroCounters(unsigned cores, unsigned banks)
+{
+    stats::AerialBucket c;
+    c.core_instructions.assign(cores, 0);
+    c.core_thread_instructions.assign(cores, 0);
+    c.lane_histogram.assign(33, 0);
+    c.stalls.assign(size_t(stats::StallKind::kCount), 0);
+    c.bank_busy.assign(banks, 0);
+    c.bank_pending.assign(banks, 0);
+    return c;
+}
+
+void
+countIssue(stats::AerialBucket &c, unsigned core, unsigned lanes)
+{
+    c.instructions++;
+    c.core_instructions[core]++;
+    c.core_thread_instructions[core] += lanes;
+    c.lane_histogram[lanes]++;
+}
+
 TEST(Aerial, BucketsCloseOnBoundaries)
 {
     stats::AerialSampler s(10, 2, 4);
-    for (int c = 0; c < 25; c++) {
-        s.recordIssue(0, 32);
-        if (c % 2)
-            s.recordBank(1, true, true);
-        s.endCycle();
+    stats::AerialBucket c = zeroCounters(2, 4);
+    s.start(c);
+    for (int cycle = 0; cycle < 25; cycle++) {
+        c.cycles++;
+        countIssue(c, 0, 32);
+        if (cycle % 2) {
+            c.bank_busy[1]++;
+            c.bank_pending[1]++;
+        }
+        s.observe(c);
     }
     s.finish();
     ASSERT_EQ(s.buckets().size(), 3u); // 10 + 10 + 5
     EXPECT_EQ(s.buckets()[0].cycles, 10u);
     EXPECT_EQ(s.buckets()[2].cycles, 5u);
+    EXPECT_EQ(s.buckets()[2].start_cycle, 20u);
     EXPECT_EQ(s.buckets()[0].instructions, 10u);
     EXPECT_EQ(s.buckets()[0].lane_histogram[32], 10u);
+    EXPECT_EQ(s.buckets()[0].bank_busy[1], 5u);
 }
 
 TEST(Aerial, EfficiencyVsUtilizationSemantics)
@@ -37,12 +67,12 @@ TEST(Aerial, EfficiencyVsUtilizationSemantics)
     // Bank busy 5 cycles, pending 10 cycles, total 20 cycles:
     // efficiency = 5/10, utilization = 5/20.
     stats::AerialSampler s(20, 1, 1);
-    for (int c = 0; c < 20; c++) {
-        const bool pending = c < 10;
-        const bool busy = c < 5;
-        s.recordBank(0, busy, pending);
-        s.endCycle();
-    }
+    stats::AerialBucket c = zeroCounters(1, 1);
+    s.start(c);
+    c.cycles = 20;
+    c.bank_busy[0] = 5;
+    c.bank_pending[0] = 10;
+    s.observe(c);
     s.finish();
     EXPECT_DOUBLE_EQ(s.meanDramEfficiency(), 0.5);
     EXPECT_DOUBLE_EQ(s.meanDramUtilization(), 0.25);
@@ -51,13 +81,16 @@ TEST(Aerial, EfficiencyVsUtilizationSemantics)
 TEST(Aerial, StallFractions)
 {
     stats::AerialSampler s(16, 1, 1);
-    for (int c = 0; c < 16; c++) {
-        if (c % 4 == 0)
-            s.recordIssue(0, 16);
+    stats::AerialBucket c = zeroCounters(1, 1);
+    s.start(c);
+    for (int cycle = 0; cycle < 16; cycle++) {
+        c.cycles++;
+        if (cycle % 4 == 0)
+            countIssue(c, 0, 16);
         else
-            s.recordStall(0, stats::StallKind::DataHazard);
-        s.endCycle();
+            c.stalls[size_t(stats::StallKind::DataHazard)]++;
     }
+    s.observe(c);
     s.finish();
     EXPECT_NEAR(s.stallFraction(stats::StallKind::DataHazard), 0.75, 1e-9);
     EXPECT_NEAR(s.stallFraction(stats::StallKind::Idle), 0.0, 1e-9);
@@ -66,11 +99,15 @@ TEST(Aerial, StallFractions)
 TEST(Aerial, CsvContainsAllSeries)
 {
     stats::AerialSampler s(4, 2, 2);
-    for (int c = 0; c < 8; c++) {
-        s.recordIssue(c % 2, 32);
-        s.endCycle();
+    stats::AerialBucket c = zeroCounters(2, 2);
+    s.start(c);
+    for (int cycle = 0; cycle < 8; cycle++) {
+        c.cycles++;
+        countIssue(c, unsigned(cycle % 2), 32);
+        s.observe(c);
     }
     s.finish();
+    ASSERT_EQ(s.buckets().size(), 2u);
     mlgs::test::ScopedTmpDir tmp;
     const std::string path = tmp.file("aerial_test.csv");
     s.writeCsv(path);

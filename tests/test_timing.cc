@@ -146,7 +146,8 @@ TEST(Timing, AerialSamplerSeries)
     cfg.num_cores = 2;
     timing::GpuModel m(cfg, f.gpu.exec);
     stats::AerialSampler sampler(64, cfg.num_cores, cfg.totalDramBanks());
-    m.runKernel(f.env, Dim3(f.n / 128), Dim3(128), &sampler);
+    m.attachSampler(&sampler);
+    m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
     sampler.finish();
     ASSERT_FALSE(sampler.buckets().empty());
     EXPECT_GT(sampler.globalIpc(), 0.0);
@@ -191,11 +192,78 @@ const char *kScatter = R"(
 )";
 
 /**
- * An attached sampler makes every scheduler scan every cycle, for its
- * per-scheduler stall reason; without one, a scheduler whose scan found
- * nothing sleeps until an event wakes it. Both must simulate the same
- * machine: a wake-up the core misses shows here as a counter difference or
- * as a stall the watchdog ends.
+ * Warp 0 waits on a global load before bar.sync while warps 1-3 reach the
+ * barrier at once, so their schedulers stall at the barrier for the load's
+ * latency. C[i] = 2 A[i] for the first 32 threads, 0 for the rest.
+ */
+const char *kBarrierWait = R"(
+.visible .entry barwait(.param .u64 A, .param .u64 C)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<2>;
+    .reg .f32 %f<3>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [A];
+    ld.param.u64 %rd2, [C];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd3, %r1, 4;
+    mov.f32 %f2, 0f00000000;
+    setp.ge.u32 %p1, %r1, 32;
+    @%p1 bra WAIT;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.f32 %f1, [%rd4];
+    add.f32 %f2, %f1, %f1;
+WAIT:
+    bar.sync 0;
+    add.u64 %rd5, %rd2, %rd3;
+    st.global.f32 [%rd5], %f2;
+    ret;
+}
+)";
+
+/**
+ * One 128-thread CTA of a kernel taking (A, C) on one core with four
+ * schedulers, so each scheduler owns one warp. A holds 4 x 128 x 32 ones,
+ * C 128 floats.
+ */
+struct OneCtaRun
+{
+    MiniGpu gpu;
+    ptx::Module module;
+    func::LaunchEnv env;
+    addr_t c = 0;
+    timing::GpuConfig cfg;
+
+    OneCtaRun(const char *src, const char *kernel, timing::SchedPolicy pol,
+              unsigned pending_load_cap = 64)
+        : module(ptx::parseModule(src, "one_cta.ptx"))
+    {
+        const addr_t a = gpu.uploadVec(std::vector<float>(4 * 128 * 32, 1.0f));
+        c = gpu.alloc.alloc(128 * 4);
+        ParamPack p;
+        p.add<uint64_t>(a).add<uint64_t>(c);
+        env.kernel = module.findKernel(kernel);
+        env.params = p.bytes();
+        env.symbols = &gpu.symbols;
+        cfg.num_cores = 1;
+        cfg.schedulers_per_core = 4;
+        cfg.sched_policy = pol;
+        cfg.max_pending_loads_per_warp = pending_load_cap;
+    }
+
+    /** Run the CTA on `model`; returns C. */
+    std::vector<float>
+    run(timing::GpuModel &model)
+    {
+        model.runKernel(env, Dim3(1), Dim3(128));
+        return gpu.download<float>(c, 128);
+    }
+};
+
+/**
+ * Attaching a sampler only reads the model's counters; it must not change
+ * what the model simulates. A difference here means the sampler reaches
+ * back into the core or the memory system.
  */
 TEST(Timing, AttachedSamplerLeavesTotalsUnchanged)
 {
@@ -224,35 +292,181 @@ TEST(Timing, AttachedSamplerLeavesTotalsUnchanged)
         for (const unsigned cap : {64u, 1024u}) {
             SCOPED_TRACE("scatter, pending-load cap " + std::to_string(cap));
             const auto scatter = [&](bool attach) {
-                MiniGpu gpu;
-                const ptx::Module m = ptx::parseModule(kScatter, "scatter.ptx");
-                const addr_t a =
-                    gpu.uploadVec(std::vector<float>(4 * 128 * 32, 1.0f));
-                const addr_t c = gpu.alloc.alloc(128 * 4);
-                ParamPack p;
-                p.add<uint64_t>(a).add<uint64_t>(c);
-                func::LaunchEnv env;
-                env.kernel = m.findKernel("scatter");
-                env.params = p.bytes();
-                env.symbols = &gpu.symbols;
-                timing::GpuConfig cfg;
-                cfg.num_cores = 1;
-                cfg.schedulers_per_core = 4;
-                cfg.sched_policy = pol;
-                cfg.max_pending_loads_per_warp = cap;
-                timing::GpuModel model(cfg, gpu.exec);
-                stats::AerialSampler sampler(64, cfg.num_cores,
-                                             cfg.totalDramBanks());
-                model.runKernel(env, Dim3(1), Dim3(128),
-                                attach ? &sampler : nullptr);
-                EXPECT_EQ(gpu.download<float>(c, 128),
-                          std::vector<float>(128, 4.0f));
+                OneCtaRun run(kScatter, "scatter", pol, cap);
+                timing::GpuModel model(run.cfg, run.gpu.exec);
+                stats::AerialSampler sampler(64, run.cfg.num_cores,
+                                             run.cfg.totalDramBanks());
+                if (attach)
+                    model.attachSampler(&sampler);
+                EXPECT_EQ(run.run(model), std::vector<float>(128, 4.0f));
                 return model.totals();
             };
             const timing::TimingTotals quiet_scatter = scatter(false);
             EXPECT_EQ(quiet_scatter.warp_instructions, 4u * 16u);
             expectTotalsEq(quiet_scatter, scatter(true));
         }
+    }
+}
+
+/**
+ * Check the identities of a sampler's buckets over a run whose counters
+ * moved by `covered` while it was attached; returns the summed stalls.
+ * Every scheduler slot of every sampled core-cycle issues or stalls, so a
+ * bucket's instructions and stalls fill cycles x cores x schedulers.
+ */
+std::vector<uint64_t>
+expectConservedBuckets(const stats::AerialSampler &sampler,
+                       const timing::GpuConfig &cfg,
+                       const timing::TimingTotals &covered)
+{
+    const auto sum = [](const std::vector<uint64_t> &v) {
+        uint64_t n = 0;
+        for (const uint64_t x : v)
+            n += x;
+        return n;
+    };
+    std::vector<uint64_t> stalls(size_t(stats::StallKind::kCount), 0);
+    uint64_t cycles = 0, instructions = 0;
+    for (size_t i = 0; i < sampler.buckets().size(); i++) {
+        const stats::AerialBucket &b = sampler.buckets()[i];
+        SCOPED_TRACE("bucket " + std::to_string(i));
+        EXPECT_EQ(b.start_cycle, cycles);
+        EXPECT_GT(b.cycles, 0u);
+        EXPECT_LE(b.cycles, sampler.bucketCycles());
+        const uint64_t slots =
+            b.cycles * cfg.num_cores * cfg.schedulers_per_core;
+        EXPECT_EQ(b.instructions + sum(b.stalls), slots);
+        for (const uint64_t stalled : b.stalls)
+            EXPECT_LE(stalled, slots); // derived Idle did not wrap
+        EXPECT_EQ(sum(b.lane_histogram), b.instructions);
+        EXPECT_EQ(sum(b.core_instructions), b.instructions);
+        for (unsigned k = 0; k < cfg.totalDramBanks(); k++) {
+            EXPECT_LE(b.bank_busy[k], b.bank_pending[k]) << "bank " << k;
+            EXPECT_LE(b.bank_pending[k], b.cycles) << "bank " << k;
+        }
+        if (::testing::Test::HasFailure())
+            break;
+        cycles += b.cycles;
+        instructions += b.instructions;
+        for (size_t k = 0; k < stalls.size(); k++)
+            stalls[k] += b.stalls[k];
+    }
+    EXPECT_EQ(cycles, covered.cycles);
+    EXPECT_EQ(instructions, covered.warp_instructions);
+    return stalls;
+}
+
+uint64_t
+stallsOf(const std::vector<uint64_t> &stalls, stats::StallKind kind)
+{
+    return stalls[size_t(kind)];
+}
+
+TEST(Timing, AerialBucketsConserveIssueSlots)
+{
+    using stats::StallKind;
+    for (const auto pol : {timing::SchedPolicy::GTO, timing::SchedPolicy::LRR}) {
+        SCOPED_TRACE(pol == timing::SchedPolicy::GTO ? "GTO" : "LRR");
+        // The stall kinds must not depend on where the buckets cut the run.
+        // One-cycle buckets only on the one-CTA kernels: on the conv pass
+        // they would hold tens of thousands of buckets.
+        std::vector<uint64_t> conv_stalls;
+        for (const unsigned bucket : {7u, 256u}) {
+            SCOPED_TRACE("conv pass, bucket " + std::to_string(bucket));
+            bench::ConvTraceSpec spec;
+            spec.sched = pol;
+            const auto opts = bench::convTraceOptions(spec);
+            cuda::Context ctx(opts);
+            stats::AerialSampler sampler(bucket, opts.gpu.num_cores,
+                                         opts.gpu.totalDramBanks());
+            ctx.attachSampler(&sampler);
+            bench::runConvFrontend(ctx, spec);
+            sampler.finish();
+            const auto stalls = expectConservedBuckets(
+                sampler, opts.gpu, ctx.gpuModel().totals());
+            EXPECT_GT(stallsOf(stalls, StallKind::DataHazard), 0u);
+            if (conv_stalls.empty())
+                conv_stalls = stalls;
+            EXPECT_EQ(stalls, conv_stalls);
+        }
+
+        struct Kernel
+        {
+            const char *src, *name;
+            unsigned cap;
+            StallKind must_stall;
+        };
+        for (const Kernel &k :
+             {Kernel{kScatter, "scatter", 64, StallKind::MemStructural},
+              Kernel{kScatter, "scatter", 1024, StallKind::MemStructural},
+              Kernel{kBarrierWait, "barwait", 64, StallKind::Barrier}}) {
+            std::vector<uint64_t> kernel_stalls;
+            for (const unsigned bucket : {1u, 7u, 256u}) {
+                SCOPED_TRACE(std::string(k.name) + ", pending-load cap " +
+                             std::to_string(k.cap) + ", bucket " +
+                             std::to_string(bucket));
+                OneCtaRun run(k.src, k.name, pol, k.cap);
+                timing::GpuModel model(run.cfg, run.gpu.exec);
+                stats::AerialSampler sampler(bucket, run.cfg.num_cores,
+                                             run.cfg.totalDramBanks());
+                model.attachSampler(&sampler);
+                run.run(model);
+                sampler.finish();
+                const auto stalls =
+                    expectConservedBuckets(sampler, run.cfg, model.totals());
+                EXPECT_GT(stallsOf(stalls, k.must_stall), 0u);
+                if (kernel_stalls.empty())
+                    kernel_stalls = stalls;
+                EXPECT_EQ(stalls, kernel_stalls);
+            }
+        }
+    }
+
+    // A sampler attached between two launches covers only the second.
+    TimingFixture f;
+    timing::GpuConfig cfg;
+    cfg.num_cores = 2;
+    timing::GpuModel m(cfg, f.gpu.exec);
+    m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
+    const timing::TimingTotals first = m.totals();
+    stats::AerialSampler sampler(7, cfg.num_cores, cfg.totalDramBanks());
+    m.attachSampler(&sampler);
+    m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
+    sampler.finish();
+    ASSERT_GT(first.cycles, 0u);
+    expectConservedBuckets(sampler, cfg, m.totals() - first);
+}
+
+TEST(Timing, MismatchedSamplerIsFatalError)
+{
+    TimingFixture f;
+    timing::GpuConfig cfg;
+    cfg.num_cores = 2;
+    timing::GpuModel m(cfg, f.gpu.exec);
+    const unsigned banks = cfg.totalDramBanks();
+    stats::AerialSampler cores3(64, 3, banks);
+    stats::AerialSampler banks_off(64, 2, banks + 1);
+    for (stats::AerialSampler *wrong : {&cores3, &banks_off}) {
+        try {
+            m.attachSampler(wrong);
+            ADD_FAILURE() << "a mis-shaped sampler attached";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            const std::string want =
+                std::to_string(wrong->numCores()) + " cores and " +
+                std::to_string(wrong->numBanks()) + " DRAM banks";
+            const std::string device = "2 cores and " +
+                                       std::to_string(banks) + " DRAM banks";
+            EXPECT_NE(msg.find(want), std::string::npos) << msg;
+            EXPECT_NE(msg.find(device), std::string::npos) << msg;
+        }
+    }
+    // The failed attaches left no sampler behind.
+    m.runKernel(f.env, Dim3(f.n / 128), Dim3(128));
+    f.checkResult();
+    for (stats::AerialSampler *wrong : {&cores3, &banks_off}) {
+        wrong->finish();
+        EXPECT_TRUE(wrong->buckets().empty());
     }
 }
 
@@ -357,7 +571,7 @@ TEST(Timing, DramRowHitsAndBankMapping)
 {
     timing::GpuConfig cfg;
     cfg.num_partitions = 1;
-    timing::DramChannel dram(cfg, 0);
+    timing::DramChannel dram(cfg);
 
     // Same row: consecutive lines map to the same bank/row until the row
     // boundary (2048B / 128B = 16 lines).
@@ -369,8 +583,8 @@ TEST(Timing, DramRowHitsAndBankMapping)
     a.line_addr = 0;
     timing::MemFetch b;
     b.line_addr = 128;
-    dram.push(a);
-    dram.push(b);
+    dram.push(a, 0);
+    dram.push(b, 0);
     cycle_t now = 0;
     unsigned done = 0;
     while (done < 2 && now < 10000) {
@@ -393,14 +607,14 @@ TEST(Timing, FrFcfsPrefersRowHits)
 
     auto runPattern = [&](bool frfcfs) {
         cfg.dram_frfcfs = frfcfs;
-        timing::DramChannel dram(cfg, 0);
+        timing::DramChannel dram(cfg);
         // Interleave two rows of the same bank: FR-FCFS should batch them.
         const addr_t row_stride = 2048ull * cfg.dram_banks;
         for (int i = 0; i < 8; i++) {
             timing::MemFetch mf;
             mf.line_addr = (i % 2) ? row_stride : 0;
             mf.line_addr += addr_t(i / 2) * 128;
-            dram.push(mf);
+            dram.push(mf, 0);
         }
         cycle_t now = 0;
         unsigned done = 0;
