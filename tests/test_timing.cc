@@ -1096,4 +1096,160 @@ LOOP:
     EXPECT_GT(detailed.totals.shared_accesses, 0u);
 }
 
+/**
+ * One warp through dependent chains of each fixed-latency class: ALU adds,
+ * SFU sines, twice-SFU integer divides and a shared store-load pair, each
+ * instruction waiting for the register the previous one writes. With
+ * `div_before_ret`, a divide is the last instruction before ret, so the
+ * kernel retires only once that write lands, although no instruction
+ * reads it. The pinned counts are the scoreboard's latencies at work.
+ */
+std::string
+chainPtx(bool div_before_ret)
+{
+    std::string src = R"(
+.visible .entry chains(.param .u64 in, .param .u64 out, .param .u32 iters)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<16>;
+    .reg .f32 %f<4>;
+    .shared .align 4 .b8 buf[128];
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    add.u32 %r2, %r1, 1;
+    add.u32 %r3, %r2, 2;
+    add.u32 %r4, %r3, 3;
+    cvt.rn.f32.u32 %f1, %r4;
+    sin.approx.f32 %f2, %f1;
+    sin.approx.f32 %f3, %f2;
+    div.u32 %r5, %r4, 3;
+    div.u32 %r6, %r5, 5;
+    mov.u64 %rd2, buf;
+    mul.wide.u32 %rd3, %r1, 4;
+    add.u64 %rd3, %rd2, %rd3;
+    st.shared.u32 [%rd3], %r6;
+    ld.shared.u32 %r7, [%rd3];
+    ld.shared.u32 %r8, [%rd3];
+    add.u32 %r9, %r7, %r8;
+    cvt.rzi.u32.f32 %r10, %f3;
+    add.u32 %r11, %r9, %r10;
+    add.u64 %rd4, %rd1, %rd3;
+    sub.u64 %rd4, %rd4, %rd2;
+)";
+    // The divide variant keeps off global memory, whose drain would outlast
+    // the divide's write.
+    if (div_before_ret)
+        src += "    st.shared.u32 [%rd3], %r11;\n"
+               "    div.u32 %r12, %r11, 7;\n";
+    else
+        src += "    st.global.u32 [%rd4], %r11;\n";
+    return src + "    ret;\n}\n";
+}
+
+TEST(Timing, FixedLatencyWritesGateIssue)
+{
+    const std::vector<uint32_t> in(1, 0);
+    // out[i] = (i + 6) / 15 * 2 (the sines truncate to 0).
+    std::vector<uint32_t> want(32);
+    for (uint32_t i = 0; i < 32; i++)
+        want[i] = (i + 6) / 15 * 2;
+    for (const auto pol : {timing::SchedPolicy::GTO, timing::SchedPolicy::LRR})
+        for (const bool div_before_ret : {false, true}) {
+            SCOPED_TRACE(std::string(pol == timing::SchedPolicy::GTO ? "GTO"
+                                                                     : "LRR") +
+                         (div_before_ret ? ", div before ret" : ""));
+            timing::GpuConfig cfg;
+            cfg.num_cores = 1;
+            cfg.sched_policy = pol;
+            const std::string src = chainPtx(div_before_ret);
+            const PathRun run =
+                runIssuePaths(RunMode::Detailed, src.c_str(), "chains",
+                              Dim3(1), Dim3(32), in, 32, 0, cfg);
+            EXPECT_EQ(run.out, div_before_ret ? std::vector<uint32_t>(32, 0)
+                                              : want);
+            // The divide variant's warp exits before the divide's write
+            // lands, and the kernel retires only once it has.
+            EXPECT_EQ(run.totals.cycles, div_before_ret ? 173u : 217u);
+            EXPECT_EQ(run.totals.warp_instructions,
+                      div_before_ret ? 24u : 23u);
+            EXPECT_EQ(run.totals.core_active_cycles,
+                      div_before_ret ? 142u : 144u);
+        }
+}
+
+/**
+ * Many one-warp CTAs on one core: each warp's first long-latency
+ * instruction is a global load into %r5, and its last instruction before
+ * ret is a twice-SFU divide into %r5. The divide's write is still in
+ * flight when the warp exits, and the next CTA re-installs the freed slot
+ * at once and issues its own load into %r5. The orphaned write then lands
+ * on the new occupant and clears %r5 before its load returns (DESIGN.md
+ * §2, the slot-reuse quirk of GPGPU-Sim's scoreboard), so that warp's
+ * dependent add issues early. Every counter and the output are pinned.
+ */
+const char *kOrphan = R"(
+.visible .entry orphan(.param .u64 in, .param .u64 out, .param .u32 iters)
+{
+    .reg .u64 %rd<6>;
+    .reg .u32 %r<8>;
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd2, [out];
+    mov.u32 %r1, %ctaid.x;
+    mul.wide.u32 %rd3, %r1, 128;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.u32 %r5, [%rd4];
+    mov.u32 %r2, %tid.x;
+    mad.lo.u32 %r3, %r1, 32, %r2;
+    add.u32 %r6, %r5, %r3;
+    mul.wide.u32 %rd5, %r3, 4;
+    add.u64 %rd5, %rd2, %rd5;
+    st.global.u32 [%rd5], %r6;
+    div.u32 %r5, %r6, 7;
+    ret;
+}
+)";
+
+TEST(Timing, OrphanedWriteClearsNextOccupantRegister)
+{
+    const unsigned ctas = 96;
+    std::vector<uint32_t> in(ctas * 32);
+    for (unsigned i = 0; i < in.size(); i++)
+        in[i] = i * 7919u;
+    std::vector<uint32_t> want(ctas * 32);
+    for (unsigned i = 0; i < want.size(); i++)
+        want[i] = in[(i / 32) * 32] + i;
+    timing::GpuConfig cfg;
+    cfg.num_cores = 1;
+    const PathRun run = runIssuePaths(RunMode::Detailed, kOrphan, "orphan",
+                                      Dim3(ctas), Dim3(32), in, want.size(),
+                                      0, cfg);
+    EXPECT_EQ(run.out, want);
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"cycles", 820},
+        {"warp_instructions", 1344},
+        {"thread_instructions", 43008},
+        {"alu", 960},
+        {"sfu", 0},
+        {"mem_insts", 384},
+        {"shared_accesses", 0},
+        {"l1_hits", 0},
+        {"l1_misses", 192},
+        {"l2_hits", 0},
+        {"l2_misses", 192},
+        {"icnt_flits", 1152},
+        {"dram_reads", 192},
+        {"dram_writes", 96},
+        {"dram_row_hits", 180},
+        {"dram_row_misses", 12},
+        {"core_active_cycles", 776},
+        {"core_idle_cycles", 44},
+    };
+    ASSERT_EQ(std::size(pinned), std::size(timing::kTimingCounters));
+    for (size_t i = 0; i < std::size(pinned); i++) {
+        const auto &c = timing::kTimingCounters[i];
+        EXPECT_STREQ(c.name, pinned[i].first);
+        EXPECT_EQ(run.totals.*c.member, pinned[i].second) << c.name;
+    }
+}
+
 } // namespace
