@@ -262,53 +262,54 @@ AerialSampler::renderCoreHeatmap(unsigned max_cols) const
     return os.str();
 }
 
-std::string
-AerialSampler::renderWarpBreakdown(unsigned max_cols) const
+std::vector<BreakdownRow>
+warpBreakdown(const AerialBucket &b)
 {
-    // Rows: W0 (idle), issued-lane ranges, and stall categories.
-    struct Row
-    {
-        std::string name;
-        std::function<double(const AerialBucket &)> get;
-    };
-    auto slotTotal = [](const AerialBucket &b) {
-        double total = double(b.instructions);
-        for (const auto s : b.stalls)
-            total += double(s);
-        return std::max(total, 1.0);
-    };
-    std::vector<Row> rows;
+    double slots = double(b.instructions);
+    for (const auto s : b.stalls)
+        slots += double(s);
+    slots = std::max(slots, 1.0);
+    std::vector<BreakdownRow> rows;
     static const char *kStallRows[] = {"W0/idle", "data-hzd", "mem-strt",
                                        "barrier"};
     for (size_t k = 0; k < size_t(StallKind::kCount); k++)
-        rows.push_back({kStallRows[k], [k, &slotTotal](const AerialBucket &b) {
-                            return double(b.stalls[k]) / slotTotal(b);
-                        }});
-    const std::pair<unsigned, unsigned> ranges[] = {
-        {1, 8}, {9, 16}, {17, 24}, {25, 31}, {32, 32}};
-    for (const auto &[lo, hi] : ranges) {
-        std::string name = "W";
-        name += std::to_string(lo);
-        if (lo != hi) {
-            name += "-";
-            name += std::to_string(hi);
-        }
-        rows.push_back({name, [lo = lo, hi = hi, &slotTotal](
-                                  const AerialBucket &b) {
-                            uint64_t n = 0;
-                            for (unsigned w = lo; w <= hi; w++)
-                                n += b.lane_histogram[w];
-                            return double(n) / slotTotal(b);
-                        }});
+        rows.push_back({kStallRows[k], double(b.stalls[k]) / slots});
+    // Issue rows by active lanes; W0/pred issued with every lane's guard
+    // false.
+    static const struct
+    {
+        const char *name;
+        unsigned lo, hi;
+    } kLaneRows[] = {{"W0/pred", 0, 0},  {"W1-8", 1, 8},   {"W9-16", 9, 16},
+                     {"W17-24", 17, 24}, {"W25-31", 25, 31}, {"W32", 32, 32}};
+    for (const auto &r : kLaneRows) {
+        uint64_t n = 0;
+        for (unsigned w = r.lo; w <= r.hi; w++)
+            n += b.lane_histogram[w];
+        rows.push_back({r.name, double(n) / slots});
     }
+    return rows;
+}
+
+std::string
+AerialSampler::renderWarpBreakdown(unsigned max_cols) const
+{
+    AerialBucket blank; // for the row labels
+    blank.lane_histogram.assign(kWarpSize + 1, 0);
+    blank.stalls.assign(size_t(StallKind::kCount), 0);
+    const std::vector<BreakdownRow> labels = warpBreakdown(blank);
     std::ostringstream os;
     os << "warp issue breakdown (fraction of issue slots)\n";
-    for (const auto &r : rows) {
-        os << r.name;
-        for (size_t pad = r.name.size(); pad < 9; pad++)
+    for (size_t i = 0; i < labels.size(); i++) {
+        const std::string name = labels[i].name;
+        os << name;
+        for (size_t pad = name.size(); pad < 9; pad++)
             os << ' ';
         os << "|";
-        for (const double v : downsample(buckets_, max_cols, r.get))
+        for (const double v :
+             downsample(buckets_, max_cols, [i](const AerialBucket &b) {
+                 return warpBreakdown(b)[i].fraction;
+             }))
             os << shade(v);
         os << "|\n";
     }

@@ -51,6 +51,22 @@ struct AerialBucket
     std::vector<uint64_t> bank_pending;   ///< busy or with work queued, per bank
 };
 
+/** One row of the warp-issue breakdown: its label and its share of a
+ *  bucket's issue slots. */
+struct BreakdownRow
+{
+    const char *name;
+    double fraction;
+};
+
+/**
+ * The warp-issue breakdown of a bucket (Figs 22-23): the stall rows, then
+ * issues by active-lane count, from none (every lane's guard false) to 32.
+ * Every issue slot is in one row, so over a bucket with slots the
+ * fractions sum to 1.
+ */
+std::vector<BreakdownRow> warpBreakdown(const AerialBucket &b);
+
 /** Cuts timing::GpuModel::attachSampler()'s snapshots into buckets. */
 class AerialSampler
 {

@@ -13,22 +13,10 @@ using ptx::InstrTiming;
 namespace
 {
 
-bool
-testReg(const uint64_t *row, uint32_t r)
-{
-    return (row[r / 64] >> (r % 64)) & 1;
-}
-
 void
 setReg(uint64_t *row, uint32_t r)
 {
     row[r / 64] |= uint64_t(1) << (r % 64);
-}
-
-void
-clearReg(uint64_t *row, uint32_t r)
-{
-    row[r / 64] &= ~(uint64_t(1) << (r % 64));
 }
 
 /** Outgoing requests at which memory instructions stop issuing. */
@@ -94,12 +82,13 @@ ShaderCore::WritebackWheel::drain(cycle_t now, F &&f)
     uint32_t idx = heads_[now & mask_];
     heads_[now & mask_] = kNil;
     while (idx != kNil) {
-        Node &n = nodes_[idx];
-        f(n.wb);
-        const uint32_t next = n.next;
-        n.next = free_;
+        // Free the node first: `f` may push, which may grow the pool.
+        const Writeback wb = nodes_[idx].wb;
+        const uint32_t next = nodes_[idx].next;
+        nodes_[idx].next = free_;
         free_ = idx;
         size_--;
+        f(wb);
         idx = next;
     }
 }
@@ -122,12 +111,12 @@ ShaderCore::ShaderCore(unsigned id, const GpuConfig &cfg,
 {
     cta_slots_.resize(cfg.max_ctas_per_core);
     warps_.resize(cfg.max_warps_per_core);
-    busy_regs_.resize(warps_.size());
+    reg_ready_.resize(warps_.size());
     mem_dest_regs_.resize(warps_.size());
     sched_rr_.assign(cfg.schedulers_per_core, 0);
     sched_last_.assign(cfg.schedulers_per_core, -1);
     sched_owned_.resize(cfg.schedulers_per_core);
-    sched_quiet_.assign(cfg.schedulers_per_core, 0);
+    sched_wake_.assign(cfg.schedulers_per_core, 0);
     stall_spans_.resize(cfg.schedulers_per_core);
     age_head_.assign(cfg.schedulers_per_core, kNoSlot);
     age_tail_.assign(cfg.schedulers_per_core, kNoSlot);
@@ -225,7 +214,7 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
     cs.live_warps = 0;
     cs.at_barrier = 0;
 
-    const size_t words = (disp.env->kernel->reg_types.size() + 63) / 64;
+    const size_t regs = disp.env->kernel->reg_types.size();
     for (unsigned i = 0; i < disp.warps_per_cta; i++) {
         const unsigned slot = cs.warp_slots[i];
         WarpSlot &w = warps_[slot];
@@ -243,10 +232,11 @@ ShaderCore::tryIssueCta(KernelDispatch &disp)
             w.stream = &chunks_[slot];
         }
         w.pos = 0;
-        for (auto *rows : {&busy_regs_, &mem_dest_regs_}) {
-            std::vector<uint64_t> &row = (*rows)[slot];
-            row.assign(std::max(row.size(), words), 0);
-        }
+        std::vector<cycle_t> &ready = reg_ready_[slot];
+        ready.assign(std::max(ready.size(), regs), 0);
+        std::vector<uint64_t> &mem = mem_dest_regs_[slot];
+        mem.assign(std::max(mem.size(), (regs + 63) / 64), 0);
+        w.writes_until = 0;
         w.pending_loads = 0;
         w.last_issue = 0;
         // Back into the age-0 prefix, in slot order.
@@ -315,39 +305,48 @@ ShaderCore::refresh(unsigned slot)
 {
     WarpSlot &w = warps_[slot];
     w.stale = false;
-    if (!w.valid || w.at_barrier) {
-        w.verdict = Verdict::Barrier;
-        return;
-    }
     const CtaSlot &cs = cta_slots_[size_t(w.cta_slot)];
     const InstrTiming &t = (*cs.disp->timing)[nextPc(slot)];
-    const uint64_t *busy = busy_regs_[slot].data();
+    const cycle_t *ready = reg_ready_[slot].data();
 
-    bool hazard = t.exit && w.pending_loads > 0;
-    for (unsigned i = 0; i < t.n_reads && !hazard; i++)
-        hazard = testReg(busy, t.reads[i]);
-    for (unsigned i = 0; i < t.n_writes && !hazard; i++)
-        hazard = testReg(busy, t.writes[i]);
-    w.verdict = hazard ? Verdict::Hazard : Verdict::Ready;
+    cycle_t at = t.exit && w.pending_loads > 0 ? kNever : 0;
+    for (unsigned i = 0; i < t.n_reads; i++)
+        at = std::max(at, ready[t.reads[i]]);
+    for (unsigned i = 0; i < t.n_writes; i++)
+        at = std::max(at, ready[t.writes[i]]);
+    w.ready_at = at;
     w.mem_next = t.memAccess();
 }
 
 void
-ShaderCore::loadPartDone(unsigned slot)
+ShaderCore::landWrite(unsigned slot, uint32_t r, cycle_t now)
+{
+    cycle_t &ready = reg_ready_[slot][r];
+    if (ready <= now)
+        return;
+    // A fixed-latency write it overtakes still lands at its own cycle.
+    if (ready != kNever)
+        wb_wheel_.push(Writeback{slot, r}, now, ready);
+    ready = now;
+}
+
+void
+ShaderCore::loadPartDone(unsigned slot, cycle_t now)
 {
     WarpSlot &w = warps_[slot];
     if (!w.valid || w.pending_loads == 0)
         return;
     if (--w.pending_loads > 0) {
         if (w.pending_loads + 1 == cfg_->max_pending_loads_per_warp)
-            sched_quiet_[slot % sched_quiet_.size()] = 0; // below the cap
+            sched_wake_[slot % sched_wake_.size()] = 0; // below the cap
         return;
     }
-    // The warp's last load part: release every in-flight load destination.
-    std::vector<uint64_t> &busy = busy_regs_[slot];
+    // The warp's last load part: every in-flight load destination lands.
     std::vector<uint64_t> &mem = mem_dest_regs_[slot];
     for (size_t i = 0; i < mem.size(); i++) {
-        busy[i] &= ~mem[i];
+        for (uint64_t bits = mem[i]; bits; bits &= bits - 1)
+            landWrite(slot, uint32_t(i * 64 + unsigned(__builtin_ctzll(bits))),
+                      now);
         mem[i] = 0;
     }
     markStale(slot);
@@ -359,12 +358,12 @@ ShaderCore::holdWrites(unsigned slot, const InstrTiming &t, cycle_t now,
 {
     if (t.n_writes == 0)
         return;
-    Writeback wb{slot, t.n_writes, false, {}};
-    for (unsigned i = 0; i < t.n_writes; i++) {
-        setReg(busy_regs_[slot].data(), t.writes[i]);
-        wb.regs[i] = t.writes[i];
-    }
-    wb_wheel_.push(wb, now, at);
+    at = std::max(at, now + 1);
+    cycle_t *ready = reg_ready_[slot].data();
+    for (unsigned i = 0; i < t.n_writes; i++)
+        ready[t.writes[i]] = at;
+    WarpSlot &w = warps_[slot];
+    w.writes_until = std::max(w.writes_until, at);
 }
 
 void
@@ -441,6 +440,15 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now)
     issues_by_lanes_[lanes]++;
 
     if (rec.exited) {
+        // The warp does not wait for its fixed-latency writes: each one
+        // still in flight goes to the wheel and lands on whatever warp
+        // holds the slot then.
+        if (w.writes_until > now) {
+            const std::vector<cycle_t> &ready = reg_ready_[slot];
+            for (uint32_t r = 0; r < ready.size(); r++)
+                if (ready[r] > now)
+                    wb_wheel_.push(Writeback{slot, r}, now, ready[r]);
+        }
         w.valid = false;
         MLGS_ASSERT(w.pending_loads == 0, "warp exited with loads in flight");
         cs.live_warps--;
@@ -479,7 +487,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now)
             unsigned mshr = 0;
             const CacheOutcome outcome = l1_.accessRead(la, now, &mshr);
             if (outcome == CacheOutcome::Hit)
-                wb_wheel_.push(Writeback{slot, 0, true, {}}, now,
+                wb_wheel_.push(Writeback{slot, kLoadPart}, now,
                                now + cfg_->l1.hit_latency);
             else if (outcome == CacheOutcome::MissMerged)
                 l1_waiters_.push(mshr, slot);
@@ -495,7 +503,7 @@ ShaderCore::issueWarp(unsigned slot, cycle_t now)
 
         if (w.pending_loads > pending_before) {
             for (unsigned i = 0; i < t.n_writes; i++) {
-                setReg(busy_regs_[slot].data(), t.writes[i]);
+                reg_ready_[slot][t.writes[i]] = kNever;
                 setReg(mem_dest_regs_[slot].data(), t.writes[i]);
             }
         }
@@ -552,13 +560,12 @@ ShaderCore::cycle(cycle_t now)
         return false;
     const unsigned live_before = live_warps_total_;
 
-    // 1. Retire matured writebacks.
+    // 1. Land matured L1-hit load parts and orphaned writes.
     wb_wheel_.drain(now, [&](const Writeback &wb) {
-        if (wb.load_part) {
-            loadPartDone(wb.warp);
+        if (wb.reg == kLoadPart) {
+            loadPartDone(wb.warp, now);
         } else if (warps_[wb.warp].valid) {
-            for (unsigned i = 0; i < wb.n_regs; i++)
-                clearReg(busy_regs_[wb.warp].data(), wb.regs[i]);
+            landWrite(wb.warp, wb.reg, now);
             markStale(wb.warp);
         }
     });
@@ -572,12 +579,13 @@ ShaderCore::cycle(cycle_t now)
     }
     barrier_checks_.clear();
 
-    // 3. Schedulers issue. A quiet scheduler's warps are unchanged since its
-    //    last fruitless scan, so a scan would find nothing again, for the
-    //    same reason: its stall span goes on.
+    // 3. Schedulers issue. A scheduler before its wake cycle has warps
+    //    unchanged since its last fruitless scan, none of whose writes has
+    //    landed since, so a scan would find nothing again, for the same
+    //    reason: its stall span goes on.
     const unsigned nsched = cfg_->schedulers_per_core;
     for (unsigned s = 0; s < nsched; s++) {
-        if (sched_quiet_[s])
+        if (now < sched_wake_[s])
             continue;
         int chosen = -1;
         // A fruitless scan stalls for the reason of its blocked warp of
@@ -585,6 +593,7 @@ ShaderCore::cycle(cycle_t now)
         // keeps the largest rank * kStallKinds + reason (no branch).
         unsigned why = 0;
         bool any_valid = false, any_eligible = false;
+        cycle_t wake = kNever;
         const auto &owned = sched_owned_[s];
 
         const auto block = [&](stats::StallKind kind, unsigned rank) {
@@ -596,13 +605,15 @@ ShaderCore::cycle(cycle_t now)
             if (!w.valid)
                 return false;
             any_valid = true;
-            if (w.stale)
-                refresh(slot);
-            if (w.verdict == Verdict::Barrier)
+            if (w.at_barrier)
                 return false;
             any_eligible = true;
-            if (w.verdict == Verdict::Hazard)
+            if (w.stale)
+                refresh(slot);
+            if (now < w.ready_at) {
+                wake = std::min(wake, w.ready_at);
                 return block(stats::StallKind::DataHazard, rank);
+            }
             if (w.mem_next &&
                 (out_queue_.size() >= kOutQueueLimit ||
                  w.pending_loads >= cfg_->max_pending_loads_per_warp))
@@ -640,7 +651,7 @@ ShaderCore::cycle(cycle_t now)
             issueWarp(unsigned(chosen), now);
             continue;
         }
-        sched_quiet_[s] = 1;
+        sched_wake_[s] = wake;
         stallFrom(s,
                   !any_valid      ? stats::StallKind::Idle
                   : !any_eligible ? stats::StallKind::Barrier
@@ -656,9 +667,10 @@ ShaderCore::pushResponse(const MemFetch &mf, cycle_t now)
     const unsigned mshr = l1_.fill(mf.line_addr, now);
 
     if (mf.warp_slot >= 0)
-        loadPartDone(unsigned(mf.warp_slot));
+        loadPartDone(unsigned(mf.warp_slot), now);
     if (mshr != TagCache::kNoMshr)
-        l1_waiters_.drain(mshr, [&](unsigned slot) { loadPartDone(slot); });
+        l1_waiters_.drain(mshr,
+                          [&](unsigned slot) { loadPartDone(slot, now); });
 }
 
 MemFetch
@@ -666,7 +678,7 @@ ShaderCore::popOutgoing()
 {
     MemFetch mf = out_queue_.pop_front();
     if (out_queue_.size() + 1 == kOutQueueLimit) // dropped below the limit
-        std::fill(sched_quiet_.begin(), sched_quiet_.end(), 0);
+        std::fill(sched_wake_.begin(), sched_wake_.end(), 0);
     return mf;
 }
 
@@ -680,7 +692,7 @@ void
 ShaderCore::assertDrained() const
 {
     MLGS_ASSERT(wb_wheel_.bucketsEmpty(), "core ", id_,
-                ": writebacks left on a drained device");
+                ": wheel events left on a drained device");
     MLGS_ASSERT(l1_waiters_.empty(), "core ", id_,
                 ": L1 waiters left on a drained device");
     MLGS_ASSERT(l1_.mshrInUse() == 0, "core ", id_, ": ", l1_.mshrInUse(),

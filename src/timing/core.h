@@ -171,7 +171,7 @@ class ShaderCore
     unsigned liveWarps() const { return live_warps_total_; }
 
     /**
-     * Panics unless nothing is left in flight: no writeback, L1 waiter or
+     * Panics unless nothing is left in flight: no wheel event, L1 waiter or
      * L1 MSHR, and no counted stall span. Called when a kernel retires on
      * a drained device.
      */
@@ -207,15 +207,6 @@ class ShaderCore
         unsigned at_barrier = 0; ///< live warps waiting at bar.sync
     };
 
-    /** Cached scheduling verdict of a warp slot's next instruction. */
-    enum class Verdict : uint8_t
-    {
-        Ready,   ///< no data hazard (the memory-structural test is live)
-        Hazard,  ///< a register it reads or writes is busy, or an exit waits
-                 ///< for loads
-        Barrier, ///< parked at bar.sync (or not eligible at all)
-    };
-
     struct WarpSlot
     {
         bool valid = false;
@@ -226,10 +217,17 @@ class ShaderCore
         /** Neighbours in the scheduler's age list (kNoSlot at the ends). */
         unsigned age_prev = kNoSlot;
         unsigned age_next = kNoSlot;
-        /** verdict/mem_next are recomputed by refresh() only while stale. */
+        /** ready_at/mem_next are recomputed by refresh() only while stale. */
         bool stale = true;
-        Verdict verdict = Verdict::Barrier;
         bool mem_next = false; ///< next instruction touches memory
+        /**
+         * First cycle the next instruction may issue: the latest ready
+         * cycle of a register it reads or writes; kNever while it, or an
+         * exit, waits for loads.
+         */
+        cycle_t ready_at = 0;
+        /** Latest cycle a fixed-latency write of this warp lands. */
+        cycle_t writes_until = 0;
         /** Consumed a bar.sync record; waits for its CTA's release. */
         bool at_barrier = false;
         /** Issue cursor: the next record is recs[pos] of *stream. */
@@ -238,26 +236,36 @@ class ShaderCore
     };
 
     /**
-     * Delayed register writeback (fixed-latency pipelines + L1 hits). It
-     * clears its registers in whatever warp owns the slot when it matures:
-     * an exiting warp does not wait for its ALU or shared writebacks.
+     * A cycle that never comes: the ready cycle of an in-flight load
+     * destination until its warp's last load part lands, and the wake
+     * cycle of a scheduler that no write in flight will wake.
+     */
+    static constexpr cycle_t kNever = ~cycle_t(0);
+    /** Writeback::reg of an L1 hit's load part. */
+    static constexpr uint32_t kLoadPart = ~uint32_t(0);
+
+    /**
+     * A wheel event on a warp slot: an L1 hit's load part (reg ==
+     * kLoadPart), which decrements the slot's pending loads, or a write
+     * of register `reg` that has left its warp's scoreboard row. Such a
+     * write was in flight when its warp exited, or was displaced by an
+     * earlier one of those; it clears the register in whatever warp owns
+     * the slot when it lands (DESIGN.md §2).
      */
     struct Writeback
     {
         unsigned warp = 0;
-        uint8_t n_regs = 0;
-        bool load_part = false; ///< decrements pending_loads instead
-        uint32_t regs[ptx::InstrTiming::kMaxWrites] = {};
+        uint32_t reg = kLoadPart;
     };
 
     /**
-     * Writebacks bucketed by maturity cycle modulo a power-of-two ring
+     * Wheel events bucketed by maturity cycle modulo a power-of-two ring
      * larger than the longest latency. Each bucket is a list threaded
      * through one node vector, whose free nodes form a free list, so the
-     * pool grows to the most writebacks in flight and is reused from then
-     * on. Drain order within a bucket is unspecified: a writeback only
-     * clears scoreboard bits and decrements a pending-load count, so
-     * same-cycle writebacks commute.
+     * pool grows to the most events in flight and is reused from then on.
+     * Drain order within a bucket is unspecified: an event only lowers
+     * ready cycles to the drain cycle and decrements a pending-load count,
+     * so same-cycle events commute.
      */
     class WritebackWheel
     {
@@ -267,7 +275,8 @@ class ShaderCore
         /** Enqueue to mature at `at`, no earlier than the cycle after now. */
         void push(const Writeback &wb, cycle_t now, cycle_t at);
 
-        /** Pop each writeback maturing at `now` into `f` (it must not push). */
+        /** Pop each event maturing at `now` into `f`, which may push
+         *  events for later cycles. */
         template <typename F> void drain(cycle_t now, F &&f);
 
         bool empty() const { return size_ == 0; }
@@ -289,7 +298,7 @@ class ShaderCore
         size_t size_ = 0;
     };
 
-    /** Recompute a stale slot's cached verdict from its next instruction. */
+    /** Recompute a stale slot's ready cycle from its next instruction. */
     void refresh(unsigned slot);
     /** The pc of the slot's next instruction; refills a dry cursor. */
     uint32_t nextPc(unsigned slot);
@@ -301,7 +310,7 @@ class ShaderCore
     markStale(unsigned slot)
     {
         warps_[slot].stale = true;
-        sched_quiet_[slot % sched_quiet_.size()] = 0;
+        sched_wake_[slot % sched_wake_.size()] = 0;
     }
     void ageUnlink(unsigned slot);
     /** Link `slot` in front of `next` (at the tail for kNoSlot). */
@@ -311,7 +320,9 @@ class ShaderCore
     void stallFrom(unsigned s, stats::StallKind kind, cycle_t now);
     void holdWrites(unsigned slot, const ptx::InstrTiming &t, cycle_t now,
                     cycle_t at);
-    void loadPartDone(unsigned slot);
+    /** Register `r` of the slot's warp lands at `now` if it is later. */
+    void landWrite(unsigned slot, uint32_t r, cycle_t now);
+    void loadPartDone(unsigned slot, cycle_t now);
     void completeCtaIfDone(int cta_slot);
 
     unsigned id_;
@@ -323,12 +334,14 @@ class ShaderCore
     std::vector<WarpSlot> warps_;
 
     /**
-     * Scoreboard bitsets per warp slot: busy registers, and the in-flight
-     * load destinations released when the warp's loads drain. A slot's rows
-     * only widen, to the most registers of any kernel installed on it, so a
-     * stale writeback from a wider kernel clears in bounds.
+     * Scoreboard rows per warp slot: the cycle each register's pending
+     * write lands (kNever for a load destination), and a bitset of the
+     * in-flight load destinations, which land with the warp's last load
+     * part. A slot's rows only widen, to the most registers of any kernel
+     * installed on it, so an orphaned write from a wider kernel lands in
+     * bounds.
      */
-    std::vector<std::vector<uint64_t>> busy_regs_;
+    std::vector<std::vector<cycle_t>> reg_ready_;
     std::vector<std::vector<uint64_t>> mem_dest_regs_;
     std::vector<unsigned> sched_rr_; ///< LRR rotate position per scheduler
     std::vector<int> sched_last_;    ///< GTO sticky warp per scheduler
@@ -343,10 +356,12 @@ class ShaderCore
      */
     std::vector<unsigned> age_head_, age_tail_;
     /**
-     * Scheduler whose last scan found nothing to issue; it skips scans
-     * until markStale() or a drop below a memory-structural limit wakes it.
+     * Cycle of each scheduler's next scan. A fruitless scan sets it to the
+     * earliest ready cycle of the warps it found waiting on fixed-latency
+     * writes (kNever if none); markStale() and a drop below a
+     * memory-structural limit reset it to 0.
      */
-    std::vector<uint8_t> sched_quiet_;
+    std::vector<cycle_t> sched_wake_;
     /** Per scheduler: why its slot has stalled since `since`, until it
      *  issues or a scan finds another reason. Idle spans are not counted. */
     struct StallSpan

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/log.h"
+
 namespace mlgs::timing
 {
 
@@ -51,16 +53,18 @@ DramChannel::push(MemFetch mf, cycle_t now)
     integrate(bank, now);
     banks_[bank].queued++;
     queue_.push_back({std::move(mf), bank, row});
+    if (queue_.size() <= cfg_->dram_sched_window) // inside the window
+        next_try_ = std::min(next_try_, banks_[bank].ready_at);
 }
 
 void
 DramChannel::cycle(cycle_t now)
 {
-    // No bank can take a request before the earliest one is ready.
-    if (queue_.empty() || now < earliest_ready_)
+    // A scan can pick only a request whose bank is ready.
+    if (now < next_try_)
         return;
 
-    const size_t window = std::min(queue_.size(), size_t(cfg_->dram_sched_window));
+    size_t window = std::min(queue_.size(), size_t(cfg_->dram_sched_window));
     size_t pick = SIZE_MAX;
 
     if (cfg_->dram_frfcfs) {
@@ -82,8 +86,8 @@ DramChannel::cycle(cycle_t now)
             }
         }
     }
-    if (pick == SIZE_MAX)
-        return;
+    MLGS_ASSERT(pick != SIZE_MAX, "DRAM scan at cycle ", now,
+                " found no ready bank");
 
     Request req = std::move(queue_[pick]);
     queue_.erase(pick);
@@ -108,9 +112,11 @@ DramChannel::cycle(cycle_t now)
     const cycle_t completion = transfer_start + cfg_->dram_burst_cycles;
     bus_free_ = completion;
     bank.ready_at = completion;
-    earliest_ready_ = completion;
-    for (const Bank &other : banks_)
-        earliest_ready_ = std::min(earliest_ready_, other.ready_at);
+    // Banks change only here, and the window only here and at push.
+    next_try_ = kNever;
+    window = std::min(queue_.size(), size_t(cfg_->dram_sched_window));
+    for (size_t i = 0; i < window; i++)
+        next_try_ = std::min(next_try_, banks_[queue_[i].bank].ready_at);
 
     done_.push(std::move(req.mf), completion);
     inflight_++;

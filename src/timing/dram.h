@@ -65,6 +65,8 @@ class DramChannel
     uint64_t rowOf(addr_t line_addr) const;
 
   private:
+    static constexpr cycle_t kNever = ~cycle_t(0);
+
     struct Bank
     {
         uint64_t open_row = UINT64_MAX;
@@ -95,7 +97,9 @@ class DramChannel
     FifoRing<Request> queue_;
     DelayQueue<MemFetch> done_;
     cycle_t bus_free_ = 0;
-    cycle_t earliest_ready_ = 0; ///< min over banks of ready_at
+    /** Earliest ready_at among the banks of the requests in the scheduling
+     *  window (kNever while the queue is empty). */
+    cycle_t next_try_ = kNever;
     unsigned inflight_ = 0;
 
     uint64_t row_hits_ = 0;

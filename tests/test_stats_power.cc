@@ -96,6 +96,36 @@ TEST(Aerial, StallFractions)
     EXPECT_NEAR(s.stallFraction(stats::StallKind::Idle), 0.0, 1e-9);
 }
 
+/** An issue whose guard leaves no lane active is an issue slot too: it has
+ *  its own breakdown row, and the rows account for every slot. */
+TEST(Aerial, WarpBreakdownCountsZeroLaneIssues)
+{
+    stats::AerialSampler s(8, 1, 1);
+    stats::AerialBucket c = zeroCounters(1, 1);
+    s.start(c);
+    c.cycles = 8; // one scheduler: 8 slots
+    for (const unsigned lanes : {0u, 0u, 0u, 0u, 32u, 5u})
+        countIssue(c, 0, lanes);
+    c.stalls[size_t(stats::StallKind::DataHazard)] = 2;
+    s.observe(c);
+    s.finish();
+    ASSERT_EQ(s.buckets().size(), 1u);
+
+    double sum = 0, zero_lanes = 0;
+    for (const stats::BreakdownRow &row :
+         stats::warpBreakdown(s.buckets()[0])) {
+        sum += row.fraction;
+        if (std::string(row.name) == "W0/pred")
+            zero_lanes = row.fraction;
+    }
+    EXPECT_DOUBLE_EQ(zero_lanes, 0.5);
+    EXPECT_DOUBLE_EQ(sum, 1.0);
+
+    // The row is drawn at half shade ('+'), one column per bucket.
+    const std::string art = s.renderWarpBreakdown();
+    EXPECT_NE(art.find("W0/pred  |+|"), std::string::npos) << art;
+}
+
 TEST(Aerial, CsvContainsAllSeries)
 {
     stats::AerialSampler s(4, 2, 2);
