@@ -274,8 +274,8 @@ warpBreakdown(const AerialBucket &b)
                                        "barrier"};
     for (size_t k = 0; k < size_t(StallKind::kCount); k++)
         rows.push_back({kStallRows[k], double(b.stalls[k]) / slots});
-    // Issue rows by active lanes; W0/pred issued with every lane's guard
-    // false.
+    // Issue rows by active lanes; W0/pred counts issues whose guard left
+    // no lane active.
     static const struct
     {
         const char *name;
