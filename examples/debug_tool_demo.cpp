@@ -1,15 +1,18 @@
 /**
  * @file
- * The Section III-D debugging methodology, end to end: inject a legacy
- * functional bug (the untyped rem), observe wrong application output, then
- * localize it in three steps — failing call, failing kernel (Fig 2),
- * failing instruction (Fig 3) — plus differential coverage analysis.
+ * The Section III-D debugging methodology, end to end: record the workload
+ * as a trace, inject a legacy functional bug (the untyped rem), observe
+ * wrong application output, then localize it from the trace in three steps —
+ * failing call, failing kernel (Fig 2), failing instruction (Fig 3) — plus
+ * differential coverage analysis.
  *
  * Run: ./build/examples/debug_tool_demo
  */
 #include <cstdio>
+#include <optional>
 
 #include "debug/debugger.h"
+#include "trace/recorder.h"
 
 using namespace mlgs;
 
@@ -79,14 +82,17 @@ DONE:
 }
 )";
 
+/** Run the app under `bugs`; with a `trace`, record the run into it. */
 std::vector<float>
-runApp(const func::BugModel &bugs, std::vector<cuda::CapturedLaunch> *captured)
+runApp(const func::BugModel &bugs, trace::TraceFile *trace)
 {
     const unsigned n = 100;
     cuda::ContextOptions opts;
     opts.bugs = bugs;
-    opts.capture_launches = captured != nullptr;
     cuda::Context ctx(opts);
+    std::optional<trace::TraceRecorder> recorder;
+    if (trace)
+        recorder.emplace(ctx);
     ctx.loadModule(kScale, "scale.ptx");
     ctx.loadModule(kRingShift, "ring.ptx");
     const addr_t src = ctx.malloc(n * 4);
@@ -104,8 +110,8 @@ runApp(const func::BugModel &bugs, std::vector<cuda::CapturedLaunch> *captured)
     ctx.deviceSynchronize();
     std::vector<float> out(n);
     ctx.memcpyD2H(out.data(), dst, n * 4);
-    if (captured)
-        *captured = ctx.capturedLaunches();
+    if (trace)
+        *trace = recorder->finalize();
     return out;
 }
 
@@ -117,9 +123,11 @@ main()
     func::BugModel buggy;
     buggy.legacy_rem = true; // the pre-fix GPGPU-Sim rem_impl
 
-    debug::Replayer replayer(
-        {{kScale, "scale.ptx"}, {kRingShift, "ring.ptx"}}, func::BugModel{},
-        buggy);
+    // Record the workload once on the golden simulator; every later step
+    // works from this trace alone (it could equally be a .mlgstrace file).
+    trace::TraceFile trace;
+    const auto good = runApp({}, &trace);
+    debug::Replayer replayer(std::move(trace), func::BugModel{}, buggy);
 
     std::printf("=== Step 0: lint the PTX under suspicion (mlgs-lint) ===\n");
     const auto diags = replayer.lintModules();
@@ -134,8 +142,6 @@ main()
     }
 
     std::printf("=== Step 1: reproduce the failure ===\n");
-    std::vector<cuda::CapturedLaunch> captured;
-    const auto good = runApp({}, &captured);
     const auto bad = runApp(buggy, nullptr);
     unsigned wrong = 0;
     for (size_t i = 0; i < good.size(); i++)
@@ -144,9 +150,9 @@ main()
                 "functional model\n\n",
                 wrong, good.size());
 
-    std::printf("=== Step 2 (Fig 2): replay captured kernels, compare "
-                "output buffers ===\n");
-    const auto kres = replayer.findFirstBadKernel(captured);
+    std::printf("=== Step 2 (Fig 2): replay the trace, rerun each kernel "
+                "from its pre-launch memory, compare ===\n");
+    const auto kres = replayer.findFirstBadKernel();
     std::printf("first incorrect kernel: launch #%zu '%s' "
                 "(buffer 0x%llx, first bad byte offset %zu)\n\n",
                 kres.launch_index, kres.kernel_name.c_str(),
@@ -154,8 +160,7 @@ main()
 
     std::printf("=== Step 3 (Fig 3): instrument the kernel, log every "
                 "register write, diff ===\n");
-    const auto ires =
-        replayer.localizeInstruction(captured[kres.launch_index]);
+    const auto ires = replayer.localizeInstruction(kres.launch_index);
     std::printf("first divergent write: record %llu, pc %u, register %s\n",
                 (unsigned long long)ires.record_index, ires.pc,
                 ires.reg_name.c_str());

@@ -141,20 +141,17 @@ loadCta(BinaryReader &r, const ptx::KernelDef &kernel, const Dim3 &grid,
 CheckpointWriter::CheckpointWriter(cuda::Context &ctx, CheckpointConfig cfg)
     : ctx_(&ctx), cfg_(std::move(cfg))
 {
-    ctx_->setLaunchHook([this](cuda::LaunchRecord &rec) { return onLaunch(rec); });
+    ctx_->setLaunchHook(
+        [this](cuda::LaunchRecord &rec, const func::LaunchEnv &env) {
+            return onLaunch(rec, env);
+        });
 }
 
 bool
-CheckpointWriter::onLaunch(cuda::LaunchRecord &rec)
+CheckpointWriter::onLaunch(cuda::LaunchRecord &rec, const func::LaunchEnv &env)
 {
     if (reached_ || rec.launch_id > cfg_.kernel_x)
         return true; // everything after the checkpoint is skipped
-
-    func::LaunchEnv env;
-    env.kernel = rec.kernel;
-    env.params = rec.params;
-    env.symbols = &ctx_->symbols();
-    env.textures = ctx_;
 
     auto &engine = ctx_->functionalEngine();
 
@@ -276,11 +273,14 @@ CheckpointLoader::CheckpointLoader(cuda::Context &ctx, const std::string &path)
     BinaryWriter w;
     ctx_->memory().save(w);
     mem_image_ = w.bytes();
-    ctx_->setLaunchHook([this](cuda::LaunchRecord &rec) { return onLaunch(rec); });
+    ctx_->setLaunchHook(
+        [this](cuda::LaunchRecord &rec, const func::LaunchEnv &env) {
+            return onLaunch(rec, env);
+        });
 }
 
 bool
-CheckpointLoader::onLaunch(cuda::LaunchRecord &rec)
+CheckpointLoader::onLaunch(cuda::LaunchRecord &rec, const func::LaunchEnv &env)
 {
     if (rec.launch_id < kernel_x_)
         return true; // skipped: effects are in the restored memory image
@@ -297,12 +297,6 @@ CheckpointLoader::onLaunch(cuda::LaunchRecord &rec)
         BinaryReader r(mem_image_);
         ctx_->memory().restore(r);
     }
-
-    func::LaunchEnv env;
-    env.kernel = rec.kernel;
-    env.params = rec.params;
-    env.symbols = &ctx_->symbols();
-    env.textures = ctx_;
 
     std::vector<std::unique_ptr<func::CtaExec>> preloaded;
     for (const auto &bytes : raw_ctas_) {

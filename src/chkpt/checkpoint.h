@@ -60,7 +60,7 @@ class CheckpointWriter
     bool reached() const { return reached_; }
 
   private:
-    bool onLaunch(cuda::LaunchRecord &rec);
+    bool onLaunch(cuda::LaunchRecord &rec, const func::LaunchEnv &env);
 
     cuda::Context *ctx_;
     CheckpointConfig cfg_;
@@ -81,7 +81,7 @@ class CheckpointLoader
     uint64_t kernelX() const { return kernel_x_; }
 
   private:
-    bool onLaunch(cuda::LaunchRecord &rec);
+    bool onLaunch(cuda::LaunchRecord &rec, const func::LaunchEnv &env);
 
     cuda::Context *ctx_;
     std::string path_;

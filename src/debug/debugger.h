@@ -1,30 +1,33 @@
 /**
  * @file
- * The functional-debug methodology of Section III-D, with a static "step
- * zero" before any replay:
- *   0. lint every module under suspicion with the PTX verifier
+ * The functional-debug methodology of Section III-D, run from a recorded
+ * .mlgstrace, with a static "step zero" before any replay:
+ *   0. lint every module the trace carries with the PTX verifier
  *      (Replayer::lintModules) — type/width bugs, uninitialized reads,
  *      divergent barriers and shared-memory races are cheaper to find
  *      statically than by bisecting replays;
  *   1. find the first library call with wrong output (app-level, by
  *      comparing per-call output buffers between a golden and a suspect
  *      context — see the tests/examples);
- *   2. replay each captured kernel launch of that call on "hardware" (the
- *      bug-free executor) and on the suspect simulator, comparing every
- *      buffer a kernel parameter points to (Fig 2);
- *   3. instrument the first incorrect kernel so every register write is
- *      logged, and flag the first write that differs (Fig 3).
+ *   2. replay the trace and run each launch from its pre-launch device
+ *      memory on "hardware" (the golden bug model) and on the suspect
+ *      simulator, comparing every live allocation afterwards (Fig 2);
+ *   3. replay to the first incorrect launch, instrument its kernel so every
+ *      register write is logged, and flag the first write that differs
+ *      (Fig 3).
+ * Launches see the replayed context's symbols and texture bindings, so
+ * kernels that read module globals or textures debug like any other.
  */
 #ifndef MLGS_DEBUG_DEBUGGER_H
 #define MLGS_DEBUG_DEBUGGER_H
 
-#include <optional>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "debug/instrument.h"
 #include "ptx/verifier/verifier.h"
-#include "runtime/context.h"
+#include "trace/replayer.h"
 
 namespace mlgs::debug
 {
@@ -53,41 +56,39 @@ struct InstrSearchResult
     uint64_t suspect_value = 0;
 };
 
-/** Replays captured launches under two bug models and compares. */
+/** Replays a recorded trace's launches under two bug models and compares. */
 class Replayer
 {
   public:
-    struct ModuleSrc
-    {
-        std::string source;
-        std::string name;
-    };
-
-    Replayer(std::vector<ModuleSrc> modules, func::BugModel golden,
+    Replayer(trace::TraceFile trace, func::BugModel golden,
              func::BugModel suspect);
 
     /**
-     * Step zero: statically verify every supplied module and return the
-     * combined diagnostics (empty = all modules lint clean). Run this before
-     * any replay — a type-width bug or shared-memory race flagged here
-     * usually IS the divergence the replay bisection would find.
+     * Step zero: statically verify every module whose source the trace
+     * carries and return the combined diagnostics (empty = all modules lint
+     * clean). Run this before any replay — a type-width bug or shared-memory
+     * race flagged here usually IS the divergence the replay bisection would
+     * find.
      */
     std::vector<ptx::verifier::Diagnostic> lintModules() const;
 
-    /** Fig 2: first captured launch whose output buffers differ. */
-    KernelSearchResult
-    findFirstBadKernel(const std::vector<cuda::CapturedLaunch> &launches);
+    /** Fig 2: first launch of the trace whose outputs differ. */
+    KernelSearchResult findFirstBadKernel() const;
 
-    /** Fig 3: first divergent register write within one launch. */
-    InstrSearchResult localizeInstruction(const cuda::CapturedLaunch &launch);
+    /** Fig 3: first divergent register write within launch `launch_index`
+     *  (its LaunchRecord::launch_id, as KernelSearchResult reports it). */
+    InstrSearchResult localizeInstruction(size_t launch_index) const;
 
   private:
-    const ptx::KernelDef *findKernel(const std::string &name) const;
-    void replayOn(GpuMemory &mem, const cuda::CapturedLaunch &launch,
-                  const func::BugModel &bugs, const ptx::KernelDef *kernel,
-                  const std::vector<uint8_t> &params) const;
+    /** Called at each launch's pre-state; returning true ends the replay. */
+    using LaunchVisit =
+        std::function<bool(const cuda::LaunchRecord &,
+                           const func::LaunchEnv &, cuda::Context &)>;
 
-    std::vector<ptx::Module> modules_;
+    /** Replay the trace functionally, visiting each launch before it runs. */
+    void replayLaunches(const LaunchVisit &visit) const;
+
+    trace::TraceReplayer trace_;
     func::BugModel golden_;
     func::BugModel suspect_;
 };

@@ -1,9 +1,9 @@
 /**
  * @file
- * Device heap allocator. Besides allocation it answers "which buffer contains
- * this pointer, and how large is it?" — the capability the paper added to
- * GPGPU-Sim so the debug tool can copy back every output buffer a kernel
- * parameter may point to (Section III-D).
+ * Device heap allocator. Besides allocation it answers "which buffers are
+ * live, and which one contains this pointer?" — the capability the paper
+ * added to GPGPU-Sim so the debug tool can copy back every buffer a kernel
+ * may have written (Section III-D).
  */
 #ifndef MLGS_MEM_ALLOCATOR_H
 #define MLGS_MEM_ALLOCATOR_H
@@ -43,8 +43,9 @@ class DeviceAllocator
     /** Find the live allocation containing addr (any interior pointer). */
     std::optional<Allocation> containing(addr_t addr) const;
 
-    /** All live allocations in address order (debug-tool enumeration). */
-    std::map<addr_t, size_t> liveAllocations() const { return live_; }
+    /** All live allocations (base -> size) in address order; the debug
+     *  replayer seeds and compares its scratch memories with them. */
+    const std::map<addr_t, size_t> &liveAllocations() const { return live_; }
 
     size_t bytesInUse() const { return in_use_; }
 

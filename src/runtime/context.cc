@@ -1,7 +1,6 @@
 #include "runtime/context.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "engine/functional_backend.h"
 #include "engine/timing_backend.h"
@@ -35,6 +34,7 @@ Context::Context(ContextOptions opts) : opts_(std::move(opts))
     MLGS_REQUIRE(opts_.device_count >= 1,
                  "ContextOptions.device_count must be >= 1, got ",
                  opts_.device_count);
+    timing::validate(opts_.gpu);
     const unsigned sim_threads =
         ThreadPool::resolveThreadCount(opts_.sim_threads);
     if (sim_threads > 1)
@@ -449,16 +449,12 @@ Context::cuLaunchKernel(const ptx::KernelDef *kernel, const Dim3 &grid,
 bool
 Context::prepareLaunch(Device &d, LaunchRecord &rec, func::LaunchEnv &env)
 {
-    if (opts_.capture_launches)
-        captureLaunch(d, rec);
-    if (launch_hook_ && launch_hook_(rec))
-        return false; // handled externally (checkpoint fast-forward/skip)
-
     env.kernel = rec.kernel;
     env.params = rec.params;
     env.symbols = &d.symbols;
     env.textures = &d;
-    return true;
+    // A hooked launch (checkpoint fast-forward/skip) is handled externally.
+    return !(launch_hook_ && launch_hook_(rec, env));
 }
 
 void
@@ -469,36 +465,6 @@ Context::retireLaunch(LaunchRecord &&rec, bool executed)
                                         ? rec.func_stats.instructions
                                         : rec.perf.warp_instructions;
     launch_log_.push_back(std::move(rec));
-}
-
-void
-Context::captureLaunch(Device &d, const LaunchRecord &rec)
-{
-    CapturedLaunch cap;
-    cap.record = rec;
-    // Any 8-byte-aligned parameter that looks like a device pointer may name
-    // an output buffer; snapshot every allocation it points into (Fig 2).
-    const auto &bytes = rec.params;
-    for (size_t off = 0; off + 8 <= bytes.size(); off += 4) {
-        uint64_t v;
-        std::memcpy(&v, bytes.data() + off, 8);
-        const auto alloc = d.alloc.containing(v);
-        if (!alloc)
-            continue;
-        // De-duplicate by base address.
-        bool seen = false;
-        for (const auto &b : cap.buffers)
-            if (b.addr == alloc->addr)
-                seen = true;
-        if (seen)
-            continue;
-        CapturedBuffer buf;
-        buf.addr = alloc->addr;
-        buf.data.resize(alloc->size);
-        d.mem.read(alloc->addr, buf.data.data(), alloc->size);
-        cap.buffers.push_back(std::move(buf));
-    }
-    captured_.push_back(std::move(cap));
 }
 
 // ---- streams & events ----

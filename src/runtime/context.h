@@ -104,9 +104,6 @@ struct ContextOptions
      */
     bool legacy_texture_name_map = false;
 
-    /** Capture launch inputs (params + pointed-to buffers) for replay. */
-    bool capture_launches = false;
-
     /** Host<->device copy throughput used for stream-overlap timing. */
     double memcpy_bytes_per_cycle = 8.0;
 
@@ -149,20 +146,6 @@ struct TexArray
     unsigned width = 0;
     unsigned height = 1;
     unsigned channels = 1;
-};
-
-/** Captured buffer snapshot for kernel replay (debug tool). */
-struct CapturedBuffer
-{
-    addr_t addr = 0;
-    std::vector<uint8_t> data;
-};
-
-/** Captured launch = record + input-buffer snapshots (Fig 2 data). */
-struct CapturedLaunch
-{
-    LaunchRecord record;
-    std::vector<CapturedBuffer> buffers; ///< contents BEFORE the launch
 };
 
 /** The simulated device context. */
@@ -288,13 +271,17 @@ class Context : public func::TextureProvider
     addr_t getSymbolAddress(const std::string &name) const;
     void memcpyToSymbol(const std::string &name, const void *src, size_t bytes);
 
-    // ---- launch interception (checkpointing, Fig 5) ----
+    // ---- launch interception (checkpointing Fig 5, debug replay Fig 2) ----
     /**
-     * Hook called before a launch executes; returning true marks the launch
-     * handled (the normal execution path is skipped). Used by the
-     * checkpoint writer/loader to fast-forward or skip kernels.
+     * Hook called when a launch is about to execute, while device memory
+     * holds its pre-launch state. `env` is the launch's complete functional
+     * environment (kernel, params, module symbols, texture bindings).
+     * Returning true marks the launch handled (the normal execution path is
+     * skipped). The checkpoint writer/loader use it to fast-forward or skip
+     * kernels; debug::Replayer re-runs each launch from its pre-state.
      */
-    using LaunchHook = std::function<bool(LaunchRecord &)>;
+    using LaunchHook =
+        std::function<bool(LaunchRecord &, const func::LaunchEnv &)>;
     void setLaunchHook(LaunchHook hook) { launch_hook_ = std::move(hook); }
 
     // ---- API observation (trace capture, src/trace) ----
@@ -334,14 +321,6 @@ class Context : public func::TextureProvider
                         cycle_t complete_at, Stream *stream = nullptr);
     void replayPeerRecv(addr_t dst, std::vector<uint8_t> payload, int peer,
                         cycle_t complete_at, Stream *stream = nullptr);
-
-    // ---- capture / observation (debug tool, Fig 2) ----
-    void setCaptureLaunches(bool on) { opts_.capture_launches = on; }
-    const std::vector<CapturedLaunch> &capturedLaunches() const
-    {
-        return captured_;
-    }
-    void clearCapturedLaunches() { captured_.clear(); }
 
     // ---- introspection ----
     const ContextOptions &options() const { return opts_; }
@@ -429,7 +408,6 @@ class Context : public func::TextureProvider
 
     bool prepareLaunch(Device &d, LaunchRecord &rec, func::LaunchEnv &env);
     void retireLaunch(LaunchRecord &&rec, bool executed);
-    void captureLaunch(Device &d, const LaunchRecord &rec);
 
     /** Drain + deadlock-check without notifying the API observer. */
     void syncStream(Stream *stream);
@@ -455,7 +433,6 @@ class Context : public func::TextureProvider
     int current_ = 0;
 
     std::vector<LaunchRecord> launch_log_;
-    std::vector<CapturedLaunch> captured_;
     LaunchHook launch_hook_;
     uint64_t total_warp_instructions_ = 0;
 

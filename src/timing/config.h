@@ -111,6 +111,14 @@ struct GpuConfig
     unsigned totalDramBanks() const { return num_partitions * dram_banks; }
 };
 
+/**
+ * FatalError unless every field is inside the range the model supports:
+ * nonzero counts, latencies and queue sizes, and upper bounds that keep a
+ * run's cost proportional to its workload. Every Context checks its config
+ * with this, so traces, serve overrides and API users share one gate.
+ */
+void validate(const GpuConfig &cfg);
+
 } // namespace mlgs::timing
 
 #endif // MLGS_TIMING_CONFIG_H

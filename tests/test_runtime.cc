@@ -319,29 +319,37 @@ TEST(Runtime, SymbolsAndModuleGlobals)
     EXPECT_FLOAT_EQ(v, 3.0f);
 }
 
-TEST(Runtime, CaptureLaunchesSnapshotsInputBuffers)
+TEST(Runtime, LaunchHookSeesPreLaunchStateAndEnv)
 {
+    // The hook fires as the launch is about to execute: device memory holds
+    // the pre-launch contents and `env` is the launch's full environment.
     Context ctx;
-    ctx.setCaptureLaunches(true);
     ctx.loadModule(kScaleKernel, "scale.ptx");
     const unsigned n = 16;
     std::vector<float> h(n, 4.0f);
     const addr_t d = ctx.malloc(n * 4);
     ctx.memcpyH2D(d, h.data(), n * 4);
+
+    unsigned calls = 0;
+    ctx.setLaunchHook([&](LaunchRecord &rec, const func::LaunchEnv &env) {
+        calls++;
+        EXPECT_EQ(rec.kernel_name, "scale");
+        EXPECT_EQ(env.kernel, rec.kernel);
+        EXPECT_EQ(env.params, rec.params);
+        EXPECT_EQ(env.symbols, &ctx.symbols());
+        EXPECT_NE(env.textures, nullptr);
+        EXPECT_FLOAT_EQ(ctx.memory().load<float>(d), 4.0f);
+        return false; // run normally
+    });
     KernelArgs args;
     args.ptr(d).u32(n).f32(2.0f);
     ctx.launch("scale", Dim3(1), Dim3(16), args);
     ctx.deviceSynchronize();
 
-    ASSERT_EQ(ctx.capturedLaunches().size(), 1u);
-    const auto &cap = ctx.capturedLaunches()[0];
-    EXPECT_EQ(cap.record.kernel_name, "scale");
-    ASSERT_EQ(cap.buffers.size(), 1u);
-    EXPECT_EQ(cap.buffers[0].addr, d);
-    // The snapshot holds the PRE-launch contents.
+    EXPECT_EQ(calls, 1u);
     float first = 0;
-    std::memcpy(&first, cap.buffers[0].data.data(), 4);
-    EXPECT_FLOAT_EQ(first, 4.0f);
+    ctx.memcpyD2H(&first, d, 4);
+    EXPECT_FLOAT_EQ(first, 8.0f);
 }
 
 TEST(Runtime, PerformanceModeProducesCycles)

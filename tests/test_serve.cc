@@ -212,6 +212,41 @@ TEST(Serve, DistinctConfigsGetDistinctCacheEntries)
     ts.stop();
 }
 
+TEST(Serve, OutOfRangeConfigOverrideAnswersErrorAndKeepsServing)
+{
+    // A config the model does not support is refused when the job builds
+    // its Context: the client gets an error naming the field, nothing is
+    // cached, and the daemon goes on serving.
+    const Recorded rec = recordVecadd();
+    TestServer ts;
+    serve::Client client(ts.socket());
+
+    BinaryReader r(rec.bytes, "trace");
+    const auto trace = trace::TraceFile::read(r);
+    serve::SubmitOptions opts;
+    opts.has_options_override = true;
+    opts.options_override = trace.options;
+    opts.options_override.gpu.max_warps_per_core = 65344;
+
+    const auto bad = client.submit(rec.bytes, opts);
+    EXPECT_EQ(bad.status, serve::Status::Error);
+    EXPECT_NE(bad.error.find("max_warps_per_core"), std::string::npos)
+        << bad.error;
+
+    const auto good = client.submit(rec.bytes);
+    ASSERT_EQ(good.status, serve::Status::Ok) << good.error;
+    EXPECT_EQ(good.stats_json, rec.direct_json);
+
+    const auto again = client.submit(rec.bytes, opts);
+    EXPECT_EQ(again.status, serve::Status::Error);
+    EXPECT_EQ(again.cache_hit, 0);
+
+    const auto info = client.info();
+    EXPECT_EQ(info.jobs_failed, 2u);
+    EXPECT_EQ(info.jobs_completed, 1u);
+    ts.stop();
+}
+
 TEST(Serve, SimThreadsDoesNotSplitTheCache)
 {
     // Results are bitwise identical at any worker budget, so sim_threads is

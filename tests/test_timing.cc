@@ -437,6 +437,43 @@ TEST(Timing, AerialBucketsConserveIssueSlots)
     expectConservedBuckets(sampler, cfg, m.totals() - first);
 }
 
+TEST(Timing, ValidateAcceptsPresetsAndRejectsOutOfRange)
+{
+    for (const auto &cfg :
+         {timing::GpuConfig{}, timing::GpuConfig::gtx1050(),
+          timing::GpuConfig::gtx1080ti()})
+        EXPECT_NO_THROW(timing::validate(cfg)) << cfg.name;
+
+    using Corrupt = void (*)(timing::GpuConfig &);
+    const Corrupt cases[] = {
+        [](timing::GpuConfig &g) { g.num_cores = 0; },
+        [](timing::GpuConfig &g) { g.max_warps_per_core = 0; },
+        [](timing::GpuConfig &g) { g.max_ctas_per_core = 0; },
+        [](timing::GpuConfig &g) { g.max_threads_per_core = 0; },
+        [](timing::GpuConfig &g) { g.schedulers_per_core = 0; },
+        [](timing::GpuConfig &g) { g.alu_latency = 0; },
+        [](timing::GpuConfig &g) { g.sfu_latency = 1u << 20; },
+        [](timing::GpuConfig &g) { g.max_pending_loads_per_warp = 0; },
+        [](timing::GpuConfig &g) { g.l1.mshr_entries = 0; },
+        [](timing::GpuConfig &g) { g.l1.line_bytes = 96; },
+        [](timing::GpuConfig &g) { g.l2.assoc = 0; },
+        [](timing::GpuConfig &g) { g.max_resident_kernels = 0; },
+        [](timing::GpuConfig &g) { g.num_partitions = 0; },
+        [](timing::GpuConfig &g) { g.dram_banks = 0; },
+        [](timing::GpuConfig &g) { g.dram_row_bytes = 64; },
+        [](timing::GpuConfig &g) { g.dram_sched_window = 0; },
+        [](timing::GpuConfig &g) { g.core_clock_ghz = 0; },
+    };
+    for (size_t i = 0; i < std::size(cases); i++) {
+        timing::GpuConfig cfg = timing::GpuConfig::gtx1050();
+        cases[i](cfg);
+        EXPECT_THROW(timing::validate(cfg), FatalError) << "case " << i;
+        cuda::ContextOptions opts;
+        opts.gpu = cfg;
+        EXPECT_THROW(cuda::Context ctx(opts), FatalError) << "case " << i;
+    }
+}
+
 TEST(Timing, MismatchedSamplerIsFatalError)
 {
     TimingFixture f;

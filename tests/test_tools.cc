@@ -13,6 +13,7 @@
 #include "debug/debugger.h"
 #include "oracle/hw_oracle.h"
 #include "sim_test_util.h"
+#include "trace/recorder.h"
 
 using namespace mlgs;
 
@@ -143,32 +144,29 @@ TEST(DebugTool, ReplayerFindsBadKernelAndInstruction)
     for (unsigned i = 0; i < n; i++)
         host[i] = float(i + 1);
 
-    // Capture the app's launches (inputs + params), Fig 2 style.
-    cuda::ContextOptions opts;
-    opts.capture_launches = true;
-    cuda::Context ctx(opts);
+    // Record the app's run; the replayer works from the trace alone.
+    cuda::Context ctx;
+    trace::TraceRecorder recorder(ctx);
     ctx.loadModule(kScale, "scale.ptx");
     ctx.loadModule(kRingShift, "ring.ptx");
     const addr_t src = ctx.malloc(n * 4);
     const addr_t dst = ctx.malloc(n * 4);
     ctx.memcpyH2D(src, host.data(), n * 4);
     runApp(ctx, src, dst, n);
-    ASSERT_EQ(ctx.capturedLaunches().size(), 2u);
+    ASSERT_EQ(recorder.launchCount(), 2u);
 
     func::BugModel suspect;
     suspect.legacy_rem = true;
-    debug::Replayer replayer({{kScale, "scale.ptx"}, {kRingShift, "ring.ptx"}},
-                             func::BugModel{}, suspect);
+    debug::Replayer replayer(recorder.finalize(), func::BugModel{}, suspect);
 
     // Step 2: which kernel first produces wrong buffers?
-    const auto kres = replayer.findFirstBadKernel(ctx.capturedLaunches());
+    const auto kres = replayer.findFirstBadKernel();
     ASSERT_TRUE(kres.diverged);
     EXPECT_EQ(kres.kernel_name, "ring_shift");
     EXPECT_EQ(kres.launch_index, 1u);
 
     // Step 3: which instruction?
-    const auto ires = replayer.localizeInstruction(
-        ctx.capturedLaunches()[kres.launch_index]);
+    const auto ires = replayer.localizeInstruction(kres.launch_index);
     ASSERT_TRUE(ires.diverged);
     EXPECT_NE(ires.instr_text.find("rem.s32"), std::string::npos)
         << "flagged: " << ires.instr_text;
@@ -213,9 +211,8 @@ DONE:
     ret;
 }
 )";
-    cuda::ContextOptions opts;
-    opts.capture_launches = true;
-    cuda::Context ctx(opts);
+    cuda::Context ctx;
+    trace::TraceRecorder recorder(ctx);
     ctx.loadModule(kFma, "fma.ptx");
     const addr_t buf = ctx.malloc(n * 4);
     ctx.memcpyH2D(buf, host.data(), n * 4);
@@ -226,13 +223,147 @@ DONE:
 
     func::BugModel suspect;
     suspect.split_fma = true;
-    debug::Replayer replayer({{kFma, "fma.ptx"}}, func::BugModel{}, suspect);
-    const auto kres = replayer.findFirstBadKernel(ctx.capturedLaunches());
+    debug::Replayer replayer(recorder.finalize(), func::BugModel{}, suspect);
+    const auto kres = replayer.findFirstBadKernel();
     ASSERT_TRUE(kres.diverged);
-    const auto ires =
-        replayer.localizeInstruction(ctx.capturedLaunches()[0]);
+    const auto ires = replayer.localizeInstruction(0);
     ASSERT_TRUE(ires.diverged);
     EXPECT_NE(ires.instr_text.find("fma"), std::string::npos);
+}
+
+TEST(DebugTool, ReplayerLocalizesLegacyBfe)
+{
+    // The bfe bug of Section III-D: a signed field extract must sign-extend.
+    // 0xF0's upper nibble is -1 as a signed 4-bit field, 15 without the
+    // sign extension.
+    const char *kField = R"(
+.visible .entry signed_nibble(.param .u64 Buf, .param .u32 n)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<4>;
+    .reg .s32 %s<3>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [Buf];
+    ld.param.u32 %r1, [n];
+    mov.u32 %r2, %tid.x;
+    setp.ge.u32 %p1, %r2, %r1;
+    @%p1 bra DONE;
+    mul.wide.u32 %rd2, %r2, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.s32 %s1, [%rd3];
+    bfe.s32 %s2, %s1, 4, 4;
+    st.global.s32 [%rd3], %s2;
+DONE:
+    ret;
+}
+)";
+    const unsigned n = 32;
+    std::vector<int32_t> host(n, 0xF0);
+
+    cuda::Context ctx;
+    trace::TraceRecorder recorder(ctx);
+    ctx.loadModule(kField, "field.ptx");
+    const addr_t buf = ctx.malloc(n * 4);
+    ctx.memcpyH2D(buf, host.data(), n * 4);
+    cuda::KernelArgs args;
+    args.ptr(buf).u32(n);
+    ctx.launch("signed_nibble", Dim3(1), Dim3(32), args);
+    ctx.deviceSynchronize();
+
+    func::BugModel suspect;
+    suspect.legacy_bfe = true;
+    debug::Replayer replayer(recorder.finalize(), func::BugModel{}, suspect);
+    const auto kres = replayer.findFirstBadKernel();
+    ASSERT_TRUE(kres.diverged);
+    EXPECT_EQ(kres.kernel_name, "signed_nibble");
+    EXPECT_EQ(kres.buffer_addr, buf);
+    const auto ires = replayer.localizeInstruction(kres.launch_index);
+    ASSERT_TRUE(ires.diverged);
+    EXPECT_FALSE(ires.control_diverged);
+    EXPECT_NE(ires.instr_text.find("bfe.s32"), std::string::npos)
+        << "flagged: " << ires.instr_text;
+    EXPECT_EQ(uint32_t(ires.golden_value), 0xffffffffu);
+    EXPECT_EQ(uint32_t(ires.suspect_value), 15u);
+}
+
+TEST(DebugTool, ReplayerDebugsTextureKernelFromSavedTrace)
+{
+    // The first bad kernel reads its input through a texture, as LRN does
+    // in every MNIST run. Its texture binding and the bound buffer come from
+    // the replayed trace, so it localizes like any other kernel.
+    const char *kTexShift = R"(
+.tex .u64 tex_in;
+.visible .entry tex_shift(.param .u64 Dst, .param .u32 n, .param .s32 k)
+{
+    .reg .u64 %rd<4>;
+    .reg .u32 %r<6>;
+    .reg .s32 %s<6>;
+    .reg .f32 %f<5>;
+    .reg .pred %p<3>;
+    ld.param.u64 %rd1, [Dst];
+    ld.param.u32 %r1, [n];
+    ld.param.s32 %s1, [k];
+    mov.u32 %r2, %tid.x;
+    setp.ge.u32 %p1, %r2, %r1;
+    @%p1 bra DONE;
+    cvt.s32.u32 %s2, %r2;
+    sub.s32 %s3, %s2, %s1;
+    cvt.s32.u32 %s4, %r1;
+    rem.s32 %s5, %s3, %s4;
+    setp.lt.s32 %p2, %s5, 0;
+    @%p2 add.s32 %s5, %s5, %s4;
+    tex.1d.v4.f32.s32 {%f1, %f2, %f3, %f4}, [tex_in, {%s5}];
+    mul.wide.u32 %rd2, %r2, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.f32 [%rd3], %f1;
+DONE:
+    ret;
+}
+)";
+    const unsigned n = 100;
+    std::vector<float> host(n);
+    for (unsigned i = 0; i < n; i++)
+        host[i] = float(i + 1);
+
+    mlgs::test::ScopedTmpDir tmp;
+    const std::string path = tmp.file("tex_shift.mlgstrace");
+    {
+        cuda::Context ctx;
+        trace::TraceRecorder recorder(ctx);
+        ctx.loadModule(kScale, "scale.ptx");
+        ctx.loadModule(kTexShift, "tex_shift.ptx");
+        const int texref = ctx.registerTexture("tex_in");
+        const addr_t src = ctx.malloc(n * 4);
+        const addr_t dst = ctx.malloc(n * 4);
+        ctx.memcpyH2D(src, host.data(), n * 4);
+        ctx.bindTextureLinear(texref, src, n);
+        cuda::KernelArgs scale_args;
+        scale_args.ptr(src).u32(n).f32(2.0f);
+        ctx.launch("scale_buf", Dim3(1), Dim3(128), scale_args);
+        cuda::KernelArgs shift_args;
+        shift_args.ptr(dst).u32(n).s32(5);
+        ctx.launch("tex_shift", Dim3(1), Dim3(128), shift_args);
+        std::vector<float> out(n);
+        ctx.memcpyD2H(out.data(), dst, n * 4);
+        for (unsigned i = 0; i < n; i++)
+            ASSERT_FLOAT_EQ(out[i], 2.0f * host[(i + n - 5) % n]);
+        recorder.finalize().save(path);
+    }
+
+    func::BugModel suspect;
+    suspect.legacy_rem = true;
+    debug::Replayer replayer(trace::TraceFile::load(path), func::BugModel{},
+                             suspect);
+    EXPECT_TRUE(replayer.lintModules().empty());
+    const auto kres = replayer.findFirstBadKernel();
+    ASSERT_TRUE(kres.diverged);
+    EXPECT_EQ(kres.kernel_name, "tex_shift");
+    EXPECT_EQ(kres.launch_index, 1u);
+    const auto ires = replayer.localizeInstruction(kres.launch_index);
+    ASSERT_TRUE(ires.diverged);
+    EXPECT_NE(ires.instr_text.find("rem.s32"), std::string::npos)
+        << "flagged: " << ires.instr_text;
+    EXPECT_NE(ires.golden_value, ires.suspect_value);
 }
 
 TEST(DebugTool, DifferentialCoverageIsolatesRem)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "bench/trace_workloads.h"
@@ -394,6 +395,57 @@ TEST(TraceReplay, DivergentAllocationFailsLoudly)
     const trace::TraceReplayer rep(t);
     cuda::Context ctx(rep.options());
     EXPECT_THROW(rep.replay(ctx), FatalError);
+}
+
+TEST(TraceReplay, OutOfRangeGpuConfigFailsFast)
+{
+    // A byte-flip sweep over an --algo 1 conv trace's options found these
+    // three configs replaying for 15 s, 31 s and past 60 s. The content hash
+    // does not cover the options, so the trace loads; its Context must then
+    // refuse the config within a second, naming the field.
+    ConvTraceSpec spec;
+    spec.algo = 1;
+    trace::TraceFile trace;
+    {
+        cuda::Context ctx(convTraceOptions(spec));
+        trace::TraceRecorder rec(ctx);
+        runConvFrontend(ctx, spec);
+        rec.detach();
+        trace = rec.finalize();
+    }
+    const struct
+    {
+        const char *field;
+        void (*corrupt)(timing::GpuConfig &);
+    } cases[] = {
+        {"max_warps_per_core",
+         [](timing::GpuConfig &g) { g.max_warps_per_core = 65344; }},
+        {"l2.mshr_entries",
+         [](timing::GpuConfig &g) { g.l2.mshr_entries = 65344; }},
+        {"dram_cas", [](timing::GpuConfig &g) { g.dram_cas = 8388626; }},
+    };
+    for (const auto &c : cases) {
+        trace::TraceFile bad = trace;
+        c.corrupt(bad.options.gpu);
+        const auto bytes = serialize(bad);
+
+        const auto t0 = std::chrono::steady_clock::now();
+        std::string err;
+        try {
+            BinaryReader r(bytes, "corrupt-config");
+            const trace::TraceReplayer rep(trace::TraceFile::read(r));
+            cuda::Context ctx(rep.options());
+            rep.replay(ctx);
+        } catch (const FatalError &e) {
+            err = e.what();
+        }
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        EXPECT_NE(err.find(c.field), std::string::npos)
+            << c.field << ": " << err;
+        EXPECT_LT(secs, 1.0) << c.field;
+    }
 }
 
 // ---- multi-GPU: per-device traces (format v3 peer ops) ----
